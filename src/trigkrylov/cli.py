@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import problems as pb
-from .integrators import SOLVERS, SolverConfig, solve as run_solver
+from .integrators import SOLVERS, SecondOrderIVP, SolverConfig, solve as run_solver
 from .krylov import ResidualCurve, krylov_build
 from .linop import DenseOperator, read_matrix_market
 from .smallfun import ScalarFunKind
@@ -110,23 +110,25 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         return 2
     wave_spec = None
-    if args.problem:
-        ivp, wave_spec, _ = build_preset(args.problem, args.scale, args.t)
-        label = args.problem
-    else:
-        op = read_matrix_market(args.matrix)
-        u = read_vector(args.u_file) if args.u_file else np.zeros(op.dim)
-        v = read_vector(args.v_file) if args.v_file else np.zeros(op.dim)
-        g = read_vector(args.g_file) if args.g_file else None
-        from .integrators import SecondOrderIVP
-
-        ivp = SecondOrderIVP(op, u, v, g, args.t if args.t else 1.0)
-        label = Path(args.matrix).name
-    cfg = SolverConfig(tol=args.tol, m_max=args.mmax, alpha=args.alpha)
+    try:
+        if args.problem:
+            ivp, wave_spec, _ = build_preset(args.problem, args.scale, args.t)
+            label = args.problem
+        else:
+            op = read_matrix_market(args.matrix)
+            u = read_vector(args.u_file) if args.u_file else np.zeros(op.dim)
+            v = read_vector(args.v_file) if args.v_file else np.zeros(op.dim)
+            g = read_vector(args.g_file) if args.g_file else None
+            ivp = SecondOrderIVP(op, u, v, g, args.t if args.t is not None else 1.0)
+            label = Path(args.matrix).name
+        cfg = SolverConfig(tol=args.tol, m_max=args.mmax, alpha=args.alpha)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     try:
         report = run_solver(ivp, cfg, args.solver)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     cpu = time.perf_counter() - t0
@@ -200,6 +202,11 @@ def cmd_bench(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.suite.replace('-', '_')}.csv"
     start = time.perf_counter()
+
+    def over_budget():
+        return (args.max_seconds is not None
+                and time.perf_counter() - start > args.max_seconds)
+
     rows = []
     truncated = False
     for grid in suite["grids"]:
@@ -217,6 +224,9 @@ def cmd_bench(args) -> int:
         ivp_factory = lambda name=name: build_preset(name, args.scale)[0]
 
         def run(cell):
+            # a cell that starts after the wall budget is spent is skipped
+            if over_budget():
+                return None
             solver, tol, tol_used = cell
             return _bench_cell(ivp_factory, yref, args.suite, suite["family"],
                                eff_grid, suite["t"], solver, tol, tol_used,
@@ -226,14 +236,10 @@ def cmd_bench(args) -> int:
             with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
                 results = list(pool.map(run, cells))
         else:
-            results = []
-            for cell in cells:
-                if (args.max_seconds is not None
-                        and time.perf_counter() - start > args.max_seconds):
-                    truncated = True
-                    break
-                results.append(run(cell))
-        rows.extend(results)
+            results = [run(cell) for cell in cells]
+        done = [row for row in results if row is not None]
+        truncated = len(done) < len(cells)
+        rows.extend(done)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BENCH_HEADER)

@@ -59,6 +59,8 @@ class SecondOrderIVP:
         for name, vec in (("u", self.u), ("v", self.v), ("g", self.g)):
             if vec.shape != (self.op.dim,):
                 raise ValueError(f"{name} has shape {vec.shape}, need ({self.op.dim},)")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"{name} has non-finite entries")
         if not self.t_final > 0:
             raise ValueError("t_final must be positive")
 
@@ -197,11 +199,6 @@ def _sigma_velocity(decomp, cache, delta):
     return decomp.V_m @ cache.fun_e1(ScalarFunKind.COS, delta * delta)
 
 
-def _check_preconditions(ivp: SecondOrderIVP):
-    if ivp.u.shape != (ivp.op.dim,):
-        raise ValueError("initial data dimension mismatch")
-
-
 def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     """Residual-time restarting with both Krylov branches built in lockstep.
 
@@ -211,7 +208,6 @@ def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     tol * (||g - A y|| + ||v||).  Both bases are held simultaneously, so each
     is capped at m_max/2 by default.
     """
-    _check_preconditions(ivp)
     op = ivp.op
     count0 = op.matvec_count
     y = ivp.u.copy()
@@ -292,7 +288,6 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     ``"rebuild"`` entry of dimension m.  Either way the rejection counts as
     a repair event.
     """
-    _check_preconditions(ivp)
     op = ivp.op
     count0 = op.matvec_count
     y = ivp.u.copy()
@@ -408,7 +403,6 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     sequential RT solver.  The returned velocity is the averaged velocity
     over the final step, not y'(t_final).
     """
-    _check_preconditions(ivp)
     op = ivp.op
     count0 = op.matvec_count
     t_total = ivp.t_final
@@ -538,7 +532,6 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     use is independent of the iteration count at the price of roughly
     doubling the matvecs.
     """
-    _check_preconditions(ivp)
     op = ivp.op
     if not op.is_symmetric:
         raise ValueError("operator not symmetric")
@@ -632,7 +625,6 @@ def rt_first_order_block(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     orthogonalization and storage cost comparable to the second-order
     solvers.  Block products are counted as single matvecs.
     """
-    _check_preconditions(ivp)
     op = ivp.op
     count0 = op.matvec_count
     block = BlockFirstOrderOperator(op)

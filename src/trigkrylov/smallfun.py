@@ -16,9 +16,21 @@ series and validated against an extended-precision series oracle in the
 test suite.
 
 Small matrices are handled by a symmetric (tridiagonal) eigendecomposition
-or, in the general case, by a complex Schur form combined with the Parlett
-recurrence; both factorizations are cached so that many evaluation times t
-reuse a single factorization.
+or, in the general case, by a complex Schur form H = Q T Q^H combined with
+the Parlett recurrence; both factorizations are cached so that many
+evaluation times t reuse a single factorization.
+
+The Parlett recurrence for f(sT) is scale-free: in column j the scale s
+multiplies both the system sT[:j,:j] - s T[j,j] I and its right-hand side,
+so it cancels.  Every scale therefore shares the m - 1 triangular systems
+of the unscaled T, and only the diagonal values f(s T[j,j]) differ.
+:func:`parlett_batched` evaluates a whole set of scales (all sample times
+of a residual curve) with one triangular solve per column.  Clusters are
+checked once per factorization, on the diagonal of the unscaled T, so a
+scale of 0 or a tiny scale does not make distinct eigenvalues look
+confluent.  A T with confluent diagonal entries falls back to
+:func:`parlett_fun_triangular`, one scale at a time, which handles adjacent
+confluent pairs by divided differences and perturbs other clusters.
 """
 from __future__ import annotations
 
@@ -160,17 +172,41 @@ def scalar_fun(kind: ScalarFunKind, z):
     return _FUNS[kind][0](z)
 
 
-def _parlett_columnwise(t_mat, fvals):
-    """f(T) for upper-triangular T with well-separated diagonal entries."""
+def parlett_batched(t_mat, fvals):
+    """f(s_k T) for every sample k, from the unscaled upper-triangular T.
+
+    ``fvals`` has shape (S, m); row k holds f(s_k d) for the diagonal d of
+    T.  Returns F of shape (S, m, m).  Column j of f(sT) solves
+    (sT[:j,:j] - s d_j I) x = F[:j,:j] (sT[:j,j]) - f(s d_j) (sT[:j,j]), where
+    the scale s cancels, so all samples share the unscaled system of column j
+    and one triangular solve takes all S right-hand sides.  The diagonal of
+    T must be free of repeated entries.
+    """
+    t_mat = np.asarray(t_mat, dtype=complex)
+    fvals = np.atleast_2d(fvals)
     m = t_mat.shape[0]
-    f = np.zeros_like(t_mat)
-    np.fill_diagonal(f, fvals)
     d = np.diagonal(t_mat)
+    if np.unique(d).size < m:
+        raise np.linalg.LinAlgError("repeated diagonal entry: singular Parlett system")
+    f = np.zeros((fvals.shape[0], m, m), dtype=complex)
+    f[:, np.arange(m), np.arange(m)] = fvals
+    shifted = t_mat.copy()
     for j in range(1, m):
-        rhs = f[:j, :j] @ t_mat[:j, j] - t_mat[:j, j] * fvals[j]
-        sys = t_mat[:j, :j] - d[j] * np.eye(j)
-        f[:j, j] = scipy.linalg.solve_triangular(sys, rhs)
+        col = t_mat[:j, j]
+        rhs = f[:, :j, :j] @ col - fvals[:, j, None] * col
+        np.fill_diagonal(shifted, d - d[j])
+        # BLAS trsm, not solve_triangular (LAPACK trtrs): trtrs wakes the
+        # BLAS thread pool even for these small systems, and interleaved
+        # with the matmul above each solve then costs milliseconds with two
+        # BLAS threads; trsm keeps small solves on the calling thread
+        f[:, :j, j] = scipy.linalg.blas.ztrsm(1.0, shifted[:j, :j], rhs.T).T
     return f
+
+
+def _has_confluent_diagonal(d, ctol: float = PARLETT_CLUSTER_TOL) -> bool:
+    """True iff two entries of d lie closer than ctol."""
+    iu, ju = np.triu_indices(len(d), k=1)
+    return bool(np.any(np.abs(d[iu] - d[ju]) < ctol))
 
 
 def _separate_diagonal(d, ctol):
@@ -217,7 +253,7 @@ def parlett_fun_triangular(t_mat, kind: ScalarFunKind, scale: float = 1.0,
     fvals = fun(d)
 
     if not np.any(close) or nonadjacent_cluster:
-        return _parlett_columnwise(t_scaled, fvals), perturbed
+        return parlett_batched(t_scaled, fvals)[0], perturbed
 
     # Scalar recurrence with divided-difference handling of adjacent pairs.
     f = np.zeros_like(t_scaled)
@@ -247,6 +283,8 @@ class SpectralCache:
     Symmetric H is stored as an eigendecomposition Q diag(lam) Q^T, general H
     as a complex Schur form Q T Q^H.  One factorization serves many
     evaluation times, which is what the residual-curve sampling needs.
+    Whether T has confluent diagonal entries is decided once, on the unscaled
+    T: if not, every scale goes through :func:`parlett_batched`.
     """
 
     def __init__(self, *, lam=None, q=None, t_mat=None, beta=1.0):
@@ -263,6 +301,7 @@ class SpectralCache:
             self._w_corner = self.q[-1, :] * self.q[0, :]
         else:
             self._qh_e1 = self.q[0, :].conj()
+            self._confluent = _has_confluent_diagonal(np.diagonal(t_mat))
 
     @classmethod
     def from_tridiagonal(cls, diag, offdiag, beta=1.0):
@@ -286,20 +325,27 @@ class SpectralCache:
         t_mat, q = scipy.linalg.schur(h_mat, output="complex")
         return cls(t_mat=t_mat, q=q, beta=beta)
 
-    def _fun_of_h(self, kind, scale):
-        # warn once per cache; later evaluations reuse the same clustering
-        f, perturbed = parlett_fun_triangular(self.t_mat, kind, scale,
-                                              quiet=self.perturbed)
-        if perturbed:
-            self.perturbed = True
-        return f
+    def _fun_of_t(self, kind, scales):
+        """f(s T) for each s in scales, shape (S, m, m)."""
+        if not self._confluent:
+            fvals = scalar_fun(kind, np.multiply.outer(scales, np.diagonal(self.t_mat)))
+            return parlett_batched(self.t_mat, fvals)
+        out = []
+        for s in scales:
+            # warn once per cache; later evaluations reuse the same clustering
+            f, perturbed = parlett_fun_triangular(self.t_mat, kind, s,
+                                                  quiet=self.perturbed)
+            self.perturbed = self.perturbed or perturbed
+            out.append(f)
+        return np.stack(out)
 
     def apply_fun(self, kind: ScalarFunKind, scale: float, b):
-        """f(scale*H) @ b."""
+        """f(scale*H) @ b, for b of shape (m,) or (m, k)."""
         b = np.asarray(b)
         if self.symmetric:
-            return self.q @ (scalar_fun(kind, scale * self.lam) * (self.q.T @ b))
-        out = self.q @ (self._fun_of_h(kind, scale) @ (self.q.conj().T @ b))
+            fl = scalar_fun(kind, scale * self.lam)
+            return self.q @ (fl * (self.q.T @ b).T).T
+        out = self.q @ (self._fun_of_t(kind, [scale])[0] @ (self.q.conj().T @ b))
         return out.real if not np.iscomplexobj(b) else out
 
     def fun_e1(self, kind: ScalarFunKind, scale: float):
@@ -308,7 +354,7 @@ class SpectralCache:
             return self.beta * (
                 self.q @ (scalar_fun(kind, scale * self.lam) * self._w_first)
             )
-        out = self.q @ (self._fun_of_h(kind, scale) @ self._qh_e1)
+        out = self.q @ (self._fun_of_t(kind, [scale])[0] @ self._qh_e1)
         return self.beta * out.real
 
     def corner_fun_e1(self, kind: ScalarFunKind, scales) -> np.ndarray:
@@ -317,11 +363,10 @@ class SpectralCache:
         if self.symmetric:
             vals = scalar_fun(kind, np.outer(scales, self.lam))
             return self.beta * (np.atleast_2d(vals) @ self._w_corner)
-        out = np.empty(scales.size)
-        for i, s in enumerate(scales):
-            f = self._fun_of_h(kind, s)
-            out[i] = self.beta * (self.q[-1, :] @ (f @ self._qh_e1)).real
-        return out
+        f_e1 = self._fun_of_t(kind, scales) @ self._qh_e1
+        # an elementwise sum, not a matmul: an (S, m) gemv would run on the
+        # BLAS thread pool between the Parlett solves of consecutive calls
+        return self.beta * (f_e1 * self.q[-1, :]).sum(axis=1).real
 
 
 def matfun_action(h_mat, kind: ScalarFunKind, scale: float, b,
@@ -389,8 +434,8 @@ def exact_ivp_solution(ivp, t: float, cap: int = 4096):
         a_mat, beta=1.0, symmetric=ivp.op.is_symmetric or None
     )
     t2 = t * t
-    y = ivp.u + 0.5 * t2 * cache.apply_fun(ScalarFunKind.PSI, t2, w)
-    y = y + t * cache.apply_fun(ScalarFunKind.SIGMA, t2, ivp.v)
-    yp = t * cache.apply_fun(ScalarFunKind.SIGMA, t2, w)
-    yp = yp + cache.apply_fun(ScalarFunKind.COS, t2, ivp.v)
+    # one sigma(t^2 A) serves both w and v
+    sig = t * cache.apply_fun(ScalarFunKind.SIGMA, t2, np.column_stack([w, ivp.v]))
+    y = ivp.u + 0.5 * t2 * cache.apply_fun(ScalarFunKind.PSI, t2, w) + sig[:, 1]
+    yp = sig[:, 0] + cache.apply_fun(ScalarFunKind.COS, t2, ivp.v)
     return y, yp

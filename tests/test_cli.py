@@ -5,6 +5,7 @@ import pytest
 import scipy.io
 import scipy.sparse
 
+import trigkrylov.cli as cli
 from trigkrylov.cli import (
     BENCH_HEADER,
     BOUNDS_HEADER,
@@ -14,6 +15,7 @@ from trigkrylov.cli import (
     read_vector,
     write_vector,
 )
+from trigkrylov.krylov import StepSearchStagnation
 
 
 def test_vector_roundtrip(tmp_path):
@@ -82,6 +84,45 @@ def test_solve_requires_one_source(tmp_path, capsys):
     assert rc == 2
 
 
+def test_solve_t_zero_exits_2(tmp_path, capsys):
+    rc = main(["solve", "--problem", "isotropic10", "--t", "0",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "t_final" in err
+    assert err.count("\n") == 1
+
+
+def _write_spd_matrix(tmp_path, n=12):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((n, n))
+    mtx = tmp_path / "a.mtx"
+    scipy.io.mmwrite(mtx, scipy.sparse.coo_matrix(a @ a.T / n + 2 * np.eye(n)),
+                     symmetry="symmetric")
+    write_vector(tmp_path / "v.bin", rng.standard_normal(n))
+    return mtx
+
+
+def test_solve_matrix_t_zero_is_not_replaced(tmp_path, capsys):
+    mtx = _write_spd_matrix(tmp_path)
+    rc = main(["solve", "--matrix", str(mtx), "--v-file", str(tmp_path / "v.bin"),
+               "--t", "0", "--reference", "none", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "t_final" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_catches_solver_runtime_error(tmp_path, capsys, monkeypatch):
+    def stagnate(ivp, cfg, solver):
+        raise StepSearchStagnation("stagnation: residual not small even for tiny steps")
+
+    monkeypatch.setattr(cli, "run_solver", stagnate)
+    rc = main(["solve", "--problem", "isotropic10", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: stagnation: residual not small even for tiny steps\n"
+
+
 def test_solve_matrix_market(tmp_path, capsys):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((12, 12))
@@ -120,6 +161,16 @@ def test_bench_truncation_marker(tmp_path):
     assert rc == 0
     rows = list(csv.reader(open(tmp_path / "table2.csv")))
     assert rows[-1][0] == "TRUNCATED"
+
+
+def test_bench_truncation_marker_with_jobs(tmp_path):
+    rc = main(["bench", "--suite", "table2", "--scale", "0.4", "--jobs", "2",
+               "--max-seconds", "0.0", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = list(csv.reader((tmp_path / "table2.csv").read_text().splitlines()))
+    assert rows[0] == BENCH_HEADER
+    assert rows[-1] == ["TRUNCATED"] + [""] * (len(BENCH_HEADER) - 1)
+    assert len(rows) < 1 + 4 * 2 * 4
 
 
 def test_bench_tolerance_adjustments(tmp_path):

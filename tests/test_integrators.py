@@ -54,6 +54,15 @@ def test_ivp_validation():
         SecondOrderIVP(op, np.zeros(3), np.zeros(3), None, 0.0)
 
 
+@pytest.mark.parametrize("field", ["u", "v", "g"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ivp_rejects_non_finite_data(field, bad):
+    data = {"u": np.ones(3), "v": np.ones(3), "g": np.ones(3)}
+    data[field][1] = bad
+    with pytest.raises(ValueError, match=f"{field} has non-finite entries"):
+        SecondOrderIVP(DenseOperator(np.eye(3)), data["u"], data["v"], data["g"], 1.0)
+
+
 def test_unknown_solver_name():
     ivp = _random_spd_ivp(np.random.default_rng(0))
     with pytest.raises(ValueError, match="unknown solver"):

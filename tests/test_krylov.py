@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,15 @@ from trigkrylov.krylov import (
     krylov_build,
     residual_norm_at,
 )
-from trigkrylov.smallfun import ScalarFunKind, SpectralCache, psi, sigma, phi
+from trigkrylov.problems import TransportProblemSpec, build_transport
+from trigkrylov.smallfun import (
+    ParlettPerturbationWarning,
+    ScalarFunKind,
+    SpectralCache,
+    phi,
+    psi,
+    sigma,
+)
 
 
 def _spd_operator(rng, n, shift=2.0):
@@ -88,6 +98,22 @@ def test_residual_curve_closed_form_and_zero_time():
     assert residual_norm_at(curve, 0.0) == 0.0
     for t in (0.4, 1.0, 2.5):
         assert curve.value(t) == pytest.approx(abs(np.sin(t)), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", [ScalarFunKind.PSI, ScalarFunKind.SIGMA,
+                                  ScalarFunKind.PHI])
+def test_arnoldi_curve_at_zero_and_tiny_times(kind):
+    ivp = build_transport(TransportProblemSpec(64))
+    d = krylov_build(ivp.op, ivp.v, 8)
+    curve = ResidualCurve(d, kind)
+    assert not curve.cache.symmetric
+    assert residual_norm_at(curve, 0.0) == 0.0
+    t = 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ParlettPerturbationWarning)
+        value = residual_norm_at(curve, t)
+    # The exact e_m^T u(t) is O(t^(m+1)); the computed one is at round-off.
+    assert value <= 1e-14 * d.h_next * t * d.beta
 
 
 def test_breakdown_residual_is_zero():

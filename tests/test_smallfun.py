@@ -1,6 +1,8 @@
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.blas
 
 from trigkrylov.integrators import SecondOrderIVP
 from trigkrylov.linop import DenseOperator
@@ -12,6 +14,7 @@ from trigkrylov.smallfun import (
     cos_sqrt,
     exact_ivp_solution,
     matfun_action,
+    parlett_batched,
     parlett_fun_triangular,
     phi,
     projected_solution,
@@ -181,6 +184,99 @@ def test_parlett_nonadjacent_cluster_warns():
     assert np.linalg.norm(f - ref) <= 1e-5
 
 
+_TAYLOR_COEFF = {
+    ScalarFunKind.PSI: lambda k: 2 * (-1) ** k / mp.factorial(2 * k + 2),
+    ScalarFunKind.SIGMA: lambda k: (-1) ** k / mp.factorial(2 * k + 1),
+    ScalarFunKind.PHI: lambda k: 1 / mp.factorial(k + 1),
+    ScalarFunKind.COS: lambda k: (-1) ** k / mp.factorial(2 * k),
+}
+
+
+def _taylor_corner(h, kind, scale, terms=80):
+    """e_m^T f(scale*H) e_1 by the Taylor series in extended precision.
+
+    Also returns sum_k |c_k| ||scale*H||_2^k, a bound on ||f(scale*H)||_2
+    that sets the absolute round-off level of any double-precision method.
+    """
+    m = h.shape[0]
+    z = mp.matrix(h.tolist()) * mp.mpf(scale)
+    znorm = mp.mpf(float(abs(scale) * np.linalg.norm(h, 2)))
+    x = mp.matrix(m, 1)
+    x[0] = 1
+    corner, bound = mp.mpf(0), mp.mpf(0)
+    for k in range(terms):
+        coeff = _TAYLOR_COEFF[kind](k)
+        corner += coeff * x[m - 1]
+        bound += abs(coeff) * znorm**k
+        x = z * x
+    return float(corner), float(bound)
+
+
+def _hessenberg(m, seed):
+    return np.triu(np.random.default_rng(seed).standard_normal((m, m)), -1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 10])
+@pytest.mark.parametrize("kind", list(ScalarFunKind))
+def test_batched_corner_vs_taylor_oracle(m, kind):
+    h = _hessenberg(m, 40 + m)
+    beta = 1.7
+    cache = SpectralCache.from_dense(h, beta=beta, symmetric=False)
+    scales = np.array([0.0, 1e-18, 1e-9, 0.3, 1.5, -0.8])
+    got = cache.corner_fun_e1(kind, scales)
+    for s, value in zip(scales, got):
+        ref, bound = _taylor_corner(h, kind, s)
+        assert abs(value - beta * ref) <= 1e-13 * beta * bound, (s, value, beta * ref)
+    # one scale at a time through fun_e1 and apply_fun gives the same corner
+    e1 = np.zeros(m)
+    e1[0] = beta
+    for s, value in zip(scales, got):
+        assert cache.fun_e1(kind, s)[-1] == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert cache.apply_fun(kind, s, e1)[-1] == pytest.approx(value, rel=1e-12, abs=1e-15)
+    assert not cache.perturbed
+
+
+def test_confluent_schur_factor_keeps_per_sample_path():
+    # A Jordan block: the Schur factor has a repeated diagonal entry, so the
+    # cache evaluates each scale with the divided-difference recurrence.
+    h = np.array([[2.0, 1.0], [0.0, 2.0]])
+    cache = SpectralCache.from_dense(h, symmetric=False)
+    scales = np.array([0.0, 0.4, 1.0])
+    for kind in ScalarFunKind:
+        got = cache.corner_fun_e1(kind, scales)
+        for s, value in zip(scales, got):
+            ref, bound = _taylor_corner(h, kind, s)
+            assert abs(value - ref) <= 1e-13 * bound
+
+
+def test_parlett_batched_rejects_repeated_diagonal():
+    t_mat = np.array([[1.0, 2.0, 0.5], [0.0, 3.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="repeated diagonal"):
+        parlett_batched(t_mat, np.ones((4, 3)))
+
+
+def test_corner_costs_one_triangular_solve_per_column(monkeypatch):
+    # Guards against a per-sample loop: 200 scales must share the m - 1
+    # column solves.  Both the BLAS routine and the scipy wrapper count.
+    calls = []
+
+    def counting(module, name):
+        solve = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(scipy.linalg.blas, "ztrsm")
+    counting(scipy.linalg, "solve_triangular")
+    m = 12
+    cache = SpectralCache.from_dense(_hessenberg(m, 7), symmetric=False)
+    cache.corner_fun_e1(ScalarFunKind.SIGMA, np.linspace(0.0, 2.0, 200))
+    assert 0 < len(calls) <= m
+
+
 def test_projected_solution_zero_time():
     h = np.array([[2.0, 0.3], [0.3, 1.0]])
     for kind in (ScalarFunKind.PSI, ScalarFunKind.SIGMA, ScalarFunKind.PHI):
@@ -224,6 +320,30 @@ def test_exact_ivp_initial_conditions():
     y0, v0 = exact_ivp_solution(ivp, 0.0)
     np.testing.assert_allclose(y0, ivp.u, atol=1e-14)
     np.testing.assert_allclose(v0, ivp.v, atol=1e-14)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_exact_ivp_one_sigma_for_w_and_v(symmetric):
+    rng = np.random.default_rng(31)
+    n = 12
+    mat = rng.standard_normal((n, n)) / np.sqrt(n) + 2 * np.eye(n)
+    if symmetric:
+        mat = (mat + mat.T) / 2
+    ivp = SecondOrderIVP(DenseOperator(mat, is_symmetric=symmetric),
+                         rng.standard_normal(n), rng.standard_normal(n),
+                         rng.standard_normal(n), 1.0)
+    t = 0.9
+    y, yp = exact_ivp_solution(ivp, t)
+    # the two-call form: sigma(t^2 A) applied to w and to v separately
+    cache = SpectralCache.from_dense(mat, symmetric=symmetric)
+    w = ivp.g - mat @ ivp.u
+    t2 = t * t
+    y_ref = (ivp.u + 0.5 * t2 * cache.apply_fun(ScalarFunKind.PSI, t2, w)
+             + t * cache.apply_fun(ScalarFunKind.SIGMA, t2, ivp.v))
+    yp_ref = (t * cache.apply_fun(ScalarFunKind.SIGMA, t2, w)
+              + cache.apply_fun(ScalarFunKind.COS, t2, ivp.v))
+    assert np.linalg.norm(y - y_ref) <= 1e-14 * np.linalg.norm(y_ref)
+    assert np.linalg.norm(yp - yp_ref) <= 1e-14 * np.linalg.norm(yp_ref)
 
 
 def test_exact_ivp_identity_sine():
