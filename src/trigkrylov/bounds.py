@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from .smallfun import phi
 
@@ -21,63 +22,12 @@ BESSEL_ORDER_MAX = 400
 #: Tail threshold for the adaptive Chebyshev truncation order.
 TAIL_EPS = 1e-16
 
-_SERIES_T_SWITCH = 0.1
-_RESCALE_LIMIT = 1e250
-
-
-def _bessel_series(t: float, order: int) -> float:
-    """Ascending series for J_order(t); accurate for small t."""
-    half = 0.5 * t
-    log_lead = order * math.log(half) if half > 0 else -math.inf
-    lead = math.exp(log_lead - math.lgamma(order + 1)) if half > 0 else (
-        1.0 if order == 0 else 0.0
-    )
-    total = 0.0
-    term = lead
-    for i in range(40):
-        total += term
-        term *= -(half * half) / ((i + 1.0) * (order + i + 1.0))
-        if abs(term) < 1e-20 * max(abs(total), 1e-300):
-            break
-    return total
-
 
 def bessel_sequence(t: float, n_max: int) -> np.ndarray:
-    """J_0(t) .. J_{n_max}(t) by backward (Miller) recurrence.
-
-    Normalized with J_0 + 2 sum_k J_{2k} = 1; intermediate values are
-    rescaled to avoid overflow.  Small t falls back to the ascending series.
-    """
+    """J_0(t) .. J_{n_max}(t)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    if t < _SERIES_T_SWITCH:
-        return np.array([_bessel_series(t, n) for n in range(n_max + 1)])
-    start = max(n_max, math.ceil(t)) + 60
-    out = np.zeros(n_max + 1)
-    j_hi = 0.0  # J_{n+1} of the unnormalized downward solution
-    j_n = 1e-300  # J_n, seeded at n = start
-    if start <= n_max:
-        out[start] = j_n
-    even_sum = j_n if start % 2 == 0 else 0.0
-    for n in range(start, 0, -1):
-        j_lo = (2.0 * n / t) * j_n - j_hi
-        j_hi, j_n = j_n, j_lo  # j_n is now J_{n-1}
-        if n - 1 <= n_max:
-            out[n - 1] = j_n
-        if (n - 1) % 2 == 0:
-            even_sum += j_n
-        if abs(j_n) > _RESCALE_LIMIT:
-            j_n /= _RESCALE_LIMIT
-            j_hi /= _RESCALE_LIMIT
-            even_sum /= _RESCALE_LIMIT
-            out /= _RESCALE_LIMIT
-    # Normalization J_0 + 2(J_2 + J_4 + ...) = 1; even_sum holds each even
-    # order once and j_n holds J_0.
-    return out / (2.0 * even_sum - j_n)
+    return scipy.special.jv(np.arange(n_max + 1), t)
 
 
 def bessel_j(k: int, t: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import BlockFirstOrderOperator, LinearOperator
-from .smallfun import ScalarFunKind
+from .smallfun import ScalarFunKind, branch_coefficients
 from .krylov import (
     COARSE_FRACTIONS,
     CombinedResidualCurve,
@@ -25,6 +25,7 @@ from .krylov import (
     coarse_residual_check,
     confirm_admissible,
     find_largest_admissible_step,
+    krylov_build,
 )
 
 _MAX_CYCLES = 1_000_000
@@ -78,7 +79,6 @@ class SolverConfig:
     tol: float
     m_max: int = 30
     alpha: float = 0.85
-    reorth: bool = False
     two_pass_check_interval: int = 10
     sim_basis_cap: int | None = None
     two_pass_max_iters: int | None = None
@@ -142,18 +142,16 @@ def _tolerance_split(tol, beta_psi, beta_sigma):
     return 0.0, tol * beta_sigma
 
 
-def _grow_admissible(op, start, kind, horizon, threshold, m_cap,
-                     mode=None, reorth=False):
+def _grow_admissible(op, start, kind, horizon, threshold, m_cap):
     """Extend a Krylov process until the residual is admissible on [0, horizon].
 
     Convergence is checked after every step on the six coarse samples; on
     failure at the dimension cap the largest admissible step is located on
     the fine grid.  Returns (decomposition, curve, delta, converged).
     """
-    proc = KrylovProcess(op, start, mode=mode, reorth=reorth)
-    m_cap = min(m_cap, op.dim)
+    proc = KrylovProcess(op, start, m_cap)
     decomp = curve = None
-    for _ in range(m_cap):
+    for _ in range(proc.m_max):
         proc.step()
         decomp = proc.snapshot()
         curve = ResidualCurve(decomp, kind)
@@ -167,36 +165,16 @@ def _grow_admissible(op, start, kind, horizon, threshold, m_cap,
     return decomp, curve, delta, False
 
 
-def _rebuild(op, start, m, mode=None, reorth=False):
-    """Re-run a discarded Krylov branch (deterministic; costs m matvecs)."""
-    proc = KrylovProcess(op, start, mode=mode, reorth=reorth)
-    for _ in range(m):
-        proc.step()
-        if proc.breakdown:
-            break
-    decomp = proc.snapshot()
-    return decomp, decomp.spectral_cache()
+def _branch_updates(decomp, cache, kind, steps):
+    """The branch's (position, velocity) updates at each of ``steps``, shape
+    (k, terms, n), from the terms of ``BRANCH_TERMS[kind]``.
 
-
-def _psi_updates(decomp, cache, steps):
-    """psi's (position, velocity) updates at each of ``steps``, shape (k, 2, n).
-
-    The basis is read once and combined with all 2k coefficient vectors in
-    a single GEMM.
+    The basis view is read once and combined with all coefficient vectors
+    in a single GEMM.
     """
-    coeffs = np.empty((2 * len(steps), decomp.m))
-    for i, s in enumerate(steps):
-        coeffs[2 * i] = 0.5 * s * s * cache.fun_e1(ScalarFunKind.PSI, s * s)
-        coeffs[2 * i + 1] = s * cache.fun_e1(ScalarFunKind.SIGMA, s * s)
-    return (coeffs @ decomp.V_m.T).reshape(len(steps), 2, -1)
-
-
-def _sigma_position(decomp, cache, delta):
-    return decomp.V_m @ (delta * cache.fun_e1(ScalarFunKind.SIGMA, delta * delta))
-
-
-def _sigma_velocity(decomp, cache, delta):
-    return decomp.V_m @ cache.fun_e1(ScalarFunKind.COS, delta * delta)
+    coeffs = branch_coefficients(cache, kind, steps)
+    k, terms, m = coeffs.shape
+    return (coeffs.reshape(k * terms, m) @ decomp.V_m.T).reshape(k, terms, -1)
 
 
 def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
@@ -230,8 +208,8 @@ def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         if scale == 0.0:
             break  # stationary point: y'' = 0 with zero velocity
         threshold = cfg.tol * scale
-        proc_psi = KrylovProcess(op, gt, reorth=cfg.reorth) if beta_psi > 0 else None
-        proc_sigma = KrylovProcess(op, vel, reorth=cfg.reorth) if beta_sigma > 0 else None
+        proc_psi = KrylovProcess(op, gt, m_cap) if beta_psi > 0 else None
+        proc_sigma = KrylovProcess(op, vel, m_cap) if beta_sigma > 0 else None
         converged = False
         combined = d_psi = d_sigma = c_psi = c_sigma = None
         for _ in range(m_cap):
@@ -257,14 +235,11 @@ def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         res_max = float(np.max(combined.values(delta * COARSE_FRACTIONS)))
         log.append(ResidualLogEntry("cycle", cycle, m_used, t_done, t_done + delta, res_max))
         vel_new = np.zeros_like(vel)
-        if d_psi is not None:
-            y_psi, v_psi = _psi_updates(d_psi, c_psi.cache, [delta])[0]
-            y = y + y_psi
-            vel_new += v_psi
-        if d_sigma is not None:
-            cache = c_sigma.cache
-            y = y + _sigma_position(d_sigma, cache, delta)
-            vel_new += _sigma_velocity(d_sigma, cache, delta)
+        for d, c in ((d_psi, c_psi), (d_sigma, c_sigma)):
+            if d is not None:
+                y_add, v_add = _branch_updates(d, c.cache, c.kind, [delta])[0]
+                y = y + y_add
+                vel_new += v_add
         vel = vel_new
         step_sizes.append(delta)
         t_done += delta
@@ -315,11 +290,11 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         m_psi = 0
         if beta_psi > 0:
             d_psi, c_psi, delta, _ = _grow_admissible(
-                op, gt, ScalarFunKind.PSI, t_rem, th_psi, m_cap, reorth=cfg.reorth
+                op, gt, ScalarFunKind.PSI, t_rem, th_psi, m_cap
             )
             m_psi = d_psi.m
             steps = [delta * f for f in (1.0, *PSI_STEP_RUNGS)]
-            ladder = _psi_updates(d_psi, c_psi.cache, steps)
+            ladder = _branch_updates(d_psi, c_psi.cache, ScalarFunKind.PSI, steps)
             y_psi, v_psi = ladder[0]
             log.append(ResidualLogEntry(
                 "psi", cycle, m_psi, t_done, t_done + delta,
@@ -330,7 +305,7 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         y_sigma = v_sigma = None
         if beta_sigma > 0:
             d_sigma, c_sigma, delta_sigma, _ = _grow_admissible(
-                op, vel, ScalarFunKind.SIGMA, delta, th_sigma, m_cap, reorth=cfg.reorth
+                op, vel, ScalarFunKind.SIGMA, delta, th_sigma, m_cap
             )
             if delta_sigma < delta:
                 if beta_psi > 0:
@@ -344,17 +319,19 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
                         y_psi, v_psi = ladder[fit[0]]
                     else:
                         delta = delta_sigma
-                        d_re, cache_re = _rebuild(op, gt, m_psi, reorth=cfg.reorth)
-                        y_psi, v_psi = _psi_updates(d_re, cache_re, [delta])[0]
+                        d_re = krylov_build(op, gt, m_psi)
+                        y_psi, v_psi = _branch_updates(
+                            d_re, d_re.spectral_cache(), ScalarFunKind.PSI, [delta]
+                        )[0]
                         log.append(ResidualLogEntry(
                             "rebuild", cycle, d_re.m, t_done, t_done + delta,
                             float("nan"),
                         ))
                 else:
                     delta = delta_sigma
-            cache = c_sigma.cache
-            y_sigma = _sigma_position(d_sigma, cache, delta)
-            v_sigma = _sigma_velocity(d_sigma, cache, delta)
+            y_sigma, v_sigma = _branch_updates(
+                d_sigma, c_sigma.cache, ScalarFunKind.SIGMA, [delta]
+            )[0]
             log.append(ResidualLogEntry(
                 "sigma", cycle, d_sigma.m, t_done, t_done + delta,
                 float(np.max(c_sigma.values(delta * COARSE_FRACTIONS))),
@@ -386,7 +363,7 @@ def _repair_psi_action(op, d_step, cache, w, delta, delta_tilde, cfg):
     delta_tilde from the available basis and propagated over the remaining
     delta - delta_tilde with the sequential RT solver; x = zeta(delta)/delta.
     """
-    y0b, v0b = _psi_updates(d_step, cache, [delta_tilde])[0]
+    y0b, v0b = _branch_updates(d_step, cache, ScalarFunKind.PSI, [delta_tilde])[0]
     bridge = SecondOrderIVP(op, u=y0b, v=v0b, g=w, t_final=delta - delta_tilde)
     report = rt_sequential(bridge, cfg)
     return report.y / delta, report.steps
@@ -417,8 +394,7 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     delta = t_total
     if beta_sigma > 0:
         d_sigma, c_sigma, delta, _ = _grow_admissible(
-            op, ivp.v, ScalarFunKind.SIGMA, t_total, cfg.tol * beta_sigma,
-            m_tilde, reorth=cfg.reorth,
+            op, ivp.v, ScalarFunKind.SIGMA, t_total, cfg.tol * beta_sigma, m_tilde
         )
 
     w0 = ivp.g - op.apply(ivp.u)
@@ -426,15 +402,14 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     d_psi = c_psi = None
     if beta_psi > 0:
         d_psi, c_psi, delta_psi, _ = _grow_admissible(
-            op, w0, ScalarFunKind.PSI, delta, cfg.tol * beta_psi,
-            m_tilde, reorth=cfg.reorth,
+            op, w0, ScalarFunKind.PSI, delta, cfg.tol * beta_psi, m_tilde
         )
         if delta_psi < delta:
             delta = delta_psi
             if beta_sigma > 0:
                 # sigma basis was discarded under the memory budget; rebuild
                 # to evaluate the starting velocity at the reduced step.
-                d_sigma, _ = _rebuild(op, ivp.v, d_sigma.m, reorth=cfg.reorth)
+                d_sigma = krylov_build(op, ivp.v, d_sigma.m)
                 c_sigma = ResidualCurve(d_sigma, ScalarFunKind.SIGMA)
 
     if beta_psi + beta_sigma == 0.0:
@@ -471,14 +446,14 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             break
         delta = shrunk
 
-    v_k = (
-        d_sigma.V_m @ c_sigma.cache.fun_e1(ScalarFunKind.SIGMA, delta * delta)
-        if d_sigma is not None else np.zeros(op.dim)
-    )
-    x = (
-        0.5 * delta * (d_psi.V_m @ c_psi.cache.fun_e1(ScalarFunKind.PSI, delta * delta))
-        if d_psi is not None else np.zeros(op.dim)
-    )
+    def rate(d, curve):
+        """sigma(delta^2 A) v or delta/2 psi(delta^2 A) w: the branch's
+        position update at delta, divided by delta."""
+        if d is None:
+            return np.zeros(op.dim)
+        return _branch_updates(d, curve.cache, curve.kind, [delta])[0, 0] / delta
+
+    v_k, x = rate(d_sigma, c_sigma), rate(d_psi, c_psi)
     step_sizes: list[float] = []
     for k in range(steps):
         v_half = v_k + x
@@ -494,17 +469,14 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             x = np.zeros(op.dim)
             continue
         d_step, c_step, delta_tilde, converged = _grow_admissible(
-            op, w, ScalarFunKind.PSI, delta, cfg.tol * beta, m_cap,
-            reorth=cfg.reorth,
+            op, w, ScalarFunKind.PSI, delta, cfg.tol * beta, m_cap
         )
         log.append(ResidualLogEntry(
             "step", k, d_step.m, k * delta, (k + 1) * delta,
             float(np.max(c_step.values(delta * COARSE_FRACTIONS))),
         ))
         if converged or delta_tilde >= delta * (1.0 - 1e-12):
-            x = 0.5 * delta * (
-                d_step.V_m @ c_step.cache.fun_e1(ScalarFunKind.PSI, delta * delta)
-            )
+            x = rate(d_step, c_step)
         else:
             repair_events += 1
             x, bridge_steps = _repair_psi_action(
@@ -553,7 +525,7 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     th_psi, th_sigma = _tolerance_split(cfg.tol, beta_psi, beta_sigma)
 
     def pass_one(start, kind, threshold, label):
-        proc = KrylovProcess(op, start, mode="lanczos3")
+        proc = KrylovProcess(op, start, cap, mode="lanczos3")
         while True:
             proc.step()
             if proc.breakdown:
@@ -573,7 +545,10 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
                     f"last residual {res:.3e} vs threshold {threshold:.3e}"
                 )
 
-    def pass_two(start_unit, decomp, pos_coeff, vel_coeff):
+    def pass_two(start_unit, decomp, kind):
+        pos_coeff, vel_coeff = branch_coefficients(
+            decomp.spectral_cache(), kind, t_final
+        )[0]
         diag, off = decomp.tridiagonal()
         m = decomp.m
         y_acc = pos_coeff[0] * start_unit
@@ -589,24 +564,17 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             v_acc += vel_coeff[i + 1] * v_cur
         return y_acc, v_acc
 
-    t2 = t_final * t_final
     y = ivp.u.copy()
     vel = np.zeros(op.dim)
     if beta_psi > 0:
         d_psi = pass_one(w0, ScalarFunKind.PSI, th_psi, "psi")
-        cache = d_psi.spectral_cache()
-        pos = 0.5 * t2 * cache.fun_e1(ScalarFunKind.PSI, t2)
-        velc = t_final * cache.fun_e1(ScalarFunKind.SIGMA, t2)
         w0b = ivp.g - op.apply(ivp.u)  # recomputed: pass one kept no vectors
-        y_add, v_add = pass_two(w0b / beta_psi, d_psi, pos, velc)
+        y_add, v_add = pass_two(w0b / beta_psi, d_psi, ScalarFunKind.PSI)
         y += y_add
         vel += v_add
     if beta_sigma > 0:
         d_sigma = pass_one(ivp.v, ScalarFunKind.SIGMA, th_sigma, "sigma")
-        cache = d_sigma.spectral_cache()
-        pos = t_final * cache.fun_e1(ScalarFunKind.SIGMA, t2)
-        velc = cache.fun_e1(ScalarFunKind.COS, t2)
-        y_add, v_add = pass_two(ivp.v / beta_sigma, d_sigma, pos, velc)
+        y_add, v_add = pass_two(ivp.v / beta_sigma, d_sigma, ScalarFunKind.SIGMA)
         y += y_add
         vel += v_add
     return SolveReport(
@@ -646,14 +614,13 @@ def rt_first_order_block(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         if beta == 0.0:
             break
         d, curve, delta, _ = _grow_admissible(
-            block, r, ScalarFunKind.PHI, t_rem, cfg.tol * beta, m_cap,
-            reorth=cfg.reorth,
+            block, r, ScalarFunKind.PHI, t_rem, cfg.tol * beta, m_cap
         )
         log.append(ResidualLogEntry(
             "phi", cycle, d.m, t_done, t_done + delta,
             float(np.max(curve.values(delta * COARSE_FRACTIONS))),
         ))
-        w = w + d.V_m @ (delta * curve.cache.fun_e1(ScalarFunKind.PHI, -delta))
+        w = w + _branch_updates(d, curve.cache, ScalarFunKind.PHI, [delta])[0, 0]
         step_sizes.append(delta)
         t_done += delta
         cycle += 1

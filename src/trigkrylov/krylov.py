@@ -6,14 +6,26 @@ collapses to a scalar multiple of the last basis vector,
     r_m(t) = -h_{m+1,m} (e_m^T u(t)) v_{m+1},
 
 with u(t) the solution of the projected IVP, so its norm is a cheap scalar
-function of time once the small projected matrix is factorized.
+function of time once the small projected matrix is factorized.  The
+prefactor, function and scale of u(t) for each branch come from
+:data:`~trigkrylov.smallfun.BRANCH_TERMS`, the same table the solvers form
+their updates from.
+
+A :class:`KrylovProcess` is created with its step cap ``m_max`` and owns one
+preallocated basis store of ``min(m_max, dim) + 1`` rows, one row per basis
+vector; an Arnoldi process also owns one (m_max + 1) x m_max Hessenberg
+array.  No step allocates basis storage, and :meth:`KrylovProcess.step`
+past the cap raises ``RuntimeError``.  A :class:`KrylovDecomposition`
+snapshot reads the basis as a view of the store (``V_m`` and ``V`` are
+transposed row slices), never a copy.  Rows are only ever appended, so an
+earlier snapshot stays valid while the process goes on.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .linop import LinearOperator
-from .smallfun import ScalarFunKind, SpectralCache
+from .smallfun import BRANCH_TERMS, ScalarFunKind, SpectralCache
 
 #: Sample fractions of the time horizon used by the coarse residual check.
 COARSE_FRACTIONS = np.array([1 / 6, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1.0])
@@ -33,15 +45,18 @@ class KrylovProcess:
 
     ``mode`` is one of ``"arnoldi"``, ``"lanczos"`` (basis stored) or
     ``"lanczos3"`` (three-term recurrence, only a sliding window of basis
-    vectors kept).  One call to :meth:`step` consumes exactly one matvec.
+    vectors kept).  One call to :meth:`step` consumes exactly one matvec;
+    at most ``min(m_max, dim)`` steps are taken.
     """
 
-    def __init__(self, op: LinearOperator, w: np.ndarray, mode: str | None = None,
-                 reorth: bool = False):
+    def __init__(self, op: LinearOperator, w: np.ndarray, m_max: int,
+                 mode: str | None = None, reorth: bool = False):
         w = np.asarray(w, dtype=float)
         beta = float(np.linalg.norm(w))
         if beta == 0.0:
             raise ValueError("zero starting vector")
+        if m_max < 1:
+            raise ValueError("m_max must be at least 1")
         if mode is None:
             mode = "lanczos" if op.is_symmetric else "arnoldi"
         if mode not in ("arnoldi", "lanczos", "lanczos3"):
@@ -52,28 +67,24 @@ class KrylovProcess:
         self.mode = mode
         self.reorth = reorth
         self.beta = beta
+        self.m_max = min(m_max, op.dim)
         self.m = 0
         self.h_next = 0.0
         self.breakdown = False
         self._norm_est = 0.0
         v1 = w / beta
         if mode == "lanczos3":
-            self._basis = None
+            self._store = None
             self._v_prev = np.zeros_like(v1)
             self._v_cur = v1
         else:
-            self._basis = [v1]
+            self._store = np.empty((self.m_max + 1, op.dim))
+            self._store[0] = v1
         if mode == "arnoldi":
-            self._hcols: list[np.ndarray] = []
+            self._h = np.zeros((self.m_max + 1, self.m_max))
         else:
             self.alphas: list[float] = []
             self.offdiags: list[float] = []
-
-    @property
-    def start_vector(self):
-        if self.mode == "lanczos3":
-            raise ValueError("three-term mode does not retain the start vector")
-        return self._basis[0]
 
     def _breakdown_tol(self) -> float:
         return BREAKDOWN_RTOL * max(self._norm_est, 1e-300)
@@ -82,98 +93,67 @@ class KrylovProcess:
         """Extend the decomposition by one Krylov step (one matvec)."""
         if self.breakdown:
             raise RuntimeError("cannot extend after breakdown")
+        if self.m >= self.m_max:
+            raise RuntimeError(f"step cap m_max = {self.m_max} reached")
         if self.mode == "arnoldi":
             self._step_arnoldi()
         else:
             self._step_lanczos()
         self.m += 1
+        if self.breakdown and self._store is not None:
+            self._store[self.m] = 0.0  # V's last column is zero after breakdown
 
     def _step_arnoldi(self):
-        v_new = self.op.apply(self._basis[-1])
-        col = np.zeros(self.m + 2)
+        m, store = self.m, self._store
+        v_new = self.op.apply(store[m])
+        col = self._h[: m + 2, m]
         for _ in range(2 if self.reorth else 1):
-            for i, v in enumerate(self._basis):
+            for i, v in enumerate(store[: m + 1]):
                 proj = v @ v_new
                 col[i] += proj
                 v_new = v_new - proj * v
         h_next = float(np.linalg.norm(v_new))
-        col[self.m + 1] = h_next
-        self._hcols.append(col)
+        col[m + 1] = h_next
         self._norm_est = max(self._norm_est, float(np.linalg.norm(col)))
         self.h_next = h_next
         if h_next <= self._breakdown_tol():
             self.h_next = 0.0
-            self._hcols[-1][self.m + 1] = 0.0
+            col[m + 1] = 0.0
             self.breakdown = True
         else:
-            self._basis.append(v_new / h_next)
+            np.divide(v_new, h_next, out=store[m + 1])
 
     def _step_lanczos(self):
+        m, store = self.m, self._store
         if self.mode == "lanczos3":
             v_cur, v_prev = self._v_cur, self._v_prev
         else:
-            v_cur = self._basis[-1]
-            v_prev = self._basis[-2] if self.m > 0 else None
+            v_cur = store[m]
+            v_prev = store[m - 1] if m > 0 else None
         w = self.op.apply(v_cur)
-        if self.m > 0:
+        if m > 0:
             w = w - self.offdiags[-1] * v_prev
         alpha = float(w @ v_cur)
         w = w - alpha * v_cur
         if self.reorth:
-            for v in self._basis:
+            for v in store[: m + 1]:
                 w = w - (v @ w) * v
         h_next = float(np.linalg.norm(w))
         self.alphas.append(alpha)
         self.offdiags.append(h_next)
         self._norm_est = max(
             self._norm_est,
-            abs(alpha) + h_next + (self.offdiags[-2] if self.m > 0 else 0.0),
+            abs(alpha) + h_next + (self.offdiags[-2] if m > 0 else 0.0),
         )
         self.h_next = h_next
         if h_next <= self._breakdown_tol():
             self.h_next = 0.0
             self.offdiags[-1] = 0.0
             self.breakdown = True
-            return
-        v_next = w / h_next
-        if self.mode == "lanczos3":
-            self._v_prev, self._v_cur = self._v_cur, v_next
+        elif self.mode == "lanczos3":
+            self._v_prev, self._v_cur = self._v_cur, w / h_next
         else:
-            self._basis.append(v_next)
-
-    def basis_matrix(self, columns: int | None = None) -> np.ndarray:
-        """Stack the first ``columns`` (default m) stored basis vectors."""
-        if self._basis is None:
-            raise ValueError("three-term mode does not store the basis")
-        if columns is None:
-            columns = self.m
-        return np.stack(self._basis[:columns], axis=1)
-
-    def tridiagonal(self):
-        if self.mode == "arnoldi":
-            raise ValueError("not a Lanczos process")
-        return np.array(self.alphas), np.array(self.offdiags[:-1])
-
-    def hessenberg_square(self) -> np.ndarray:
-        """The m x m projected matrix H_m."""
-        if self.mode == "arnoldi":
-            h = np.zeros((self.m, self.m))
-            for j, col in enumerate(self._hcols):
-                h[: min(j + 2, self.m), j] = col[: min(j + 2, self.m)]
-            return h
-        diag, off = self.tridiagonal()
-        h = np.diag(diag)
-        if self.m > 1:
-            h += np.diag(off, 1) + np.diag(off, -1)
-        return h
-
-    def spectral_cache(self) -> SpectralCache:
-        if self.mode == "arnoldi":
-            return SpectralCache.from_dense(
-                self.hessenberg_square(), beta=self.beta, symmetric=False
-            )
-        diag, off = self.tridiagonal()
-        return SpectralCache.from_tridiagonal(diag, off, beta=self.beta)
+            np.divide(w, h_next, out=store[m + 1])
 
     def snapshot(self) -> "KrylovDecomposition":
         return KrylovDecomposition(self)
@@ -183,8 +163,8 @@ class KrylovDecomposition:
     """Snapshot of a Krylov process: basis, projected matrix, h_next.
 
     Coefficient data is copied at snapshot time, so the snapshot stays valid
-    even if the process is extended afterwards.  The basis is shared with
-    the process (it only ever grows by appending columns).
+    even if the process is extended afterwards.  The basis is a view of the
+    process's store, whose rows are only ever appended.
     """
 
     def __init__(self, process: KrylovProcess):
@@ -193,30 +173,29 @@ class KrylovDecomposition:
         self.m = process.m
         self.h_next = process.h_next
         self.breakdown = process.breakdown
-        self._basis = process._basis
+        self._store = process._store
         if process.mode == "arnoldi":
-            self._h_square = process.hessenberg_square()
+            self._h_square = process._h[: self.m, : self.m].copy()
             self._tridiag = None
         else:
             self._h_square = None
             self._tridiag = (np.array(process.alphas), np.array(process.offdiags[:-1]))
 
-    def _stack(self, columns: int) -> np.ndarray:
-        if self._basis is None:
+    def _rows(self, count: int) -> np.ndarray:
+        if self._store is None:
             raise ValueError("three-term mode does not store the basis")
-        return np.stack(self._basis[:columns], axis=1)
+        view = self._store[:count].T
+        view.flags.writeable = False  # a write would change the process's basis
+        return view
 
     @property
     def V(self) -> np.ndarray:
         """Basis with m+1 columns (the last one is zero after breakdown)."""
-        if self.breakdown:
-            v = self._stack(self.m)
-            return np.hstack([v, np.zeros((v.shape[0], 1))])
-        return self._stack(self.m + 1)
+        return self._rows(self.m + 1)
 
     @property
     def V_m(self) -> np.ndarray:
-        return self._stack(self.m)
+        return self._rows(self.m)
 
     @property
     def H(self) -> np.ndarray:
@@ -246,29 +225,13 @@ class KrylovDecomposition:
             return SpectralCache.from_tridiagonal(*self._tridiag, beta=self.beta)
         return SpectralCache.from_dense(self._h_square, beta=self.beta, symmetric=False)
 
-    def residual_curve(self, kind: ScalarFunKind) -> "ResidualCurve":
-        return ResidualCurve(self, kind)
-
-
-_CURVE_SCALE = {
-    ScalarFunKind.PSI: lambda t: t * t,
-    ScalarFunKind.SIGMA: lambda t: t * t,
-    ScalarFunKind.PHI: lambda t: -t,
-}
-
-_CURVE_PREFACTOR = {
-    ScalarFunKind.PSI: lambda t: 0.5 * t * t,
-    ScalarFunKind.SIGMA: lambda t: t,
-    ScalarFunKind.PHI: lambda t: t,
-}
-
 
 class ResidualCurve:
     """Evaluator of t -> ||r_m(t)|| = h_{m+1,m} |e_m^T u(t)| for one branch."""
 
     def __init__(self, decomposition, kind: ScalarFunKind,
                  cache: SpectralCache | None = None):
-        if kind not in _CURVE_SCALE:
+        if kind not in BRANCH_TERMS:
             raise ValueError(f"no residual curve for kind {kind}")
         self.decomposition = decomposition
         self.kind = kind
@@ -279,10 +242,9 @@ class ResidualCurve:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if self.h_next == 0.0:
             return np.zeros(ts.shape)
-        scales = _CURVE_SCALE[self.kind](ts)
-        pref = _CURVE_PREFACTOR[self.kind](ts)
-        corner = self.cache.corner_fun_e1(self.kind, scales)
-        return self.h_next * np.abs(pref * corner)
+        prefactor, fun, scale = BRANCH_TERMS[self.kind][0]
+        corner = self.cache.corner_fun_e1(fun, scale(ts))
+        return self.h_next * np.abs(prefactor(ts) * corner)
 
     def value(self, t: float) -> float:
         return float(self.values(t)[0])
@@ -379,7 +341,7 @@ def krylov_build(op: LinearOperator, w, m_target: int, mode: str | None = None,
         raise ValueError("m_target must be at least 1")
     if m_target > op.dim:
         raise ValueError("m_target exceeds operator dimension")
-    process = KrylovProcess(op, w, mode=mode, reorth=reorth)
+    process = KrylovProcess(op, w, m_target, mode=mode, reorth=reorth)
     for _ in range(m_target):
         process.step()
         if process.breakdown:

@@ -84,18 +84,6 @@ class SparseCSR(LinearOperator):
         super().__init__(csr.shape[0], is_symmetric)
         self._csr = csr
 
-    @property
-    def indptr(self):
-        return self._csr.indptr
-
-    @property
-    def indices(self):
-        return self._csr.indices
-
-    @property
-    def values(self):
-        return self._csr.data
-
     def _matvec(self, x):
         return self._csr @ x
 

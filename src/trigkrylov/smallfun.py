@@ -31,6 +31,14 @@ scale of 0 or a tiny scale does not make distinct eigenvalues look
 confluent.  A T with confluent diagonal entries falls back to
 :func:`parlett_fun_triangular`, one scale at a time, which handles adjacent
 confluent pairs by divided differences and perturbs other clusters.
+
+Every solver update and every residual curve is built from one table,
+:data:`BRANCH_TERMS`: for each branch kind, its position and velocity
+terms, each a (prefactor, function, scale) triple.  The update of a branch
+at time t is V_m (prefactor(t) f(scale(t) H) beta e1), and its residual is
+h_{m+1,m} times the last entry of the position term's coefficient vector.
+:func:`branch_coefficients` evaluates all terms at many times with one
+:meth:`SpectralCache.fun_e1` call per term.
 """
 from __future__ import annotations
 
@@ -348,14 +356,17 @@ class SpectralCache:
         out = self.q @ (self._fun_of_t(kind, [scale])[0] @ (self.q.conj().T @ b))
         return out.real if not np.iscomplexobj(b) else out
 
-    def fun_e1(self, kind: ScalarFunKind, scale: float):
-        """f(scale*H) @ (beta e_1)."""
+    def fun_e1(self, kind: ScalarFunKind, scales):
+        """f(scale*H) @ (beta e_1): shape (m,) for one scale, (S, m) for S scales."""
+        scales = np.asarray(scales, dtype=float)
+        s = np.atleast_1d(scales)
         if self.symmetric:
-            return self.beta * (
-                self.q @ (scalar_fun(kind, scale * self.lam) * self._w_first)
-            )
-        out = self.q @ (self._fun_of_t(kind, [scale])[0] @ self._qh_e1)
-        return self.beta * out.real
+            vals = scalar_fun(kind, np.multiply.outer(s, self.lam))
+            out = (vals * self._w_first) @ self.q.T
+        else:
+            out = ((self._fun_of_t(kind, s) @ self._qh_e1) @ self.q.T).real
+        out = self.beta * out
+        return out[0] if scales.ndim == 0 else out
 
     def corner_fun_e1(self, kind: ScalarFunKind, scales) -> np.ndarray:
         """e_m^T f(scale*H) (beta e_1) for an array of scales."""
@@ -381,16 +392,28 @@ def matfun_action(h_mat, kind: ScalarFunKind, scale: float, b,
     return cache.apply_fun(kind, scale, b)
 
 
-_PROJECTED_SOLUTION = {
-    ScalarFunKind.PSI: lambda cache, t: 0.5 * t * t * cache.fun_e1(ScalarFunKind.PSI, t * t),
-    ScalarFunKind.SIGMA: lambda cache, t: t * cache.fun_e1(ScalarFunKind.SIGMA, t * t),
-    ScalarFunKind.PHI: lambda cache, t: t * cache.fun_e1(ScalarFunKind.PHI, -t),
+#: kind -> (position term, velocity term) of the projected IVP solution; a
+#: term (prefactor, fun, scale) is prefactor(t) fun(scale(t) H) beta e1.
+#: PHI is first order and has no velocity term.
+BRANCH_TERMS = {
+    ScalarFunKind.PSI: (
+        (lambda t: 0.5 * t * t, ScalarFunKind.PSI, np.square),
+        (lambda t: t, ScalarFunKind.SIGMA, np.square),
+    ),
+    ScalarFunKind.SIGMA: (
+        (lambda t: t, ScalarFunKind.SIGMA, np.square),
+        (np.ones_like, ScalarFunKind.COS, np.square),
+    ),
+    ScalarFunKind.PHI: ((lambda t: t, ScalarFunKind.PHI, np.negative),),
 }
 
-_PROJECTED_VELOCITY = {
-    ScalarFunKind.PSI: lambda cache, t: t * cache.fun_e1(ScalarFunKind.SIGMA, t * t),
-    ScalarFunKind.SIGMA: lambda cache, t: cache.fun_e1(ScalarFunKind.COS, t * t),
-}
+
+def branch_coefficients(cache: SpectralCache, kind: ScalarFunKind, ts) -> np.ndarray:
+    """Coefficient vectors of every term of ``kind`` at each time, shape
+    (len(ts), terms, m), with one :meth:`SpectralCache.fun_e1` call per term."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    return np.stack([prefactor(ts)[:, None] * cache.fun_e1(fun, scale(ts))
+                     for prefactor, fun, scale in BRANCH_TERMS[kind]], axis=1)
 
 
 def projected_solution(h_mat, kind: ScalarFunKind, beta: float, t: float,
@@ -403,21 +426,21 @@ def projected_solution(h_mat, kind: ScalarFunKind, beta: float, t: float,
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if kind not in _PROJECTED_SOLUTION:
+    if kind not in BRANCH_TERMS:
         raise ValueError(f"no projected IVP for kind {kind}")
     if cache is None:
         cache = SpectralCache.from_dense(h_mat, beta=beta)
-    return _PROJECTED_SOLUTION[kind](cache, t)
+    return branch_coefficients(cache, kind, t)[0, 0]
 
 
 def projected_velocity(h_mat, kind: ScalarFunKind, beta: float, t: float,
                        cache: SpectralCache | None = None):
     """u'(t) for the second-order projected IVPs (PSI and SIGMA kinds)."""
-    if kind not in _PROJECTED_VELOCITY:
+    if len(BRANCH_TERMS.get(kind, ())) < 2:
         raise ValueError(f"no velocity formula for kind {kind}")
     if cache is None:
         cache = SpectralCache.from_dense(h_mat, beta=beta)
-    return _PROJECTED_VELOCITY[kind](cache, t)
+    return branch_coefficients(cache, kind, t)[0, 1]
 
 
 def exact_ivp_solution(ivp, t: float, cap: int = 4096):

@@ -399,6 +399,36 @@ def test_sequential_rebuild_fallback_without_rungs(monkeypatch):
     assert _rel_err(report.y, y_ref) <= 1.5e-4
 
 
+@pytest.mark.parametrize("kind", [ScalarFunKind.PSI, ScalarFunKind.SIGMA,
+                                  ScalarFunKind.PHI])
+def test_branch_updates_batch_the_parlett_evaluations(monkeypatch, kind):
+    from trigkrylov import smallfun
+    from trigkrylov.problems import TransportProblemSpec, build_transport
+
+    ivp = build_transport(TransportProblemSpec(64))
+    d = krylov_build(ivp.op, ivp.v, 10)
+    cache = d.spectral_cache()
+    assert not cache.symmetric
+    steps = [0.05 * f for f in (1.0, 0.99, 0.98, 0.97, 0.96)]
+    calls = []
+    batched = smallfun.parlett_batched
+
+    def counting(*args):
+        calls.append(1)
+        return batched(*args)
+
+    monkeypatch.setattr(smallfun, "parlett_batched", counting)
+    updates = integ._branch_updates(d, cache, kind, steps)
+    assert len(calls) <= 2
+    terms = smallfun.BRANCH_TERMS[kind]
+    assert updates.shape == (len(steps), len(terms), ivp.op.dim)
+    for i, s in enumerate(steps):
+        for j, (prefactor, fun, scale) in enumerate(terms):
+            s_arr = np.array([s])
+            ref = d.V_m @ (prefactor(s_arr)[0] * cache.fun_e1(fun, scale(s_arr)[0]))
+            assert np.linalg.norm(updates[i, j] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_zero_velocity_branch_skipped():
     rng = np.random.default_rng(15)
     ivp = _random_spd_ivp(rng, n=16)

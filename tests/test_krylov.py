@@ -274,10 +274,10 @@ def test_exactness_at_full_dimension():
 def test_process_mode_and_argument_guards():
     op = IdentityOperator(6)
     with pytest.raises(ValueError, match="unknown mode"):
-        KrylovProcess(op, np.ones(6), mode="qr")
+        KrylovProcess(op, np.ones(6), 6, mode="qr")
     with pytest.raises(ValueError, match="stored basis"):
-        KrylovProcess(op, np.ones(6), mode="lanczos3", reorth=True)
-    proc = KrylovProcess(op, np.ones(6), mode="lanczos3")
+        KrylovProcess(op, np.ones(6), 6, mode="lanczos3", reorth=True)
+    proc = KrylovProcess(op, np.ones(6), 6, mode="lanczos3")
     proc.step()
     with pytest.raises(ValueError, match="basis"):
         proc.snapshot().V_m
@@ -292,11 +292,52 @@ def test_process_mode_and_argument_guards():
 
 
 def test_breakdown_step_refused_after_flag():
-    proc = KrylovProcess(IdentityOperator(4), np.ones(4))
+    proc = KrylovProcess(IdentityOperator(4), np.ones(4), 4)
     proc.step()
     assert proc.breakdown
     with pytest.raises(RuntimeError, match="breakdown"):
         proc.step()
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_basis_views_of_the_store_survive_extension(symmetric):
+    rng = np.random.default_rng(5)
+    n = 40
+    mat = rng.standard_normal((n, n))
+    mat = mat @ mat.T / n + 2 * np.eye(n) if symmetric else mat
+    proc = KrylovProcess(DenseOperator(mat, is_symmetric=symmetric),
+                         rng.standard_normal(n), 12)
+    for _ in range(4):
+        proc.step()
+    early = proc.snapshot()
+    assert early.V_m.shape == (n, 4) and early.V.shape == (n, 5)
+    assert np.shares_memory(early.V_m, proc._store)
+    assert np.shares_memory(early.V, proc._store)
+    assert not early.V_m.flags.writeable and not early.V.flags.writeable
+    v_m, v, h_m = early.V_m.copy(), early.V.copy(), early.H_m.copy()
+    for _ in range(8):
+        proc.step()
+    assert np.array_equal(early.V_m, v_m) and np.array_equal(early.V, v)
+    assert np.array_equal(early.H_m, h_m)
+    late = proc.snapshot()
+    assert np.array_equal(late.V_m[:, :4], v_m)
+    assert np.array_equal(late.H_m[:4, :4], h_m)
+
+
+@pytest.mark.parametrize("mode", ["arnoldi", "lanczos", "lanczos3"])
+def test_step_past_cap_raises(mode):
+    rng = np.random.default_rng(6)
+    op = _spd_operator(rng, 20)
+    proc = KrylovProcess(op, rng.standard_normal(20), 3, mode=mode)
+    for _ in range(3):
+        proc.step()
+    count = op.matvec_count
+    with pytest.raises(RuntimeError, match="m_max"):
+        proc.step()
+    assert op.matvec_count == count and proc.m == 3
+    # the cap is also bounded by the dimension
+    small = KrylovProcess(op, rng.standard_normal(20), 50)
+    assert small.m_max == 20
 
 
 def test_prop_bounds_dominate_measured_curve():

@@ -277,6 +277,23 @@ def test_corner_costs_one_triangular_solve_per_column(monkeypatch):
     assert 0 < len(calls) <= m
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("kind", list(ScalarFunKind))
+def test_fun_e1_scale_array_matches_per_scale_calls(symmetric, kind):
+    m = 9
+    h = _hessenberg(m, 11)
+    if symmetric:
+        h = np.triu(h) + np.triu(h, 1).T
+    cache = SpectralCache.from_dense(h, beta=1.3, symmetric=symmetric)
+    scales = np.array([0.0, 1e-9, 0.3, 0.7, 1.5, -0.4])
+    batched = cache.fun_e1(kind, scales)
+    assert batched.shape == (scales.size, m)
+    assert cache.fun_e1(kind, 0.3).shape == (m,)
+    for s, row in zip(scales, batched):
+        single = cache.fun_e1(kind, s)
+        assert np.max(np.abs(row - single)) <= 1e-14 * max(np.max(np.abs(single)), 1.0)
+
+
 def test_projected_solution_zero_time():
     h = np.array([[2.0, 0.3], [0.3, 1.0]])
     for kind in (ScalarFunKind.PSI, ScalarFunKind.SIGMA, ScalarFunKind.PHI):
