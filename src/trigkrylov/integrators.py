@@ -2,10 +2,15 @@
 two-pass Lanczos and a first-order block baseline.
 
 All solvers integrate y'' = -A y + g, y(0) = u, y'(0) = v up to t_final and
-return a :class:`SolveReport`.  Residual thresholds are relative to the norm
-of the starting vector of the corresponding Krylov branch; for split-branch
-solvers the per-branch tolerances are rebalanced from each restart cycle's
-inflow data so their sum meets the combined budget tol * (||g - A y|| + ||v||).
+return a :class:`SolveReport`.  The three residual-time (RT) restarting
+solvers share one driver, :func:`_restart`, and differ only in their cycle
+(rt-sim: both branches in lockstep, rt-seq: psi then sigma, first-order:
+one Arnoldi branch on the block form); they and Gautschi grow every basis
+with :func:`_grow_admissible`.  Residual thresholds are relative to the
+norm of the starting vector of the corresponding Krylov branch; for
+split-branch solvers the per-branch tolerances are rebalanced from each
+restart cycle's inflow data so their sum meets the combined budget
+tol * (||g - A y|| + ||v||).
 """
 from __future__ import annotations
 
@@ -71,17 +76,16 @@ class SolverConfig:
     """Common solver knobs.
 
     ``m_max`` caps the Krylov dimension per restart cycle; the simultaneous
-    solver halves it per branch (override with ``sim_basis_cap``) because two
-    bases share the memory budget.  ``alpha`` is the Gautschi safety factor
-    applied to the initial step-size-selecting Krylov runs.
+    solver halves it per branch because two bases share the memory budget,
+    and two-pass Lanczos stops after 200 * m_max iterations.  ``alpha`` is
+    the Gautschi safety factor applied to the initial step-size-selecting
+    Krylov runs.
     """
 
     tol: float
     m_max: int = 30
     alpha: float = 0.85
     two_pass_check_interval: int = 10
-    sim_basis_cap: int | None = None
-    two_pass_max_iters: int | None = None
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -92,12 +96,6 @@ class SolverConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.two_pass_check_interval < 1:
             raise ValueError("check interval must be positive")
-
-    @property
-    def two_pass_iteration_cap(self) -> int:
-        if self.two_pass_max_iters is not None:
-            return self.two_pass_max_iters
-        return 10 * self.m_max * 20
 
 
 @dataclass
@@ -119,10 +117,6 @@ class SolveReport:
     solver: str = ""
     velocity_is_averaged: bool = False
 
-    @property
-    def restarts(self) -> int:
-        return max(0, self.steps - 1)
-
 
 def _norm(x) -> float:
     return float(np.linalg.norm(x))
@@ -142,27 +136,36 @@ def _tolerance_split(tol, beta_psi, beta_sigma):
     return 0.0, tol * beta_sigma
 
 
-def _grow_admissible(op, start, kind, horizon, threshold, m_cap):
-    """Extend a Krylov process until the residual is admissible on [0, horizon].
+def _grow_admissible(op, branches, horizon, threshold, m_cap):
+    """Extend one Krylov process per ``(start, kind)`` branch, in lockstep,
+    until the summed residual is admissible on [0, horizon].
 
-    Convergence is checked after every step on the six coarse samples; on
+    Convergence is checked after every step on the six coarse samples; a
+    branch that breaks down stops growing and its residual vanishes.  On
     failure at the dimension cap the largest admissible step is located on
-    the fine grid.  Returns (decomposition, curve, delta, converged).
+    the fine grid.  Returns (decomps, curves, curve, delta, converged), one
+    decomposition and residual curve per branch and ``curve`` their sum.
     """
-    proc = KrylovProcess(op, start, m_cap)
-    decomp = curve = None
-    for _ in range(proc.m_max):
-        proc.step()
-        decomp = proc.snapshot()
-        curve = ResidualCurve(decomp, kind)
-        if proc.breakdown:
-            return decomp, curve, horizon, True
-        if coarse_residual_check(curve, horizon, threshold) and confirm_admissible(
-            curve, horizon, threshold
+    procs = [KrylovProcess(op, start, m_cap) for start, _ in branches]
+    for _ in range(procs[0].m_max):
+        for proc in procs:
+            if not proc.breakdown:
+                proc.step()
+        decomps = [proc.snapshot() for proc in procs]
+        curves = [ResidualCurve(d, kind) for d, (_, kind) in zip(decomps, branches)]
+        curve = curves[0] if len(curves) == 1 else CombinedResidualCurve(*curves)
+        if all(proc.breakdown for proc in procs) or (
+            coarse_residual_check(curve, horizon, threshold)
+            and confirm_admissible(curve, horizon, threshold)
         ):
-            return decomp, curve, horizon, True
+            return decomps, curves, curve, horizon, True
     delta = find_largest_admissible_step(curve, horizon, threshold)
-    return decomp, curve, delta, False
+    return decomps, curves, curve, delta, False
+
+
+def _peak(curve, delta) -> float:
+    """The largest residual on the six coarse samples of [0, delta]."""
+    return float(np.max(curve.values(delta * COARSE_FRACTIONS)))
 
 
 def _branch_updates(decomp, cache, kind, steps):
@@ -177,6 +180,63 @@ def _branch_updates(decomp, cache, kind, steps):
     return (coeffs.reshape(k * terms, m) @ decomp.V_m.T).reshape(k, terms, -1)
 
 
+def _add_updates(y, updates):
+    """y plus each branch's position update in turn, and the sum of the
+    branches' velocity updates: the state after all branches have run."""
+    vel = np.zeros_like(y)
+    for y_add, v_add in updates:
+        y = y + y_add
+        vel += v_add
+    return y, vel
+
+
+#: What :func:`_restart` hands a cycle: the state (y, vel), gt = g - A y,
+#: the branch norms ||gt|| and ||vel|| (not both zero) and the time left.
+_Cycle = namedtuple("_Cycle", ["y", "vel", "gt", "beta_psi", "beta_sigma", "t_rem"])
+
+
+def _restart(ivp: SecondOrderIVP, solver: str, advance) -> SolveReport:
+    """Residual-time restarting, the loop rt-sim, rt-seq and first-order share.
+
+    Each cycle spends one matvec on gt = g - A y and stops at a stationary
+    point (gt and the velocity both zero).  Otherwise ``advance(cycle)``
+    grows the solver's Krylov bases, takes the largest admissible step
+    delta <= t_rem and returns ``(delta, y, vel, entries, repaired)``: the
+    state at t + delta, the cycle's residual-log entries as ``(phase, m,
+    step, residual)`` over [t, t + step], and whether it repaired a step.
+    """
+    op = ivp.op
+    count0 = op.matvec_count
+    y = ivp.u.copy()
+    vel = ivp.v.copy()
+    step_sizes: list[float] = []
+    log: list[ResidualLogEntry] = []
+    repair_events = 0
+    t_done = 0.0
+    while t_done < ivp.t_final * (1.0 - 1e-14):
+        cycle = len(step_sizes)
+        if cycle >= _MAX_CYCLES:
+            raise RuntimeError("restart cycle limit exceeded")
+        gt = ivp.g - op.apply(y)
+        beta_psi = _norm(gt)
+        beta_sigma = _norm(vel)
+        if beta_psi + beta_sigma == 0.0:
+            break  # stationary point: y'' = 0 with zero velocity
+        delta, y, vel, entries, repaired = advance(
+            _Cycle(y, vel, gt, beta_psi, beta_sigma, ivp.t_final - t_done)
+        )
+        log.extend(ResidualLogEntry(phase, cycle, m, t_done, t_done + step, res)
+                   for phase, m, step, res in entries)
+        repair_events += repaired
+        step_sizes.append(delta)
+        t_done += delta
+    return SolveReport(
+        y=y, v_out=vel, matvecs=op.matvec_count - count0, steps=len(step_sizes),
+        step_sizes=step_sizes, residual_log=log, repair_events=repair_events,
+        solver=solver,
+    )
+
+
 def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     """Residual-time restarting with both Krylov branches built in lockstep.
 
@@ -184,70 +244,24 @@ def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     (starting vector v) are extended together; the combined residual bound
     ||r(s)|| <= ||r_psi(s)|| + ||r_sigma(s)|| is tested against
     tol * (||g - A y|| + ||v||).  Both bases are held simultaneously, so each
-    is capped at m_max/2 by default.
+    is capped at m_max/2.
     """
-    op = ivp.op
-    count0 = op.matvec_count
-    y = ivp.u.copy()
-    vel = ivp.v.copy()
-    t_total = ivp.t_final
-    m_cap = cfg.sim_basis_cap if cfg.sim_basis_cap else max(1, cfg.m_max // 2)
-    m_cap = min(m_cap, op.dim)
-    step_sizes: list[float] = []
-    log: list[ResidualLogEntry] = []
-    t_done = 0.0
-    cycle = 0
-    while t_done < t_total * (1.0 - 1e-14):
-        if cycle >= _MAX_CYCLES:
-            raise RuntimeError("restart cycle limit exceeded")
-        t_rem = t_total - t_done
-        gt = ivp.g - op.apply(y)
-        beta_psi = _norm(gt)
-        beta_sigma = _norm(vel)
-        scale = beta_psi + beta_sigma
-        if scale == 0.0:
-            break  # stationary point: y'' = 0 with zero velocity
-        threshold = cfg.tol * scale
-        proc_psi = KrylovProcess(op, gt, m_cap) if beta_psi > 0 else None
-        proc_sigma = KrylovProcess(op, vel, m_cap) if beta_sigma > 0 else None
-        converged = False
-        combined = d_psi = d_sigma = c_psi = c_sigma = None
-        for _ in range(m_cap):
-            for proc in (proc_psi, proc_sigma):
-                if proc is not None and not proc.breakdown and proc.m < m_cap:
-                    proc.step()
-            if proc_psi is not None:
-                d_psi = proc_psi.snapshot()
-                c_psi = ResidualCurve(d_psi, ScalarFunKind.PSI)
-            if proc_sigma is not None:
-                d_sigma = proc_sigma.snapshot()
-                c_sigma = ResidualCurve(d_sigma, ScalarFunKind.SIGMA)
-            combined = CombinedResidualCurve(c_psi, c_sigma)
-            if coarse_residual_check(combined, t_rem, threshold) and confirm_admissible(
-                combined, t_rem, threshold
-            ):
-                converged = True
-                break
-        delta = t_rem if converged else find_largest_admissible_step(
-            combined, t_rem, threshold
+    m_cap = min(max(1, cfg.m_max // 2), ivp.op.dim)
+
+    def advance(cyc):
+        branches = [(start, kind) for start, beta, kind in (
+            (cyc.gt, cyc.beta_psi, ScalarFunKind.PSI),
+            (cyc.vel, cyc.beta_sigma, ScalarFunKind.SIGMA),
+        ) if beta > 0]
+        decomps, curves, combined, delta, _ = _grow_admissible(
+            ivp.op, branches, cyc.t_rem, cfg.tol * (cyc.beta_psi + cyc.beta_sigma), m_cap
         )
-        m_used = max(d.m for d in (d_psi, d_sigma) if d is not None)
-        res_max = float(np.max(combined.values(delta * COARSE_FRACTIONS)))
-        log.append(ResidualLogEntry("cycle", cycle, m_used, t_done, t_done + delta, res_max))
-        vel_new = np.zeros_like(vel)
-        for d, c in ((d_psi, c_psi), (d_sigma, c_sigma)):
-            if d is not None:
-                y_add, v_add = _branch_updates(d, c.cache, c.kind, [delta])[0]
-                y = y + y_add
-                vel_new += v_add
-        vel = vel_new
-        step_sizes.append(delta)
-        t_done += delta
-        cycle += 1
-    return SolveReport(
-        y=y, v_out=vel, matvecs=op.matvec_count - count0, steps=cycle,
-        step_sizes=step_sizes, residual_log=log, solver="rt-sim",
-    )
+        entry = ("cycle", max(d.m for d in decomps), delta, _peak(combined, delta))
+        updates = [_branch_updates(d, c.cache, c.kind, [delta])[0]
+                   for d, c in zip(decomps, curves)]
+        return (delta, *_add_updates(cyc.y, updates), [entry], False)
+
+    return _restart(ivp, "rt-sim", advance)
 
 
 def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
@@ -264,95 +278,52 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     a repair event.
     """
     op = ivp.op
-    count0 = op.matvec_count
-    y = ivp.u.copy()
-    vel = ivp.v.copy()
-    t_total = ivp.t_final
     m_cap = min(cfg.m_max, op.dim)
-    step_sizes: list[float] = []
-    log: list[ResidualLogEntry] = []
-    repair_events = 0
-    t_done = 0.0
-    cycle = 0
-    while t_done < t_total * (1.0 - 1e-14):
-        if cycle >= _MAX_CYCLES:
-            raise RuntimeError("restart cycle limit exceeded")
-        t_rem = t_total - t_done
-        gt = ivp.g - op.apply(y)
-        beta_psi = _norm(gt)
-        beta_sigma = _norm(vel)
-        if beta_psi + beta_sigma == 0.0:
-            break
-        th_psi, th_sigma = _tolerance_split(cfg.tol, beta_psi, beta_sigma)
 
-        y_psi = v_psi = None
-        delta = t_rem
-        m_psi = 0
-        if beta_psi > 0:
-            d_psi, c_psi, delta, _ = _grow_admissible(
-                op, gt, ScalarFunKind.PSI, t_rem, th_psi, m_cap
+    def advance(cyc):
+        th_psi, th_sigma = _tolerance_split(cfg.tol, cyc.beta_psi, cyc.beta_sigma)
+        delta = cyc.t_rem
+        updates, entries, repaired = [], [], False
+        if cyc.beta_psi > 0:
+            (d_psi,), (c_psi,), _, delta, _ = _grow_admissible(
+                op, [(cyc.gt, ScalarFunKind.PSI)], cyc.t_rem, th_psi, m_cap
             )
             m_psi = d_psi.m
             steps = [delta * f for f in (1.0, *PSI_STEP_RUNGS)]
             ladder = _branch_updates(d_psi, c_psi.cache, ScalarFunKind.PSI, steps)
-            y_psi, v_psi = ladder[0]
-            log.append(ResidualLogEntry(
-                "psi", cycle, m_psi, t_done, t_done + delta,
-                float(np.max(c_psi.values(delta * COARSE_FRACTIONS))),
-            ))
+            updates.append(ladder[0])
+            entries.append(("psi", m_psi, delta, _peak(c_psi, delta)))
             del d_psi, c_psi  # basis dropped; the ladder serves a shorter step
 
-        y_sigma = v_sigma = None
-        if beta_sigma > 0:
-            d_sigma, c_sigma, delta_sigma, _ = _grow_admissible(
-                op, vel, ScalarFunKind.SIGMA, delta, th_sigma, m_cap
+        if cyc.beta_sigma > 0:
+            (d_sigma,), (c_sigma,), _, delta_sigma, _ = _grow_admissible(
+                op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, th_sigma, m_cap
             )
-            if delta_sigma < delta:
-                if beta_psi > 0:
-                    repair_events += 1
-                    # Round-off slack: the sigma search returns multiples
-                    # of delta/100, which the rungs hit up to the last bit.
-                    fit = [i for i in range(1, len(steps))
-                           if steps[i] <= delta_sigma * (1.0 + 1e-12)]
-                    if fit:
-                        delta = steps[fit[0]]
-                        y_psi, v_psi = ladder[fit[0]]
-                    else:
-                        delta = delta_sigma
-                        d_re = krylov_build(op, gt, m_psi)
-                        y_psi, v_psi = _branch_updates(
-                            d_re, d_re.spectral_cache(), ScalarFunKind.PSI, [delta]
-                        )[0]
-                        log.append(ResidualLogEntry(
-                            "rebuild", cycle, d_re.m, t_done, t_done + delta,
-                            float("nan"),
-                        ))
+            if delta_sigma < delta and cyc.beta_psi == 0:
+                delta = delta_sigma
+            elif delta_sigma < delta:
+                repaired = True
+                # Round-off slack: the sigma search returns multiples of
+                # delta/100, which the rungs hit up to the last bit.
+                fit = [i for i in range(1, len(steps))
+                       if steps[i] <= delta_sigma * (1.0 + 1e-12)]
+                if fit:
+                    delta = steps[fit[0]]
+                    updates[0] = ladder[fit[0]]
                 else:
                     delta = delta_sigma
-            y_sigma, v_sigma = _branch_updates(
+                    d_re = krylov_build(op, cyc.gt, m_psi)
+                    updates[0] = _branch_updates(
+                        d_re, d_re.spectral_cache(), ScalarFunKind.PSI, [delta]
+                    )[0]
+                    entries.append(("rebuild", d_re.m, delta, float("nan")))
+            updates.append(_branch_updates(
                 d_sigma, c_sigma.cache, ScalarFunKind.SIGMA, [delta]
-            )[0]
-            log.append(ResidualLogEntry(
-                "sigma", cycle, d_sigma.m, t_done, t_done + delta,
-                float(np.max(c_sigma.values(delta * COARSE_FRACTIONS))),
-            ))
+            )[0])
+            entries.append(("sigma", d_sigma.m, delta, _peak(c_sigma, delta)))
+        return (delta, *_add_updates(cyc.y, updates), entries, repaired)
 
-        vel_new = np.zeros_like(vel)
-        if y_psi is not None:
-            y = y + y_psi
-            vel_new += v_psi
-        if y_sigma is not None:
-            y = y + y_sigma
-            vel_new += v_sigma
-        vel = vel_new
-        step_sizes.append(delta)
-        t_done += delta
-        cycle += 1
-    return SolveReport(
-        y=y, v_out=vel, matvecs=op.matvec_count - count0, steps=cycle,
-        step_sizes=step_sizes, residual_log=log, repair_events=repair_events,
-        solver="rt-seq",
-    )
+    return _restart(ivp, "rt-seq", advance)
 
 
 def _repair_psi_action(op, d_step, cache, w, delta, delta_tilde, cfg):
@@ -393,16 +364,16 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     d_sigma = c_sigma = None
     delta = t_total
     if beta_sigma > 0:
-        d_sigma, c_sigma, delta, _ = _grow_admissible(
-            op, ivp.v, ScalarFunKind.SIGMA, t_total, cfg.tol * beta_sigma, m_tilde
+        (d_sigma,), (c_sigma,), _, delta, _ = _grow_admissible(
+            op, [(ivp.v, ScalarFunKind.SIGMA)], t_total, cfg.tol * beta_sigma, m_tilde
         )
 
     w0 = ivp.g - op.apply(ivp.u)
     beta_psi = _norm(w0)
     d_psi = c_psi = None
     if beta_psi > 0:
-        d_psi, c_psi, delta_psi, _ = _grow_admissible(
-            op, w0, ScalarFunKind.PSI, delta, cfg.tol * beta_psi, m_tilde
+        (d_psi,), (c_psi,), _, delta_psi, _ = _grow_admissible(
+            op, [(w0, ScalarFunKind.PSI)], delta, cfg.tol * beta_psi, m_tilde
         )
         if delta_psi < delta:
             delta = delta_psi
@@ -421,27 +392,18 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     # Adjust delta to hit t_final exactly; shrinking keeps residuals
     # admissible on the fine grid, but re-verify the coarse samples since
     # they move with delta.
+    checks = [(c, cfg.tol * beta) for c, beta in ((c_psi, beta_psi), (c_sigma, beta_sigma))
+              if c is not None]
     for _ in range(3):
         steps = max(1, math.ceil(t_total / delta - 1e-12))
         if steps > _MAX_CYCLES:
             raise RuntimeError("Gautschi step count limit exceeded")
         delta = t_total / steps
-        ok = True
-        if c_psi is not None:
-            ok = ok and coarse_residual_check(c_psi, delta, cfg.tol * beta_psi) \
-                and confirm_admissible(c_psi, delta, cfg.tol * beta_psi)
-        if ok and c_sigma is not None:
-            ok = ok and coarse_residual_check(c_sigma, delta, cfg.tol * beta_sigma) \
-                and confirm_admissible(c_sigma, delta, cfg.tol * beta_sigma)
-        if ok:
+        if all(coarse_residual_check(c, delta, th) and confirm_admissible(c, delta, th)
+               for c, th in checks):
             break
-        shrunk = delta
-        if c_psi is not None:
-            shrunk = min(shrunk, find_largest_admissible_step(
-                c_psi, delta, cfg.tol * beta_psi))
-        if c_sigma is not None:
-            shrunk = min(shrunk, find_largest_admissible_step(
-                c_sigma, delta, cfg.tol * beta_sigma))
+        shrunk = min([delta] + [find_largest_admissible_step(c, delta, th)
+                                for c, th in checks])
         if shrunk >= delta:
             break
         delta = shrunk
@@ -468,12 +430,11 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             v_k = v_half
             x = np.zeros(op.dim)
             continue
-        d_step, c_step, delta_tilde, converged = _grow_admissible(
-            op, w, ScalarFunKind.PSI, delta, cfg.tol * beta, m_cap
+        (d_step,), (c_step,), _, delta_tilde, converged = _grow_admissible(
+            op, [(w, ScalarFunKind.PSI)], delta, cfg.tol * beta, m_cap
         )
         log.append(ResidualLogEntry(
-            "step", k, d_step.m, k * delta, (k + 1) * delta,
-            float(np.max(c_step.values(delta * COARSE_FRACTIONS))),
+            "step", k, d_step.m, k * delta, (k + 1) * delta, _peak(c_step, delta)
         ))
         if converged or delta_tilde >= delta * (1.0 - 1e-12):
             x = rate(d_step, c_step)
@@ -510,18 +471,11 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     count0 = op.matvec_count
     t_final = ivp.t_final
     log: list[ResidualLogEntry] = []
-    cap = min(cfg.two_pass_iteration_cap, op.dim)
-    interval = cfg.two_pass_check_interval
+    cap = min(200 * cfg.m_max, op.dim)
 
     w0 = ivp.g - op.apply(ivp.u)
     beta_psi = _norm(w0)
     beta_sigma = _norm(ivp.v)
-    if beta_psi + beta_sigma == 0.0:
-        return SolveReport(
-            y=ivp.u.copy(), v_out=np.zeros(op.dim),
-            matvecs=op.matvec_count - count0, steps=1, step_sizes=[t_final],
-            solver="two-pass",
-        )
     th_psi, th_sigma = _tolerance_split(cfg.tol, beta_psi, beta_sigma)
 
     def pass_one(start, kind, threshold, label):
@@ -530,12 +484,11 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             proc.step()
             if proc.breakdown:
                 return proc.snapshot()
-            due = proc.m % interval == 0 or proc.m == cap
-            if not due:
-                continue
+            if proc.m % cfg.two_pass_check_interval and proc.m != cap:
+                continue  # not a check iteration
             decomp = proc.snapshot()
             curve = ResidualCurve(decomp, kind)
-            res = float(np.max(curve.values(t_final * COARSE_FRACTIONS)))
+            res = _peak(curve, t_final)
             log.append(ResidualLogEntry(label, 0, proc.m, 0.0, t_final, res))
             if res <= threshold and confirm_admissible(curve, t_final, threshold):
                 return decomp
@@ -550,12 +503,11 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             decomp.spectral_cache(), kind, t_final
         )[0]
         diag, off = decomp.tridiagonal()
-        m = decomp.m
         y_acc = pos_coeff[0] * start_unit
         v_acc = vel_coeff[0] * start_unit
         v_prev = np.zeros_like(start_unit)
         v_cur = start_unit
-        for i in range(m - 1):
+        for i in range(decomp.m - 1):
             w = op.apply(v_cur) - diag[i] * v_cur
             if i > 0:
                 w -= off[i - 1] * v_prev
@@ -564,19 +516,15 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             v_acc += vel_coeff[i + 1] * v_cur
         return y_acc, v_acc
 
-    y = ivp.u.copy()
-    vel = np.zeros(op.dim)
+    updates = []
     if beta_psi > 0:
         d_psi = pass_one(w0, ScalarFunKind.PSI, th_psi, "psi")
         w0b = ivp.g - op.apply(ivp.u)  # recomputed: pass one kept no vectors
-        y_add, v_add = pass_two(w0b / beta_psi, d_psi, ScalarFunKind.PSI)
-        y += y_add
-        vel += v_add
+        updates.append(pass_two(w0b / beta_psi, d_psi, ScalarFunKind.PSI))
     if beta_sigma > 0:
         d_sigma = pass_one(ivp.v, ScalarFunKind.SIGMA, th_sigma, "sigma")
-        y_add, v_add = pass_two(ivp.v / beta_sigma, d_sigma, ScalarFunKind.SIGMA)
-        y += y_add
-        vel += v_add
+        updates.append(pass_two(ivp.v / beta_sigma, d_sigma, ScalarFunKind.SIGMA))
+    y, vel = _add_updates(ivp.u.copy(), updates)
     return SolveReport(
         y=y, v_out=vel, matvecs=op.matvec_count - count0, steps=1,
         step_sizes=[t_final], residual_log=log, solver="two-pass",
@@ -593,41 +541,21 @@ def rt_first_order_block(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     orthogonalization and storage cost comparable to the second-order
     solvers.  Block products are counted as single matvecs.
     """
-    op = ivp.op
-    count0 = op.matvec_count
-    block = BlockFirstOrderOperator(op)
-    n = op.dim
-    g_hat = np.concatenate([np.zeros(n), ivp.g])
-    w = np.concatenate([ivp.u, ivp.v])
-    t_total = ivp.t_final
+    block = BlockFirstOrderOperator(ivp.op)
+    n = ivp.op.dim
     m_cap = min(max(1, cfg.m_max // 2), block.dim)
-    step_sizes: list[float] = []
-    log: list[ResidualLogEntry] = []
-    t_done = 0.0
-    cycle = 0
-    while t_done < t_total * (1.0 - 1e-14):
-        if cycle >= _MAX_CYCLES:
-            raise RuntimeError("restart cycle limit exceeded")
-        t_rem = t_total - t_done
-        r = g_hat - block.apply(w)
-        beta = _norm(r)
-        if beta == 0.0:
-            break
-        d, curve, delta, _ = _grow_admissible(
-            block, r, ScalarFunKind.PHI, t_rem, cfg.tol * beta, m_cap
+
+    def advance(cyc):
+        # g_hat - B w for w = (y, vel) and g_hat = (0, g), as B w = (-vel, A y)
+        r = np.concatenate([cyc.vel, cyc.gt])
+        (d,), (curve,), _, delta, _ = _grow_admissible(
+            block, [(r, ScalarFunKind.PHI)], cyc.t_rem, cfg.tol * _norm(r), m_cap
         )
-        log.append(ResidualLogEntry(
-            "phi", cycle, d.m, t_done, t_done + delta,
-            float(np.max(curve.values(delta * COARSE_FRACTIONS))),
-        ))
-        w = w + _branch_updates(d, curve.cache, ScalarFunKind.PHI, [delta])[0, 0]
-        step_sizes.append(delta)
-        t_done += delta
-        cycle += 1
-    return SolveReport(
-        y=w[:n], v_out=w[n:], matvecs=op.matvec_count - count0, steps=cycle,
-        step_sizes=step_sizes, residual_log=log, solver="first-order",
-    )
+        entry = ("phi", d.m, delta, _peak(curve, delta))
+        update = _branch_updates(d, curve.cache, ScalarFunKind.PHI, [delta])[0, 0]
+        return delta, cyc.y + update[:n], cyc.vel + update[n:], [entry], False
+
+    return _restart(ivp, "first-order", advance)
 
 
 SOLVERS = {
@@ -641,10 +569,6 @@ SOLVERS = {
 
 def solve(ivp: SecondOrderIVP, cfg: SolverConfig, solver: str = "rt-seq") -> SolveReport:
     """Dispatch to one of the named solvers."""
-    try:
-        fun = SOLVERS[solver]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver {solver!r}; choose from {sorted(SOLVERS)}"
-        ) from None
-    return fun(ivp, cfg)
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}; choose from {sorted(SOLVERS)}")
+    return SOLVERS[solver](ivp, cfg)

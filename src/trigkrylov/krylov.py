@@ -302,7 +302,8 @@ def find_largest_admissible_step(curve, t: float, tol: float,
 
     The base resolution is t/100; it is halved until the residual at the
     first sample is admissible, then the fine grid is scanned until the
-    first violation.  A tie (residual == tol) counts as admissible.
+    first violation.  A tie (residual == tol) counts as admissible and a NaN
+    sample (an overflowed evaluation) as a violation.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -322,7 +323,7 @@ def find_largest_admissible_step(curve, t: float, tol: float,
     while j <= j_max:
         j_hi = min(j + chunk - 1, j_max)
         vals = curve.values(dt * np.arange(j, j_hi + 1))
-        bad = np.nonzero(vals > tol)[0]
+        bad = np.nonzero(~(vals <= tol))[0]
         if bad.size:
             return (j + bad[0] - 1) * dt
         j = j_hi + 1

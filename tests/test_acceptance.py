@@ -184,8 +184,7 @@ def test_criterion_2_exactness_suite():
     y_ref, _ = exact_ivp_solution(ivp, 2.0)
     # m = n Krylov solutions are exact
     for solver in ("rt-sim", "rt-seq", "gautschi", "two-pass"):
-        cfg = SolverConfig(tol=1e-9, m_max=2 * n,
-                           sim_basis_cap=n, two_pass_check_interval=1)
+        cfg = SolverConfig(tol=1e-9, m_max=2 * n, two_pass_check_interval=1)
         rep = solve(ivp, cfg, solver)
         assert _rel(rep.y, y_ref) <= 1e-10, solver
     cfg_block = SolverConfig(tol=1e-9, m_max=4 * n)

@@ -234,10 +234,10 @@ def test_stopping_soundness_per_cycle():
         gt = ivp.g - mat @ y
         bp, bs = np.linalg.norm(gt), np.linalg.norm(vel)
         thp, ths = integ._tolerance_split(tol, bp, bs)
-        d_psi, c_psi, delta, _ = integ._grow_admissible(
-            op, gt, ScalarFunKind.PSI, t_rem, thp, 10)
-        d_sig, c_sig, delta_s, _ = integ._grow_admissible(
-            op, vel, ScalarFunKind.SIGMA, delta, ths, 10)
+        (d_psi,), (c_psi,), _, delta, _ = integ._grow_admissible(
+            op, [(gt, ScalarFunKind.PSI)], t_rem, thp, 10)
+        (d_sig,), (c_sig,), _, delta_s, _ = integ._grow_admissible(
+            op, [(vel, ScalarFunKind.SIGMA)], delta, ths, 10)
         delta = min(delta, delta_s)
         # true residual of the cycle approximation at the accepted endpoint
         caches = (c_psi.cache, c_sig.cache)
@@ -316,14 +316,14 @@ def test_two_pass_breakdown_in_invariant_subspace():
 
 def test_two_pass_iteration_cap_error():
     rng = np.random.default_rng(14)
-    n = 50
+    n = 500
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = rng.uniform(1e4, 4e4, n)
     op = DenseOperator((q * lam) @ q.T, is_symmetric=True)
     ivp = SecondOrderIVP(op, rng.standard_normal(n), rng.standard_normal(n),
                          None, 10.0)
-    cfg = SolverConfig(tol=1e-14, two_pass_max_iters=8, two_pass_check_interval=4)
-    with pytest.raises(RuntimeError, match="did not converge"):
+    cfg = SolverConfig(tol=1e-14, m_max=2, two_pass_check_interval=4)
+    with pytest.raises(RuntimeError, match="did not converge within 400 iterations"):
         two_pass_lanczos(ivp, cfg)
 
 
@@ -368,8 +368,34 @@ def test_gautschi_repair_path_equivalence():
 
 
 def _matvecs_from_log(report):
-    # one g - A y per cycle plus one matvec per Krylov step of each entry
+    # one g - A y per cycle (first-order: the block residual g_hat - B w,
+    # also one matvec) plus one matvec per Krylov step of each entry
     return report.steps + sum(e.m for e in report.residual_log)
+
+
+def _multi_cycle_ivp():
+    rng = np.random.default_rng(18)
+    n = 40
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(50.0, 3000.0, n)
+    op = DenseOperator((q * lam) @ q.T, is_symmetric=True)
+    return SecondOrderIVP(op, rng.standard_normal(n), rng.standard_normal(n),
+                          rng.standard_normal(n), 1.7)
+
+
+def test_first_order_matvecs_match_the_residual_log():
+    report = rt_first_order_block(_multi_cycle_ivp(), SolverConfig(tol=1e-6, m_max=10))
+    assert report.steps > 1
+    assert report.matvecs == _matvecs_from_log(report)
+
+
+@pytest.mark.parametrize("name", ["rt-sim", "rt-seq", "first-order"])
+def test_restart_cycle_limit(monkeypatch, name):
+    cfg = SolverConfig(tol=1e-6, m_max=10)
+    assert solve(_multi_cycle_ivp(), cfg, name).steps > 1
+    monkeypatch.setattr(integ, "_MAX_CYCLES", 1)
+    with pytest.raises(RuntimeError, match="restart cycle limit exceeded"):
+        solve(_multi_cycle_ivp(), cfg, name)
 
 
 def test_sequential_repair_triggers_and_recovers():
@@ -464,7 +490,7 @@ def test_simultaneous_halves_basis_budget():
     report = rt_simultaneous(ivp, SolverConfig(tol=1e-6, m_max=20))
     for entry in report.residual_log:
         assert entry.m <= 10
-    report2 = rt_simultaneous(ivp, SolverConfig(tol=1e-6, m_max=20, sim_basis_cap=20))
+    report2 = rt_simultaneous(ivp, SolverConfig(tol=1e-6, m_max=40))
     for entry in report2.residual_log:
         assert entry.m <= 20
     assert report2.steps <= report.steps

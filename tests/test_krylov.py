@@ -235,6 +235,25 @@ def test_find_step_ties_are_admissible():
     assert delta >= 0.02
 
 
+def test_find_step_treats_nan_samples_as_violations():
+    # Residual 0 up to s = 0.505 and NaN (an overflowed evaluation) after:
+    # the scan at dt = 0.01 must stop at 0.5, as the coarse and fine checks
+    # (max <= tol) would reject any step past it.
+    class NanPastCurve:
+        def values(self, ts):
+            ts = np.atleast_1d(np.asarray(ts, dtype=float))
+            return np.where(ts > 0.505, np.nan, 0.0)
+
+        def value(self, t):
+            return float(self.values(t)[0])
+
+    curve = NanPastCurve()
+    delta = find_largest_admissible_step(curve, 1.0, 0.1)
+    assert delta == pytest.approx(0.5)
+    assert coarse_residual_check(curve, delta, 0.1)
+    assert not coarse_residual_check(curve, 1.0, 0.1)
+
+
 def test_step_search_stagnation():
     curve = _scalar_sigma_curve(lam=1.0, h_next=1.0, beta=1.0)
     with pytest.raises(StepSearchStagnation):
