@@ -14,11 +14,16 @@ their updates from.
 A :class:`KrylovProcess` is created with its step cap ``m_max`` and owns one
 preallocated basis store of ``min(m_max, dim) + 1`` rows, one row per basis
 vector; an Arnoldi process also owns one (m_max + 1) x m_max Hessenberg
-array.  No step allocates basis storage, and :meth:`KrylovProcess.step`
-past the cap raises ``RuntimeError``.  A :class:`KrylovDecomposition`
-snapshot reads the basis as a view of the store (``V_m`` and ``V`` are
-transposed row slices), never a copy.  Rows are only ever appended, so an
-earlier snapshot stays valid while the process goes on.
+array.  The three-term mode stores no basis: it rotates three preallocated
+vectors and is not capped at ``dim``.  Every process also owns one scratch
+vector.  A step applies A straight into the next row (``apply(x, out=)``),
+orthogonalizes that row in place, forming each ``coeff * v`` in the scratch
+vector so the bits equal those of ``w - coeff * v``, and normalizes it in
+place, so no step allocates an n-vector.  :meth:`KrylovProcess.step` past
+the cap raises ``RuntimeError``.  A :class:`KrylovDecomposition` snapshot
+reads the basis as a view of the store (``V_m`` and ``V`` are transposed
+row slices), never a copy.  Rows are only ever appended, so an earlier
+snapshot stays valid while the process goes on.
 """
 from __future__ import annotations
 
@@ -46,7 +51,8 @@ class KrylovProcess:
     ``mode`` is one of ``"arnoldi"``, ``"lanczos"`` (basis stored) or
     ``"lanczos3"`` (three-term recurrence, only a sliding window of basis
     vectors kept).  One call to :meth:`step` consumes exactly one matvec;
-    at most ``min(m_max, dim)`` steps are taken.
+    at most ``min(m_max, dim)`` steps are taken with a stored basis and at
+    most ``m_max`` in three-term mode.
     """
 
     def __init__(self, op: LinearOperator, w: np.ndarray, m_max: int,
@@ -67,19 +73,23 @@ class KrylovProcess:
         self.mode = mode
         self.reorth = reorth
         self.beta = beta
-        self.m_max = min(m_max, op.dim)
+        # a stored basis has at most dim independent vectors; the three-term
+        # recurrence keeps none, and in floating point it may need more than
+        # dim steps to converge
+        self.m_max = m_max if mode == "lanczos3" else min(m_max, op.dim)
         self.m = 0
         self.h_next = 0.0
         self.breakdown = False
         self._norm_est = 0.0
-        v1 = w / beta
+        self._scratch = np.empty(op.dim)
         if mode == "lanczos3":
             self._store = None
-            self._v_prev = np.zeros_like(v1)
-            self._v_cur = v1
+            # previous, current and next basis vector, rotated every step
+            self._window = [np.zeros(op.dim), np.empty(op.dim), np.empty(op.dim)]
+            np.divide(w, beta, out=self._window[1])
         else:
             self._store = np.empty((self.m_max + 1, op.dim))
-            self._store[0] = v1
+            np.divide(w, beta, out=self._store[0])
         if mode == "arnoldi":
             self._h = np.zeros((self.m_max + 1, self.m_max))
         else:
@@ -103,15 +113,20 @@ class KrylovProcess:
         if self.breakdown and self._store is not None:
             self._store[self.m] = 0.0  # V's last column is zero after breakdown
 
+    def _subtract(self, w, coeff, v):
+        """w -= coeff * v in place; the product is formed in the scratch
+        vector first, so the bits equal those of ``w - coeff * v``."""
+        w -= np.multiply(v, coeff, out=self._scratch)
+
     def _step_arnoldi(self):
         m, store = self.m, self._store
-        v_new = self.op.apply(store[m])
+        v_new = self.op.apply(store[m], out=store[m + 1])
         col = self._h[: m + 2, m]
         for _ in range(2 if self.reorth else 1):
             for i, v in enumerate(store[: m + 1]):
                 proj = v @ v_new
                 col[i] += proj
-                v_new = v_new - proj * v
+                self._subtract(v_new, proj, v)
         h_next = float(np.linalg.norm(v_new))
         col[m + 1] = h_next
         self._norm_est = max(self._norm_est, float(np.linalg.norm(col)))
@@ -121,23 +136,22 @@ class KrylovProcess:
             col[m + 1] = 0.0
             self.breakdown = True
         else:
-            np.divide(v_new, h_next, out=store[m + 1])
+            v_new /= h_next
 
     def _step_lanczos(self):
         m, store = self.m, self._store
         if self.mode == "lanczos3":
-            v_cur, v_prev = self._v_cur, self._v_prev
+            v_prev, v_cur, w = self._window
         else:
-            v_cur = store[m]
-            v_prev = store[m - 1] if m > 0 else None
-        w = self.op.apply(v_cur)
+            v_prev, v_cur, w = (store[m - 1] if m > 0 else None), store[m], store[m + 1]
+        self.op.apply(v_cur, out=w)
         if m > 0:
-            w = w - self.offdiags[-1] * v_prev
+            self._subtract(w, self.offdiags[-1], v_prev)
         alpha = float(w @ v_cur)
-        w = w - alpha * v_cur
+        self._subtract(w, alpha, v_cur)
         if self.reorth:
             for v in store[: m + 1]:
-                w = w - (v @ w) * v
+                self._subtract(w, v @ w, v)
         h_next = float(np.linalg.norm(w))
         self.alphas.append(alpha)
         self.offdiags.append(h_next)
@@ -150,10 +164,10 @@ class KrylovProcess:
             self.h_next = 0.0
             self.offdiags[-1] = 0.0
             self.breakdown = True
-        elif self.mode == "lanczos3":
-            self._v_prev, self._v_cur = self._v_cur, w / h_next
         else:
-            np.divide(w, h_next, out=store[m + 1])
+            w /= h_next
+            if self.mode == "lanczos3":
+                self._window = [v_cur, w, v_prev]
 
     def snapshot(self) -> "KrylovDecomposition":
         return KrylovDecomposition(self)

@@ -3,6 +3,13 @@
 All vectors are 1-D float64 ``numpy.ndarray`` objects.  Every operator
 counts its matrix-vector products so that solvers can report the exact
 number of products consumed by a run (measured as a counter delta).
+
+``apply(x, out=None)`` returns ``A @ x``; given ``out``, a C-contiguous
+writable float64 vector of the operator's dimension that does not overlap
+``x``, it writes the product there and returns ``out``, so a Krylov step can
+apply A straight into its basis store.  Both forms give the same bits.
+:class:`KroneckerSum3D` keeps its two n-vector intermediates in a
+per-thread workspace, so concurrent applies on distinct vectors stay safe.
 """
 from __future__ import annotations
 
@@ -16,10 +23,11 @@ import scipy.sparse
 class LinearOperator:
     """Abstract matvec provider: ``y = A @ x`` for a fixed dimension.
 
-    Subclasses implement ``_matvec``.  ``apply`` validates the input,
-    increments the matvec counter by exactly one and returns the product.
-    The counter is lock-protected so ``apply`` may be called concurrently
-    from several threads on distinct vectors.
+    Subclasses implement ``_matvec(x, out)``, which writes ``A @ x`` into
+    ``out``.  ``apply`` validates ``x`` and ``out``, increments the matvec
+    counter by exactly one and returns the product.  The counter is
+    lock-protected so ``apply`` may be called concurrently from several
+    threads on distinct vectors.
     """
 
     def __init__(self, dim: int, is_symmetric: bool):
@@ -34,17 +42,29 @@ class LinearOperator:
     def matvec_count(self) -> int:
         return self._matvec_count
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(
                 f"dimension mismatch: operator dim {self.dim}, vector shape {x.shape}"
             )
+        if out is None:
+            out = np.empty(self.dim)
+        elif not (isinstance(out, np.ndarray) and out.shape == (self.dim,)
+                  and out.dtype == np.float64 and out.flags.c_contiguous
+                  and out.flags.writeable):
+            raise ValueError(
+                f"out must be a writable contiguous float64 vector of shape "
+                f"({self.dim},)"
+            )
+        elif np.may_share_memory(x, out):
+            raise ValueError("out overlaps x")
         with self._count_lock:
             self._matvec_count += 1
-        return self._matvec(x)
+        self._matvec(x, out)
+        return out
 
-    def _matvec(self, x: np.ndarray) -> np.ndarray:
+    def _matvec(self, x: np.ndarray, out: np.ndarray) -> None:
         raise NotImplementedError
 
 
@@ -52,8 +72,8 @@ class IdentityOperator(LinearOperator):
     def __init__(self, dim: int):
         super().__init__(dim, is_symmetric=True)
 
-    def _matvec(self, x):
-        return x.copy()
+    def _matvec(self, x, out):
+        np.copyto(out, x)
 
 
 class DenseOperator(LinearOperator):
@@ -69,8 +89,8 @@ class DenseOperator(LinearOperator):
         super().__init__(matrix.shape[0], is_symmetric)
         self.matrix = matrix
 
-    def _matvec(self, x):
-        return self.matrix @ x
+    def _matvec(self, x, out):
+        np.matmul(self.matrix, x, out=out)
 
 
 class SparseCSR(LinearOperator):
@@ -84,8 +104,8 @@ class SparseCSR(LinearOperator):
         super().__init__(csr.shape[0], is_symmetric)
         self._csr = csr
 
-    def _matvec(self, x):
-        return self._csr @ x
+    def _matvec(self, x, out):
+        out[:] = self._csr @ x
 
 
 def read_matrix_market(path) -> SparseCSR:
@@ -123,7 +143,10 @@ class KroneckerSum3D(LinearOperator):
 
     Vectors use x-fastest ordering, i.e. entry (i, j, k) of the grid lives at
     flat index ``i + nx*(j + ny*k)``.  The three factors are small dense
-    tridiagonal matrices, so each apply is three BLAS contractions.
+    tridiagonal matrices, so each apply is three BLAS contractions: the
+    same ``np.dot`` calls ``np.tensordot`` makes, writing into ``out`` and
+    into a workspace of two n-vectors that each calling thread allocates
+    once (a ``threading.local``).
     """
 
     def __init__(self, lx, ly, lz, kx: float = 1.0, ky: float = 1.0, kz: float = 1.0):
@@ -141,13 +164,25 @@ class KroneckerSum3D(LinearOperator):
             np.array_equal(fac, fac.T) for fac in (self.lx, self.ly, self.lz)
         )
         super().__init__(self.nx * self.ny * self.nz, is_symmetric=symmetric)
+        self._local = threading.local()
 
-    def _matvec(self, x):
-        t = x.reshape(self.nz, self.ny, self.nx)
-        out = self.kz * np.tensordot(self.lz, t, axes=(1, 0))
-        out += self.ky * np.moveaxis(np.tensordot(self.ly, t, axes=(1, 1)), 0, 1)
-        out += self.kx * np.tensordot(t, self.lx, axes=(2, 1))
-        return out.reshape(self.dim)
+    def _matvec(self, x, out):
+        nx, ny, nz = self.nx, self.ny, self.nz
+        ws = getattr(self._local, "ws", None)
+        if ws is None:
+            ws = self._local.ws = np.empty((2, self.dim))
+        # z: lz contracts the slowest axis
+        np.dot(self.lz, x.reshape(nz, ny * nx), out=out.reshape(nz, ny * nx))
+        out *= self.kz
+        # y: bring the y axis to the front (the copy tensordot makes), contract
+        np.copyto(ws[0].reshape(ny, nz, nx), x.reshape(nz, ny, nx).transpose(1, 0, 2))
+        np.dot(self.ly, ws[0].reshape(ny, nz * nx), out=ws[1].reshape(ny, nz * nx))
+        ws[1] *= self.ky
+        out.reshape(nz, ny, nx)[...] += ws[1].reshape(ny, nz, nx).transpose(1, 0, 2)
+        # x: lx contracts the fastest axis
+        np.dot(x.reshape(nz * ny, nx), self.lx.T, out=ws[0].reshape(nz * ny, nx))
+        ws[0] *= self.kx
+        out += ws[0]
 
 
 class BlockFirstOrderOperator(LinearOperator):
@@ -162,12 +197,10 @@ class BlockFirstOrderOperator(LinearOperator):
         self.inner = inner
         super().__init__(2 * inner.dim, is_symmetric=False)
 
-    def _matvec(self, x):
+    def _matvec(self, x, out):
         n = self.inner.dim
-        out = np.empty(2 * n)
-        out[:n] = -x[n:]
-        out[n:] = self.inner.apply(x[:n])
-        return out
+        np.negative(x[n:], out=out[:n])
+        self.inner.apply(x[:n], out=out[n:])
 
 
 def assemble_dense(op: LinearOperator, cap: int = 4096) -> np.ndarray:

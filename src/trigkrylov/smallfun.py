@@ -85,12 +85,36 @@ def _finish(out, scalar, real_input):
     return out[0] if scalar else out
 
 
+def _direct(z) -> bool:
+    """True iff z is a real float array whose every entry is at least
+    PADE_THRESHOLD (so no NaN, no negative and no small argument).
+
+    There psi and sigma skip the guarded path (``_prepare``, the Pade
+    branch and the selection between the two), whose result would be the
+    direct formula on every entry anyway.
+    """
+    return (isinstance(z, np.ndarray) and z.dtype == np.float64 and z.ndim > 0
+            and bool((z >= PADE_THRESHOLD).all()))
+
+
+def _sigma_direct(z):
+    s = np.sqrt(z)
+    return np.sin(s) / s
+
+
+def _psi_direct(z):
+    s2 = np.sqrt(z) / 2.0
+    half = np.sin(s2) / s2
+    return half * half
+
+
 def sigma(z):
     """sin(sqrt(z))/sqrt(z), elementwise; sigma(0) = 1."""
+    if _direct(z):
+        return _sigma_direct(z)
     zw, scalar, real_input = _prepare(z)
     small = np.abs(zw) < PADE_THRESHOLD
-    s = np.sqrt(np.where(small, 1.0, zw))
-    direct = np.sin(s) / s
+    direct = _sigma_direct(np.where(small, 1.0, zw))
     pade = (1.0 - 7.0 * zw / 60.0) / (1.0 + zw / 20.0)
     return _finish(np.where(small, pade, direct), scalar, real_input)
 
@@ -101,12 +125,13 @@ def psi(z):
     Evaluated as sigma(z/4)^2 via the half-angle identity, which avoids the
     cancellation of the 1 - cos form.
     """
+    if _direct(z):
+        return _psi_direct(z)
     zw, scalar, real_input = _prepare(z)
     small = np.abs(zw) < PADE_THRESHOLD
-    s2 = np.sqrt(np.where(small, 1.0, zw)) / 2.0
-    half = np.sin(s2) / s2
+    direct = _psi_direct(np.where(small, 1.0, zw))
     pade = (1.0 - zw / 20.0) / (1.0 + zw / 30.0)
-    return _finish(np.where(small, pade, half * half), scalar, real_input)
+    return _finish(np.where(small, pade, direct), scalar, real_input)
 
 
 def phi(z):
@@ -313,12 +338,23 @@ class SpectralCache:
 
     @classmethod
     def from_tridiagonal(cls, diag, offdiag, beta=1.0):
+        """Eigendecomposition of the symmetric tridiagonal (diag, offdiag).
+
+        Calls LAPACK ``dstevd``, the driver ``scipy.linalg.eigh_tridiagonal``
+        selects for a full spectrum, without that wrapper's argument
+        handling.  Non-finite entries raise ``ValueError`` and a LAPACK
+        failure raises ``LinAlgError``.
+        """
         diag = np.asarray(diag, dtype=float)
         offdiag = np.asarray(offdiag, dtype=float)
+        if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
+            raise ValueError("tridiagonal entries must be finite")
         if diag.size == 1:
             lam, q = diag.copy(), np.ones((1, 1))
         else:
-            lam, q = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+            lam, q, info = scipy.linalg.lapack.dstevd(diag, offdiag, compute_v=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dstevd failed with info = {info}")
         return cls(lam=lam, q=q, beta=beta)
 
     @classmethod

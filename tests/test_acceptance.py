@@ -6,7 +6,9 @@ ranking is checked cell by cell against the order the paper's own counts
 report, which differs from the full chain in the anisotropic 10^3, 1e-4
 cell.
 """
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +74,9 @@ TABLE5_FO_512 = 374
 
 SOLVER_ORDER = ("rt-sim", "rt-seq", "gautschi", "two-pass")
 
+#: Matvecs, steps and rel_err of every fixture cell, as last accepted.
+GOLDEN_CELLS = Path(__file__).with_name("golden_cells.json")
+
 
 def _report(number, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -83,7 +88,14 @@ def _rel(y, ref):
 
 
 @pytest.fixture(scope="module")
-def isotropic_cells():
+def cell_steps():
+    """"<family>/<grid>/<tol>/<solver>" -> steps of each fixture run, filled
+    by the cell fixtures (the criteria read only matvecs and rel_err)."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def isotropic_cells(cell_steps):
     """Solve every Table-2 cell once; criteria 5 and 8 share the results."""
     out = {}
     for grid in (10, 20):
@@ -94,11 +106,12 @@ def isotropic_cells():
             for solver in SOLVER_ORDER:
                 rep = solve(ivp, SolverConfig(tol=tol), solver)
                 out[(grid, tol, solver)] = (rep.matvecs, _rel(rep.y, yref))
+                cell_steps[f"isotropic/{grid}/{tol:g}/{solver}"] = rep.steps
     return out
 
 
 @pytest.fixture(scope="module")
-def anisotropic_cells():
+def anisotropic_cells(cell_steps):
     out = {}
     for grid in (10, 20):
         spec = anisotropic_wave_spec(grid)
@@ -109,11 +122,12 @@ def anisotropic_cells():
                 adj = {"gautschi": 0.1, "two-pass": 10.0}.get(solver, 1.0)
                 rep = solve(ivp, SolverConfig(tol=tol * adj), solver)
                 out[(grid, tol, solver)] = (rep.matvecs, _rel(rep.y, yref))
+                cell_steps[f"anisotropic/{grid}/{tol:g}/{solver}"] = rep.steps
     return out
 
 
 @pytest.fixture(scope="module")
-def transport_cells():
+def transport_cells(cell_steps):
     out = {}
     for grid in (128, 256, 512):
         ivp = build_transport(TransportProblemSpec(grid))
@@ -124,6 +138,7 @@ def transport_cells():
                 rep = solve(ivp, SolverConfig(tol=tol * adj), solver)
                 out[(grid, tol, solver)] = (rep.matvecs, _rel(rep.y, yref),
                                             tol * adj)
+                cell_steps[f"transport/{grid}/{tol:g}/{solver}"] = rep.steps
     return out
 
 
@@ -404,6 +419,42 @@ def test_criterion_7_transport_matvec_ranking(transport_cells):
         "a sigma step below the last PSI_STEP_RUNGS rung costs m matvecs "
         "(see the 'rebuild' entries of the residual log)."
     )
+
+
+def test_fixture_cells_match_the_golden_counts(isotropic_cells, anisotropic_cells,
+                                              transport_cells, cell_steps):
+    """Count-drift gate over every fixture cell.
+
+    A cell fails when its matvecs move by more than max(2, 1%) or its
+    rel_err rises by more than 10% against ``golden_cells.json`` (the
+    bounds the benchmark puts on counts and accuracy).  Every cell that
+    moved at all is printed, with its record as now measured, so that an
+    intended change can be copied into the golden file and listed in
+    CHANGES.md.
+    """
+    current = {}
+    for family, cells in (("isotropic", isotropic_cells),
+                          ("anisotropic", anisotropic_cells),
+                          ("transport", transport_cells)):
+        for (grid, tol, solver), (matvecs, rel, *_) in cells.items():
+            key = f"{family}/{grid}/{tol:g}/{solver}"
+            current[key] = {"matvecs": matvecs, "steps": cell_steps[key],
+                            "rel_err": rel}
+    golden = json.loads(GOLDEN_CELLS.read_text())
+    assert current.keys() == golden.keys()
+    moved, failures = {}, []
+    for key, now in current.items():
+        was = golden[key]
+        if now != was:
+            moved[key] = now
+            print(f"moved {key}: {was} -> {now}")
+        if abs(now["matvecs"] - was["matvecs"]) > max(2, 0.01 * was["matvecs"]):
+            failures.append((key, "matvecs", was["matvecs"], now["matvecs"]))
+        if now["rel_err"] > 1.1 * was["rel_err"]:
+            failures.append((key, "rel_err", was["rel_err"], now["rel_err"]))
+    _report("gate", not failures,
+            f"{len(moved)} of {len(current)} cells moved, failures={failures}")
+    assert not failures, json.dumps(moved, indent=1)
 
 
 def test_criterion_8_substituted_properties(isotropic_cells):

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from trigkrylov.integrators import (
 )
 from trigkrylov.krylov import krylov_build
 from trigkrylov.linop import DenseOperator
+from trigkrylov.problems import build_wave3d, isotropic_wave_spec
 from trigkrylov.smallfun import (
     ScalarFunKind,
     SpectralCache,
@@ -325,6 +329,40 @@ def test_two_pass_iteration_cap_error():
     cfg = SolverConfig(tol=1e-14, m_max=2, two_pass_check_interval=4)
     with pytest.raises(RuntimeError, match="did not converge within 400 iterations"):
         two_pass_lanczos(ivp, cfg)
+
+
+def test_two_pass_converges_past_n_iterations():
+    # Three-term Lanczos in floating point can need more than n steps on a
+    # stiff spectrum; capping the recurrence at n made some of these fail.
+    rng = np.random.default_rng(2024)
+    for i in range(40):
+        n = int(rng.integers(8, 25))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = 1e4 * np.abs(rng.standard_normal(n))
+        op = DenseOperator((q * lam) @ q.T, is_symmetric=True)
+        t = (1.0, 100.0)[i % 2]
+        ivp = SecondOrderIVP(op, rng.standard_normal(n), rng.standard_normal(n),
+                             rng.standard_normal(n), t)
+        report = two_pass_lanczos(ivp, SolverConfig(tol=1e-6))
+        y_ref, _ = exact_ivp_solution(ivp, t)
+        assert report.matvecs <= 160, (i, n, report.matvecs)
+        assert _rel_err(report.y, y_ref) <= 1e-6, (i, n)
+
+
+def test_gautschi_frees_its_start_up_bases():
+    ivp = build_wave3d(isotropic_wave_spec(40))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        report = gautschi(ivp, SolverConfig(tol=1e-6))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert report.matvecs == 141
+    # the stepping loop holds one 31-row basis; the two start-up bases of
+    # 26 rows each, if kept alive, would push the peak past 120
+    assert peak / (8 * ivp.op.dim) <= 80
 
 
 def _repair_heavy_instance(rng):

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +17,12 @@ from trigkrylov.krylov import (
     krylov_build,
     residual_norm_at,
 )
-from trigkrylov.problems import TransportProblemSpec, build_transport
+from trigkrylov.problems import (
+    TransportProblemSpec,
+    build_transport,
+    build_wave3d,
+    isotropic_wave_spec,
+)
 from trigkrylov.smallfun import (
     ParlettPerturbationWarning,
     ScalarFunKind,
@@ -378,3 +385,21 @@ def test_prop_bounds_dominate_measured_curve():
         simple, tight = bound_prop23(bi)
         assert measured <= tight * (1 + 1e-9)
         assert measured <= simple * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("mode", ["lanczos", "lanczos3", "arnoldi"])
+def test_krylov_steps_allocate_no_vectors(mode):
+    op = build_wave3d(isotropic_wave_spec(48)).op
+    proc = KrylovProcess(op, np.random.default_rng(4).standard_normal(op.dim), 12,
+                         mode=mode)
+    proc.step()  # the operator's workspace is allocated by the first apply
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            proc.step()
+        rise = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert rise < 8 * op.dim, f"{rise / (8 * op.dim):.2f} n-vectors"

@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -16,6 +17,7 @@ from trigkrylov.linop import (
     dirichlet_laplacian_1d,
     read_matrix_market,
 )
+from trigkrylov.problems import anisotropic_wave_spec, build_wave3d
 
 
 def test_identity_apply():
@@ -154,3 +156,102 @@ def test_matrix_market_roundtrip(tmp_path):
 def test_centered_difference_antisymmetric():
     d = centered_difference_1d(5)
     np.testing.assert_allclose(d, -d.T)
+
+
+def _tensordot_apply(op, x):
+    """The Kronecker-sum product as three ``np.tensordot`` contractions."""
+    t = x.reshape(op.nz, op.ny, op.nx)
+    out = op.kz * np.tensordot(op.lz, t, axes=(1, 0))
+    out += op.ky * np.moveaxis(np.tensordot(op.ly, t, axes=(1, 1)), 0, 1)
+    out += op.kx * np.tensordot(t, op.lx, axes=(2, 1))
+    return out.reshape(op.dim)
+
+
+def _kronecker_ops():
+    for nx, ny, nz in [(2, 2, 2), (3, 4, 2), (8, 8, 8)]:
+        lx, ly, lz = (dirichlet_laplacian_1d(n) for n in (nx, ny, nz))
+        yield KroneckerSum3D(lx, ly, lz, kx=2.0, ky=0.5, kz=3.0)
+    yield build_wave3d(anisotropic_wave_spec(20)).op
+
+
+def test_kronecker_apply_bits_equal_the_tensordot_formula():
+    rng = np.random.default_rng(11)
+    for op in _kronecker_ops():
+        for _ in range(3):
+            x = rng.standard_normal(op.dim)
+            expected = _tensordot_apply(op, x)
+            assert np.array_equal(op.apply(x), expected)
+            out = np.full(op.dim, np.nan)
+            assert op.apply(x, out=out) is out
+            assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: IdentityOperator(12),
+    lambda: DenseOperator(np.diag(np.arange(1.0, 13.0))),
+    lambda: SparseCSR(scipy.sparse.diags(np.arange(1.0, 13.0)), is_symmetric=True),
+    lambda: KroneckerSum3D(*(dirichlet_laplacian_1d(2),) * 3),
+    lambda: BlockFirstOrderOperator(DenseOperator(np.diag(np.arange(1.0, 7.0)))),
+])
+def test_apply_into_out_matches_the_returned_product(make_op):
+    op = make_op()
+    x = np.random.default_rng(3).standard_normal(op.dim)
+    expected = op.apply(x)
+    out = np.empty(op.dim)
+    assert op.apply(x, out=out) is out
+    assert np.array_equal(out, expected)
+    assert op.matvec_count == 2
+
+
+@pytest.mark.parametrize("bad_out", [
+    lambda buf: buf[:5],                      # wrong shape
+    lambda buf: buf.reshape(2, 6),            # wrong shape
+    lambda buf: np.empty(12, dtype=np.float32),
+    lambda buf: np.empty(24)[::2],            # not contiguous
+])
+def test_apply_rejects_a_malformed_out(bad_out):
+    op = DenseOperator(np.eye(12))
+    with pytest.raises(ValueError, match="out must be"):
+        op.apply(np.ones(12), out=bad_out(np.empty(12)))
+    assert op.matvec_count == 0
+
+
+def test_apply_rejects_an_out_that_overlaps_x():
+    op = KroneckerSum3D(*(dirichlet_laplacian_1d(2),) * 3)
+    store = np.ones((2, 2 * op.dim))
+    for x, out in ((store[0, :8], store[0, :8]),       # the same vector
+                   (store[0, :8], store[0, 4:12])):    # a shifted view
+        with pytest.raises(ValueError, match="overlaps"):
+            op.apply(x, out=out)
+    # adjacent rows of one store do not overlap
+    op.apply(store[0, :8], out=store[0, 8:])
+    assert op.matvec_count == 1
+
+
+def test_concurrent_kronecker_applies_equal_serial_ones():
+    op = build_wave3d(anisotropic_wave_spec(20)).op
+    rng = np.random.default_rng(12)
+    xs = rng.standard_normal((4, op.dim))
+    serial = np.stack([_tensordot_apply(op, x) for x in xs])
+    outs = np.empty((4, 25, op.dim))
+    barrier = threading.Barrier(4)
+
+    def worker(k):
+        barrier.wait()
+        for r in range(25):
+            op.apply(xs[k], out=outs[k, r])
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' applies finely
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert op.matvec_count == 4 * 25
+    for k in range(4):
+        assert all(np.array_equal(outs[k, r], serial[k]) for r in range(25))

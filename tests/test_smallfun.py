@@ -464,3 +464,69 @@ def test_spectral_cache_reconstruction_and_reuse():
         ref = 2.0 * (q @ (sigma(t * t * lam) * q.T[:, 0]))
         np.testing.assert_allclose(cache.fun_e1(ScalarFunKind.SIGMA, t * t), ref,
                                    atol=1e-12 * np.linalg.norm(ref) + 1e-15)
+
+
+def _guarded(fun, z):
+    """fun(z) forced through the Pade-guarded path: an appended 0 is below
+    the threshold, and the path is elementwise, so the other entries are
+    what that path gives them."""
+    z = np.asarray(z, dtype=float)
+    return fun(np.append(z.ravel(), 0.0))[:-1].reshape(z.shape)
+
+
+@pytest.mark.parametrize("fun", [psi, sigma])
+def test_direct_path_bits_equal_the_guarded_path(fun):
+    z = np.concatenate([[PADE_THRESHOLD, np.nextafter(PADE_THRESHOLD, 1.0), 0.5,
+                         np.pi**2, 4 * np.pi**2], np.geomspace(1e-3, 1e9, 40)])
+    assert np.array_equal(fun(z), _guarded(fun, z))
+    grid = np.outer(np.linspace(0.1, 3.0, 6), z)
+    assert np.array_equal(fun(grid), _guarded(fun, grid))
+
+
+def _tridiagonal(m, rng, lowest=None):
+    """(diag, offdiag) with eigenvalues of both signs and a zero one, or,
+    given ``lowest``, with the smallest eigenvalue there."""
+    if m == 1:
+        return np.zeros(1) if lowest is None else np.full(1, lowest), np.zeros(0)
+    diag = rng.uniform(-50.0, 400.0, m)
+    off = rng.uniform(0.5, 40.0, m - 1)
+    lam = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    return diag - (lam[m // 2] if lowest is None else lam[0] - lowest), off
+
+
+@pytest.mark.parametrize("m", [1, 2, 30])
+def test_from_tridiagonal_bits_equal_eigh_tridiagonal(m):
+    diag, off = _tridiagonal(m, np.random.default_rng(m))
+    cache = SpectralCache.from_tridiagonal(diag, off, beta=1.5)
+    lam, q = scipy.linalg.eigh_tridiagonal(diag, off)
+    assert np.array_equal(cache.lam, lam) and np.array_equal(cache.q, q)
+    assert lam[0] < 0 if m > 1 else lam[0] == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 30])
+@pytest.mark.parametrize("kind", [ScalarFunKind.PSI, ScalarFunKind.SIGMA])
+def test_symmetric_corner_bits_equal_the_guarded_evaluation(m, kind):
+    rng = np.random.default_rng(100 + m)
+    indefinite = _tridiagonal(m, rng)
+    definite = _tridiagonal(m, rng, lowest=1.0)
+    for tri, scales in (
+        (indefinite, np.geomspace(1e-8, 10.0, 25)),   # z < 0, z = 0, both sides
+        (definite, np.geomspace(1e-2, 10.0, 25)),     # every z above the threshold
+        (definite, np.array([0.0, 1e-9, 1e-5, 1.0])),
+    ):
+        cache = SpectralCache.from_tridiagonal(*tri, beta=1.5)
+        z = np.outer(scales, cache.lam)
+        expected = 1.5 * (_guarded(lambda a: scalar_fun(kind, a), z)
+                          @ (cache.q[-1, :] * cache.q[0, :]))
+        assert np.array_equal(cache.corner_fun_e1(kind, scales), expected)
+    assert SpectralCache.from_tridiagonal(*definite).lam[0] * 1e-2 >= PADE_THRESHOLD
+
+
+@pytest.mark.parametrize("diag, off", [
+    ([1.0, np.nan, 2.0], [0.5, 0.5]),
+    ([1.0, 2.0, 3.0], [0.5, np.inf]),
+    ([np.nan], []),
+])
+def test_from_tridiagonal_rejects_non_finite_entries(diag, off):
+    with pytest.raises(ValueError):
+        SpectralCache.from_tridiagonal(np.array(diag), np.array(off))
