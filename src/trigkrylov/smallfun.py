@@ -15,10 +15,17 @@ For |z| below ``PADE_THRESHOLD`` the direct formulas are replaced by their
 series and validated against an extended-precision series oracle in the
 test suite.
 
-Small matrices are handled by a symmetric (tridiagonal) eigendecomposition
-or, in the general case, by a complex Schur form H = Q T Q^H combined with
-the Parlett recurrence; both factorizations are cached so that many
-evaluation times t reuse a single factorization.
+Small matrices are evaluated in an eigenbasis H = X diag(lam) X^-1 where
+that is accurate, so that f(sH) e1 is one weighted sum over the m
+eigenvalues for each scale s.  Symmetric (tridiagonal) H uses its
+orthogonal eigenvectors.  Nonsymmetric H uses the eigenvectors from
+``np.linalg.eig`` and X^-1 when kappa_1(X) <= :data:`EIGENBASIS_KAPPA_MAX`
+(1e3): the eigenbasis evaluation has a relative error of about kappa(X) u
+(Higham, Functions of Matrices, SIAM 2008, sec. 4.5), so the bound keeps it
+near 1e-13.  The projected matrices of the transport problem have
+kappa_1(X) of at most about 50.  Any other H falls back to a complex Schur
+form H = Q T Q^H with the Parlett recurrence.  Either factorization is
+cached, so that many evaluation times reuse it.
 
 The Parlett recurrence for f(sT) is scale-free: in column j the scale s
 multiplies both the system sT[:j,:j] - s T[j,j] I and its right-hand side,
@@ -30,7 +37,8 @@ checked once per factorization, on the diagonal of the unscaled T, so a
 scale of 0 or a tiny scale does not make distinct eigenvalues look
 confluent.  A T with confluent diagonal entries falls back to
 :func:`parlett_fun_triangular`, one scale at a time, which handles adjacent
-confluent pairs by divided differences and perturbs other clusters.
+confluent pairs by divided differences and longer clusters through the
+exponential of an augmented block matrix.
 
 Every solver update and every residual curve is built from one table,
 :data:`BRANCH_TERMS`: for each branch kind, its position and velocity
@@ -43,7 +51,6 @@ h_{m+1,m} times the last entry of the position term's coefficient vector.
 from __future__ import annotations
 
 import enum
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -55,16 +62,19 @@ PADE_THRESHOLD = 1e-3
 #: Separation below which triangular diagonal entries count as confluent.
 PARLETT_CLUSTER_TOL = 1e-8
 
+#: Largest kappa_1(X) = ||X||_1 ||X^-1||_1 of the unit-column eigenvector
+#: matrix of a nonsymmetric H for which f(sH) is evaluated as
+#: X f(s Lambda) X^-1.  That evaluation has a relative error of about
+#: kappa(X) u (Higham, Functions of Matrices, 2008, sec. 4.5), so at 1e3 it
+#: stays near 1e-13, the accuracy the Schur-Parlett path is tested to.
+EIGENBASIS_KAPPA_MAX = 1e3
+
 
 class ScalarFunKind(enum.Enum):
     PSI = "psi"
     SIGMA = "sigma"
     PHI = "phi"
     COS = "cos"
-
-
-class ParlettPerturbationWarning(UserWarning):
-    """Clustered triangular diagonal was perturbed to evaluate the function."""
 
 
 def _prepare(z, needs_complex_for_negative=True):
@@ -145,10 +155,8 @@ def phi(z):
     small = np.abs(zw) < PADE_THRESHOLD
     zsafe = np.where(small, 1.0, zw)
     with np.errstate(over="ignore"):  # phi overflows to inf beyond z ~ 709
-        if np.iscomplexobj(zw):
-            direct = (np.exp(zsafe) - 1.0) / zsafe
-        else:
-            direct = np.expm1(zsafe) / zsafe
+        # expm1, also for complex z: exp(z) - 1 loses log10(1/|z|) digits
+        direct = np.expm1(zsafe) / zsafe
     series = 1.0 + zw * (
         1.0 / 2.0 + zw * (1.0 / 6.0 + zw * (1.0 / 24.0 + zw * (1.0 / 120.0 + zw / 720.0)))
     )
@@ -242,51 +250,57 @@ def _has_confluent_diagonal(d, ctol: float = PARLETT_CLUSTER_TOL) -> bool:
     return bool(np.any(np.abs(d[iu] - d[ju]) < ctol))
 
 
-def _separate_diagonal(d, ctol):
-    """Perturb clustered entries so all pairwise separations exceed ctol."""
-    d = d.copy()
-    order = np.argsort(d.real)
-    for a, b in zip(order[:-1], order[1:]):
-        if abs(d[b] - d[a]) < ctol:
-            d[b] = d[a] + ctol * (1.0 + abs(d[a])) * (1.0 + 0.0j)
-    return d
+def _fun_by_expm(z, kind: ScalarFunKind):
+    """f(Z) from the exponential of an augmented block matrix.
+
+    With M = [[0, I, 0], [-Z, 0, I], [0, 0, 0]], x(t) = e^{tM} x(0) solves
+    x1'' = -Z x1 + x3, so the first block row of e^M holds cos(sqrt(Z)),
+    sigma(Z) and psi(Z)/2; the top-right block of e^[[Z, I], [0, 0]] is
+    phi(Z).  Scaling and squaring needs no separation of the eigenvalues of
+    Z, so this serves a T whose diagonal has a cluster of any length.
+    """
+    m = z.shape[0]
+    if kind is ScalarFunKind.PHI:
+        blk = np.zeros((2 * m, 2 * m), dtype=complex)
+        blk[:m, :m] = z
+        blk[:m, m:] = np.eye(m)
+        return scipy.linalg.expm(blk)[:m, m:]
+    blk = np.zeros((3 * m, 3 * m), dtype=complex)
+    blk[:m, m:2 * m] = np.eye(m)
+    blk[m:2 * m, :m] = -z
+    blk[m:2 * m, 2 * m:] = np.eye(m)
+    top = scipy.linalg.expm(blk)[:m]
+    if kind is ScalarFunKind.COS:
+        return top[:, :m]
+    if kind is ScalarFunKind.SIGMA:
+        return top[:, m:2 * m]
+    return 2.0 * top[:, 2 * m:]
 
 
 def parlett_fun_triangular(t_mat, kind: ScalarFunKind, scale: float = 1.0,
-                           ctol: float = PARLETT_CLUSTER_TOL, quiet: bool = False):
-    """Evaluate f(scale*T) for upper-triangular complex T via Parlett recurrence.
+                           ctol: float = PARLETT_CLUSTER_TOL):
+    """Evaluate f(scale*T) for upper-triangular complex T.
 
-    Returns ``(F, perturbed)``.  Adjacent confluent diagonal pairs use the
-    2x2 Sylvester-block (divided difference) formula; non-adjacent clusters
-    fall back to a tolerance-perturbed diagonal with a warning.
+    Adjacent confluent diagonal pairs use the 2x2 Sylvester-block (divided
+    difference) formula inside the Parlett recurrence.  A cluster that is
+    not an adjacent pair would make the recurrence divide by separations
+    below ctol, so such a T is evaluated by :func:`_fun_by_expm` instead.
     """
     fun, dfun = _FUNS[kind]
     t_scaled = np.asarray(t_mat, dtype=complex) * scale
     m = t_scaled.shape[0]
     d = np.diagonal(t_scaled).copy()
     if m == 1:
-        return np.array([[fun(d[0])]], dtype=complex), False
+        return np.array([[fun(d[0])]], dtype=complex)
 
     sep = np.abs(d[:, None] - d[None, :])
     iu, ju = np.triu_indices(m, k=1)
     close = sep[iu, ju] < ctol
-    nonadjacent_cluster = np.any(close & (ju - iu > 1))
-    perturbed = False
-    if nonadjacent_cluster:
-        d = _separate_diagonal(d, ctol)
-        t_scaled = t_scaled.copy()
-        np.fill_diagonal(t_scaled, d)
-        perturbed = True
-        if not quiet:
-            warnings.warn(
-                "clustered triangular diagonal perturbed for matrix function",
-                ParlettPerturbationWarning,
-                stacklevel=2,
-            )
+    if np.any(close & (ju - iu > 1)):
+        return _fun_by_expm(t_scaled, kind)
     fvals = fun(d)
-
-    if not np.any(close) or nonadjacent_cluster:
-        return parlett_batched(t_scaled, fvals)[0], perturbed
+    if not np.any(close):
+        return parlett_batched(t_scaled, fvals)[0]
 
     # Scalar recurrence with divided-difference handling of adjacent pairs.
     f = np.zeros_like(t_scaled)
@@ -301,37 +315,37 @@ def parlett_fun_triangular(t_mat, kind: ScalarFunKind, scale: float = 1.0,
             den = d[i] - d[j]
             if abs(den) >= ctol:
                 f[i, j] = num / den
-            elif off == 1:
+            else:  # an adjacent pair: every other close pair went to expm
                 f[i, j] = t_scaled[i, j] * dfun((d[i] + d[j]) / 2.0)
-            else:
-                # Distant confluent pair that escaped the cluster scan.
-                f[i, j] = num / (ctol * (1.0 + abs(d[i])))
-                perturbed = True
-    return f, perturbed
+    return f
 
 
 class SpectralCache:
     """Reusable factorization of a small matrix H plus the starting scale beta.
 
-    Symmetric H is stored as an eigendecomposition Q diag(lam) Q^T, general H
-    as a complex Schur form Q T Q^H.  One factorization serves many
-    evaluation times, which is what the residual-curve sampling needs.
-    Whether T has confluent diagonal entries is decided once, on the unscaled
-    T: if not, every scale goes through :func:`parlett_batched`.
+    H is held as an eigenbasis, H = X diag(lam) X^-1, when that is
+    accurate: symmetric H as Q diag(lam) Q^T (X^-1 = Q^T), general H as the
+    eigenvectors from ``np.linalg.eig`` and their inverse when kappa_1(X) is
+    at most :data:`EIGENBASIS_KAPPA_MAX`.  Every f(sH) is then a weighted
+    sum over the eigenvalues.  Any other H is held as a complex Schur form
+    Q T Q^H (``t_mat`` is set), and whether T has confluent diagonal entries
+    is decided once, on the unscaled T: if not, every scale goes through
+    :func:`parlett_batched`.  One factorization serves many evaluation
+    times, which is what the residual-curve sampling needs.
     """
 
-    def __init__(self, *, lam=None, q=None, t_mat=None, beta=1.0):
+    def __init__(self, *, lam=None, q=None, q_inv=None, t_mat=None, beta=1.0):
         self.lam = lam
         self.q = q
         self.t_mat = t_mat
         self.beta = float(beta)
-        self.symmetric = t_mat is None
-        self.perturbed = False
+        self.symmetric = t_mat is None and q_inv is None
         self.m = (q.shape[0] if q is not None else 0)
-        if self.symmetric:
+        if t_mat is None:
+            self._q_inv = q.T if q_inv is None else q_inv
             # Weights for fast e_m^T f(scale H) e_1 sampling.
-            self._w_first = self.q[0, :]
-            self._w_corner = self.q[-1, :] * self.q[0, :]
+            self._w_first = self._q_inv[:, 0]
+            self._w_corner = self.q[-1, :] * self._w_first
         else:
             self._qh_e1 = self.q[0, :].conj()
             self._confluent = _has_confluent_diagonal(np.diagonal(t_mat))
@@ -358,7 +372,11 @@ class SpectralCache:
         return cls(lam=lam, q=q, beta=beta)
 
     @classmethod
-    def from_dense(cls, h_mat, beta=1.0, symmetric=None):
+    def from_dense(cls, h_mat, beta=1.0, symmetric=None, eigenbasis=True):
+        """Factor a dense H: ``eigh`` when symmetric (detected when
+        ``symmetric`` is None), else the eigenbasis of ``np.linalg.eig``
+        when its kappa_1(X) is at most :data:`EIGENBASIS_KAPPA_MAX`, else
+        (or with ``eigenbasis=False``) the complex Schur form."""
         h_mat = np.asarray(h_mat, dtype=float)
         if symmetric is None:
             scale = np.linalg.norm(h_mat, np.inf) or 1.0
@@ -366,6 +384,16 @@ class SpectralCache:
         if symmetric:
             lam, q = np.linalg.eigh(h_mat)
             return cls(lam=lam, q=q, beta=beta)
+        if eigenbasis:
+            try:
+                lam, x = np.linalg.eig(h_mat)
+                x_inv = np.linalg.inv(x)
+            except np.linalg.LinAlgError:  # non-finite H or singular X
+                pass
+            else:
+                kappa = np.linalg.norm(x, 1) * np.linalg.norm(x_inv, 1)
+                if kappa <= EIGENBASIS_KAPPA_MAX:
+                    return cls(lam=lam, q=x, q_inv=x_inv, beta=beta)
         t_mat, q = scipy.linalg.schur(h_mat, output="complex")
         return cls(t_mat=t_mat, q=q, beta=beta)
 
@@ -374,31 +402,25 @@ class SpectralCache:
         if not self._confluent:
             fvals = scalar_fun(kind, np.multiply.outer(scales, np.diagonal(self.t_mat)))
             return parlett_batched(self.t_mat, fvals)
-        out = []
-        for s in scales:
-            # warn once per cache; later evaluations reuse the same clustering
-            f, perturbed = parlett_fun_triangular(self.t_mat, kind, s,
-                                                  quiet=self.perturbed)
-            self.perturbed = self.perturbed or perturbed
-            out.append(f)
-        return np.stack(out)
+        return np.stack([parlett_fun_triangular(self.t_mat, kind, s) for s in scales])
 
     def apply_fun(self, kind: ScalarFunKind, scale: float, b):
         """f(scale*H) @ b, for b of shape (m,) or (m, k)."""
         b = np.asarray(b)
-        if self.symmetric:
+        if self.t_mat is None:
             fl = scalar_fun(kind, scale * self.lam)
-            return self.q @ (fl * (self.q.T @ b).T).T
-        out = self.q @ (self._fun_of_t(kind, [scale])[0] @ (self.q.conj().T @ b))
+            out = self.q @ (fl * (self._q_inv @ b).T).T
+        else:
+            out = self.q @ (self._fun_of_t(kind, [scale])[0] @ (self.q.conj().T @ b))
         return out.real if not np.iscomplexobj(b) else out
 
     def fun_e1(self, kind: ScalarFunKind, scales):
         """f(scale*H) @ (beta e_1): shape (m,) for one scale, (S, m) for S scales."""
         scales = np.asarray(scales, dtype=float)
         s = np.atleast_1d(scales)
-        if self.symmetric:
+        if self.t_mat is None:
             vals = scalar_fun(kind, np.multiply.outer(s, self.lam))
-            out = (vals * self._w_first) @ self.q.T
+            out = ((vals * self._w_first) @ self.q.T).real
         else:
             out = ((self._fun_of_t(kind, s) @ self._qh_e1) @ self.q.T).real
         out = self.beta * out
@@ -407,9 +429,9 @@ class SpectralCache:
     def corner_fun_e1(self, kind: ScalarFunKind, scales) -> np.ndarray:
         """e_m^T f(scale*H) (beta e_1) for an array of scales."""
         scales = np.atleast_1d(np.asarray(scales, dtype=float))
-        if self.symmetric:
+        if self.t_mat is None:
             vals = scalar_fun(kind, np.outer(scales, self.lam))
-            return self.beta * (np.atleast_2d(vals) @ self._w_corner)
+            return self.beta * (np.atleast_2d(vals) @ self._w_corner).real
         f_e1 = self._fun_of_t(kind, scales) @ self._qh_e1
         # an elementwise sum, not a matmul: an (S, m) gemv would run on the
         # BLAS thread pool between the Parlett solves of consecutive calls
@@ -420,8 +442,8 @@ def matfun_action(h_mat, kind: ScalarFunKind, scale: float, b,
                   cache: SpectralCache | None = None, symmetric=None):
     """f(scale*H) @ b for a small matrix H, where f is the selected function.
 
-    The symmetric path diagonalizes, the general path uses the Schur form
-    with the Parlett recurrence (Pade-guarded on the triangular diagonal).
+    See :meth:`SpectralCache.from_dense` for the choice between the
+    eigenbasis and the Schur form with the Parlett recurrence.
     """
     if cache is None:
         cache = SpectralCache.from_dense(h_mat, beta=1.0, symmetric=symmetric)
@@ -489,8 +511,11 @@ def exact_ivp_solution(ivp, t: float, cap: int = 4096):
         raise ValueError("t must be nonnegative")
     a_mat = linop.assemble_dense(ivp.op, cap=cap)
     w = ivp.g - a_mat @ ivp.u
+    # a nonsymmetric A stays on the Schur path: the assembled transport512
+    # operator has kappa_1(X) = 4113, past EIGENBASIS_KAPPA_MAX, so trying
+    # eig first would only add its time and memory to every reference
     cache = SpectralCache.from_dense(
-        a_mat, beta=1.0, symmetric=ivp.op.is_symmetric or None
+        a_mat, beta=1.0, symmetric=ivp.op.is_symmetric or None, eigenbasis=False
     )
     t2 = t * t
     # one sigma(t^2 A) serves both w and v

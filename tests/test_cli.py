@@ -18,11 +18,17 @@ from trigkrylov.cli import (
 from trigkrylov.krylov import StepSearchStagnation
 
 
+def _rows(path, reader=csv.DictReader):
+    with open(path, newline="") as fh:
+        return list(reader(fh))
+
+
 def test_vector_roundtrip(tmp_path):
     vec = np.linspace(-1.0, 1.0, 17)
     path = tmp_path / "v.bin"
     write_vector(path, vec)
-    first_line = open(path, "rb").readline()
+    with open(path, "rb") as f:
+        first_line = f.readline()
     assert first_line == b"n 17\n"
     np.testing.assert_array_equal(read_vector(path), vec)
 
@@ -56,7 +62,7 @@ def test_solve_preset_summary_and_outputs(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "rt-seq" in out and "matvecs=" in out
-    rows = list(csv.DictReader(open(tmp_path / "summary.csv")))
+    rows = _rows(tmp_path / "summary.csv")
     assert len(rows) == 1
     matvecs = int(rows[0]["matvecs"])
     assert 0.7 * 47 <= matvecs <= 1.3 * 47  # benchmark regime
@@ -159,7 +165,7 @@ def test_bench_truncation_marker(tmp_path):
     rc = main(["bench", "--suite", "table2", "--scale", "0.4",
                "--max-seconds", "0.0", "--out", str(tmp_path)])
     assert rc == 0
-    rows = list(csv.reader(open(tmp_path / "table2.csv")))
+    rows = _rows(tmp_path / "table2.csv", csv.reader)
     assert rows[-1][0] == "TRUNCATED"
 
 
@@ -176,7 +182,7 @@ def test_bench_truncation_marker_with_jobs(tmp_path):
 def test_bench_tolerance_adjustments(tmp_path):
     assert main(["bench", "--suite", "table5", "--scale", "0.05", "--no-timing",
                  "--out", str(tmp_path)]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "table5.csv")))
+    rows = _rows(tmp_path / "table5.csv")
     for row in rows:
         factor = 10.0 if row["solver"] == "first-order" else 1.0
         assert float(row["tol_used"]) == pytest.approx(
@@ -187,7 +193,7 @@ def test_bounds_csv_zero_violations(tmp_path):
     assert main(["bounds", "--problem", "synthetic", "--m", "2:8",
                  "--t-values", "0,0.25,0.5,1", "--seed", "3",
                  "--out", str(tmp_path)]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "bounds.csv")))
+    rows = _rows(tmp_path / "bounds.csv")
     assert list(rows[0].keys()) == BOUNDS_HEADER
     assert len(rows) == 7 * 4
     assert all(row["violation"] == "0" for row in rows)
@@ -200,7 +206,7 @@ def test_bounds_csv_zero_violations(tmp_path):
 def test_bounds_wave_preset(tmp_path):
     assert main(["bounds", "--problem", "isotropic6", "--m", "3,6",
                  "--t-values", "0.5,1", "--out", str(tmp_path)]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "bounds.csv")))
+    rows = _rows(tmp_path / "bounds.csv")
     assert all(row["violation"] == "0" for row in rows)
     assert all(row["bound_p3"] == "n/a" for row in rows)  # spectrum not in [0,1]
 
@@ -208,7 +214,7 @@ def test_bounds_wave_preset(tmp_path):
 def test_fig_tol_sweep_accuracy_trend(tmp_path):
     assert main(["bench", "--suite", "fig-tol-sweep", "--scale", "0.15",
                  "--no-timing", "--out", str(tmp_path)]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "fig_tol_sweep.csv")))
+    rows = _rows(tmp_path / "fig_tol_sweep.csv")
     by_solver = {}
     for row in rows:
         by_solver.setdefault(row["solver"], []).append(
@@ -226,7 +232,7 @@ def test_fig_tol_sweep_accuracy_trend(tmp_path):
 def test_bounds_tight_bound_saturates_on_wave(tmp_path):
     assert main(["bounds", "--problem", "isotropic10", "--m", "6",
                  "--t-values", "1,5,10", "--out", str(tmp_path)]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "bounds.csv")))
+    rows = _rows(tmp_path / "bounds.csv")
     tights = [float(row["bound_p23_tight"]) for row in rows]
     simples = [float(row["bound_p23_simple"]) for row in rows]
     assert tights[1] == tights[2]  # capped: no growth from t=5 to t=10
@@ -241,7 +247,7 @@ def test_config_file_defaults_and_override(tmp_path):
                    "solver = gautschi\nout = " + str(tmp_path / "o") + "\n")
     rc = main(["solve", "--config", str(cfg), "--tol", "1e-3"])
     assert rc == 0
-    rows = list(csv.DictReader(open(tmp_path / "o" / "summary.csv")))
+    rows = _rows(tmp_path / "o" / "summary.csv")
     assert rows[0]["solver"] == "gautschi"
     assert float(rows[0]["tol"]) == 1e-3  # flag overrides file
 

@@ -467,12 +467,16 @@ def test_sequential_rebuild_fallback_without_rungs(monkeypatch):
                                   ScalarFunKind.PHI])
 def test_branch_updates_batch_the_parlett_evaluations(monkeypatch, kind):
     from trigkrylov import smallfun
-    from trigkrylov.problems import TransportProblemSpec, build_transport
 
-    ivp = build_transport(TransportProblemSpec(64))
-    d = krylov_build(ivp.op, ivp.v, 10)
+    # 3I + N + 1e-3 L from e1: H_m is its leading block, whose distinct
+    # eigenvalues have an eigenvector matrix too ill conditioned for the
+    # eigenbasis path, so the cache takes the batched Schur-Parlett fallback
+    n = 64
+    op = DenseOperator(3.0 * np.eye(n) + np.eye(n, k=1) + 1e-3 * np.eye(n, k=-1),
+                       is_symmetric=False)
+    d = krylov_build(op, np.eye(n)[0], 10)
     cache = d.spectral_cache()
-    assert not cache.symmetric
+    assert not cache.symmetric and cache.t_mat is not None
     steps = [0.05 * f for f in (1.0, 0.99, 0.98, 0.97, 0.96)]
     calls = []
     batched = smallfun.parlett_batched
@@ -483,14 +487,39 @@ def test_branch_updates_batch_the_parlett_evaluations(monkeypatch, kind):
 
     monkeypatch.setattr(smallfun, "parlett_batched", counting)
     updates = integ._branch_updates(d, cache, kind, steps)
-    assert len(calls) <= 2
+    assert 0 < len(calls) <= 2
     terms = smallfun.BRANCH_TERMS[kind]
-    assert updates.shape == (len(steps), len(terms), ivp.op.dim)
+    assert updates.shape == (len(steps), len(terms), n)
     for i, s in enumerate(steps):
         for j, (prefactor, fun, scale) in enumerate(terms):
             s_arr = np.array([s])
             ref = d.V_m @ (prefactor(s_arr)[0] * cache.fun_e1(fun, scale(s_arr)[0]))
             assert np.linalg.norm(updates[i, j] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_transport512_krylov_caches_take_the_eigenbasis_path(monkeypatch):
+    # every projected matrix of the benchmark's transport cells is well
+    # conditioned enough for the eigenbasis; a silent Schur fallback would
+    # cost several times the solve time
+    from trigkrylov.problems import TransportProblemSpec, build_transport
+    from trigkrylov.smallfun import SpectralCache
+
+    caches = []
+    from_dense = SpectralCache.from_dense.__func__
+
+    def recording(cls, *args, **kwargs):
+        caches.append(from_dense(cls, *args, **kwargs))
+        return caches[-1]
+
+    monkeypatch.setattr(SpectralCache, "from_dense", classmethod(recording))
+    ivp = build_transport(TransportProblemSpec(512))
+    for name, tol in (("rt-seq", 1e-6), ("rt-sim", 1e-6), ("gautschi", 1e-6),
+                      ("first-order", 1e-5)):
+        before = len(caches)
+        solve(ivp, SolverConfig(tol=tol), name)
+        assert len(caches) > before, name
+    schur = [c.m for c in caches if c.t_mat is not None]
+    assert not schur, f"{len(schur)} of {len(caches)} caches took the Schur path"
 
 
 def test_zero_velocity_branch_skipped():

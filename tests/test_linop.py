@@ -17,7 +17,12 @@ from trigkrylov.linop import (
     dirichlet_laplacian_1d,
     read_matrix_market,
 )
-from trigkrylov.problems import anisotropic_wave_spec, build_wave3d
+from trigkrylov.problems import (
+    TransportProblemSpec,
+    anisotropic_wave_spec,
+    build_transport,
+    build_wave3d,
+)
 
 
 def test_identity_apply():
@@ -255,3 +260,15 @@ def test_concurrent_kronecker_applies_equal_serial_ones():
     assert op.matvec_count == 4 * 25
     for k in range(4):
         assert all(np.array_equal(outs[k, r], serial[k]) for r in range(25))
+
+
+def test_csr_apply_bits_equal_the_scipy_product():
+    rng = np.random.default_rng(12)
+    transport = build_transport(TransportProblemSpec(512)).op
+    rand = scipy.sparse.random(300, 300, density=0.05, random_state=3, format="csr")
+    for op, csr in ((transport, transport._csr), (SparseCSR(rand), rand)):
+        x = rng.standard_normal(op.dim)
+        assert np.array_equal(op.apply(x), csr @ x)
+        out = np.full(op.dim, np.nan)  # the product must not read what out held
+        assert op.apply(x, out=out) is out
+        assert np.array_equal(out, csr @ x)

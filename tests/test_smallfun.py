@@ -5,10 +5,11 @@ import scipy.linalg
 import scipy.linalg.blas
 
 from trigkrylov.integrators import SecondOrderIVP
-from trigkrylov.linop import DenseOperator
+from trigkrylov.krylov import krylov_build
+from trigkrylov.linop import BlockFirstOrderOperator, DenseOperator
+from trigkrylov.problems import TransportProblemSpec, build_transport
 from trigkrylov.smallfun import (
     PADE_THRESHOLD,
-    ParlettPerturbationWarning,
     ScalarFunKind,
     SpectralCache,
     cos_sqrt,
@@ -159,29 +160,36 @@ def test_matfun_action_schur_path_vs_diagonalizable_oracle(kind):
     ref = (v @ np.diag(fn(1.3 * lam)) @ np.linalg.inv(v)) @ b
     out = matfun_action(h, kind, 1.3, b, symmetric=False)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9 * np.linalg.norm(ref))
+    schur = SpectralCache.from_dense(h, symmetric=False, eigenbasis=False)
+    assert schur.t_mat is not None
+    np.testing.assert_allclose(schur.apply_fun(kind, 1.3, b), ref, rtol=0,
+                               atol=1e-9 * np.linalg.norm(ref))
 
 
 def test_parlett_adjacent_confluent_pair():
     # Exactly repeated diagonal: the divided-difference (2x2 Sylvester) path.
     t_mat = np.array([[2.0, 1.0], [0.0, 2.0]], dtype=complex)
-    f, perturbed = parlett_fun_triangular(t_mat, ScalarFunKind.SIGMA, 1.0)
-    assert not perturbed
+    f = parlett_fun_triangular(t_mat, ScalarFunKind.SIGMA, 1.0)
     lam = 2.0
     dsig = (np.cos(np.sqrt(lam)) - sigma(lam)) / (2 * lam)
     assert f[0, 1] == pytest.approx(dsig, rel=1e-12)
     assert f[0, 0] == pytest.approx(sigma(lam), rel=1e-13)
 
 
-def test_parlett_nonadjacent_cluster_warns():
+def test_parlett_nonadjacent_cluster_is_exact():
+    # 1 and 1 + 1e-12 are not adjacent on the diagonal, so the recurrence
+    # would divide by their separation; the augmented exponential does not
     d = [1.0, 3.0, 1.0 + 1e-12]
     t_mat = np.triu(np.ones((3, 3))) + np.diag(d) - np.eye(3)
-    with pytest.warns(ParlettPerturbationWarning):
-        f, perturbed = parlett_fun_triangular(t_mat.astype(complex), ScalarFunKind.PHI, 1.0)
-    assert perturbed
-    # Accuracy degrades gracefully to about the cluster tolerance.
-    lam, v = np.linalg.eig(t_mat + np.diag([0, 0, 2e-8]))
-    ref = v @ np.diag(phi(lam)) @ np.linalg.inv(v)
-    assert np.linalg.norm(f - ref) <= 1e-5
+    z = mp.matrix(t_mat.tolist())
+    for kind in ScalarFunKind:
+        f = parlett_fun_triangular(t_mat.astype(complex), kind, 1.0)
+        ref, term = mp.zeros(3), mp.eye(3)
+        for k in range(80):
+            ref += _TAYLOR_COEFF[kind](k) * term
+            term = term * z
+        ref = np.array(ref.tolist(), dtype=complex)
+        assert np.linalg.norm(f - ref) <= 1e-13 * np.linalg.norm(ref), kind
 
 
 _TAYLOR_COEFF = {
@@ -216,24 +224,84 @@ def _hessenberg(m, seed):
     return np.triu(np.random.default_rng(seed).standard_normal((m, m)), -1)
 
 
+def _check_against_taylor_oracle(cache, h, kind, scales, beta):
+    """Corner, fun_e1 and apply_fun of ``cache`` within 1e-13 of the bound
+    of the extended-precision Taylor oracle."""
+    m = h.shape[0]
+    e1 = np.zeros(m)
+    e1[0] = beta
+    got = cache.corner_fun_e1(kind, scales)
+    for s, value in zip(scales, got):
+        ref, bound = _taylor_corner(h, kind, s)
+        tol = 1e-13 * beta * bound
+        assert abs(value - beta * ref) <= tol, (s, value, beta * ref)
+        assert abs(cache.fun_e1(kind, s)[-1] - beta * ref) <= tol, s
+        assert abs(cache.apply_fun(kind, s, e1)[-1] - beta * ref) <= tol, s
+    return got
+
+
 @pytest.mark.parametrize("m", [1, 2, 10])
 @pytest.mark.parametrize("kind", list(ScalarFunKind))
 def test_batched_corner_vs_taylor_oracle(m, kind):
     h = _hessenberg(m, 40 + m)
     beta = 1.7
-    cache = SpectralCache.from_dense(h, beta=beta, symmetric=False)
     scales = np.array([0.0, 1e-18, 1e-9, 0.3, 1.5, -0.8])
-    got = cache.corner_fun_e1(kind, scales)
-    for s, value in zip(scales, got):
-        ref, bound = _taylor_corner(h, kind, s)
-        assert abs(value - beta * ref) <= 1e-13 * beta * bound, (s, value, beta * ref)
-    # one scale at a time through fun_e1 and apply_fun gives the same corner
-    e1 = np.zeros(m)
-    e1[0] = beta
-    for s, value in zip(scales, got):
-        assert cache.fun_e1(kind, s)[-1] == pytest.approx(value, rel=1e-12, abs=1e-15)
-        assert cache.apply_fun(kind, s, e1)[-1] == pytest.approx(value, rel=1e-12, abs=1e-15)
-    assert not cache.perturbed
+    for eigenbasis in (True, False):
+        cache = SpectralCache.from_dense(h, beta=beta, symmetric=False,
+                                         eigenbasis=eigenbasis)
+        # these H have kappa_1(X) <= 40, so only eigenbasis=False is Schur
+        assert (cache.t_mat is None) == eigenbasis
+        got = _check_against_taylor_oracle(cache, h, kind, scales, beta)
+        # one scale at a time through fun_e1 and apply_fun gives the same corner
+        e1 = np.zeros(m)
+        e1[0] = beta
+        for s, value in zip(scales, got):
+            assert cache.fun_e1(kind, s)[-1] == pytest.approx(value, rel=1e-12, abs=1e-15)
+            assert cache.apply_fun(kind, s, e1)[-1] == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def nonsymmetric_krylov_h():
+    """Projected matrices of the transport512 operator: Arnoldi on A at
+    m = 2, 10, 30, and on the first-order block [[0, -I], [A, 0]] at m = 12,
+    whose eigenvalues come in complex-conjugate pairs."""
+    ivp = build_transport(TransportProblemSpec(512))
+    out = {f"arnoldi{m}": krylov_build(ivp.op, ivp.v, m).H_m for m in (2, 10, 30)}
+    block = BlockFirstOrderOperator(ivp.op)
+    out["first-order12"] = krylov_build(block, np.concatenate([ivp.v, ivp.g]), 12).H_m
+    return out
+
+
+@pytest.mark.parametrize("name", ["arnoldi2", "arnoldi10", "arnoldi30", "first-order12"])
+@pytest.mark.parametrize("kind", list(ScalarFunKind))
+def test_eigenbasis_path_vs_taylor_oracle(nonsymmetric_krylov_h, name, kind):
+    h = nonsymmetric_krylov_h[name]
+    cache = SpectralCache.from_dense(h, beta=1.7, symmetric=False)
+    assert not cache.symmetric and cache.t_mat is None
+    if name.startswith("first-order"):
+        assert np.sum(np.abs(cache.lam.imag) > 1e-8 * np.abs(cache.lam).max()) >= 2
+    # ||sH|| up to 20, where the oracle's 80 Taylor terms still converge
+    scales = np.array([0.0, 1e-18, 1e-9, 0.3, 1.5, 20.0, -0.8]) / np.linalg.norm(h, 2)
+    _check_against_taylor_oracle(cache, h, kind, scales, 1.7)
+
+
+def _near_jordan(m, eps=1e-3):
+    """3I + N + eps L: distinct eigenvalues 3 + 2 sqrt(eps) cos(k pi/(m+1)),
+    but an eigenvector matrix with kappa of about eps^(-(m-1)/2)."""
+    return 3.0 * np.eye(m) + np.eye(m, k=1) + eps * np.eye(m, k=-1)
+
+
+@pytest.mark.parametrize("h", [
+    _near_jordan(10),
+    (3.0 * np.eye(2) + np.eye(2, k=1)).T,
+    (3.0 * np.eye(5) + np.eye(5, k=1)).T,
+], ids=["near-jordan10", "jordan2", "jordan5"])
+@pytest.mark.parametrize("kind", list(ScalarFunKind))
+def test_non_normal_h_falls_back_to_schur(h, kind):
+    cache = SpectralCache.from_dense(h, beta=1.7, symmetric=False)
+    assert cache.t_mat is not None
+    scales = np.array([0.0, 1e-18, 1e-9, 0.3, 1.5, -0.8])
+    _check_against_taylor_oracle(cache, h, kind, scales, 1.7)
 
 
 def test_confluent_schur_factor_keeps_per_sample_path():
@@ -272,7 +340,8 @@ def test_corner_costs_one_triangular_solve_per_column(monkeypatch):
     counting(scipy.linalg.blas, "ztrsm")
     counting(scipy.linalg, "solve_triangular")
     m = 12
-    cache = SpectralCache.from_dense(_hessenberg(m, 7), symmetric=False)
+    cache = SpectralCache.from_dense(_near_jordan(m), symmetric=False)
+    assert cache.t_mat is not None  # kappa_1(X) is far above the eigenbasis bound
     cache.corner_fun_e1(ScalarFunKind.SIGMA, np.linspace(0.0, 2.0, 200))
     assert 0 < len(calls) <= m
 
@@ -361,6 +430,26 @@ def test_exact_ivp_one_sigma_for_w_and_v(symmetric):
               + cache.apply_fun(ScalarFunKind.COS, t2, ivp.v))
     assert np.linalg.norm(y - y_ref) <= 1e-14 * np.linalg.norm(y_ref)
     assert np.linalg.norm(yp - yp_ref) <= 1e-14 * np.linalg.norm(yp_ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_exact_ivp_jordan_block_matches_augmented_expm(n):
+    # A = 3I + N has one eigenvalue of multiplicity n: for n >= 3 its Schur
+    # diagonal is a cluster longer than an adjacent pair
+    a = 3.0 * np.eye(n) + np.eye(n, k=1)
+    rng = np.random.default_rng(n)
+    u, v, g = rng.standard_normal((3, n))
+    t = 0.7
+    y, yp = exact_ivp_solution(SecondOrderIVP(DenseOperator(a, is_symmetric=False),
+                                              u, v, g, t), t)
+    # (y, y', 1)' = [[0, I, 0], [-A, 0, g], [0, 0, 0]] (y, y', 1)
+    block = np.zeros((2 * n + 1, 2 * n + 1))
+    block[:n, n:2 * n] = np.eye(n)
+    block[n:2 * n, :n] = -a
+    block[n:2 * n, 2 * n] = g
+    ref = scipy.linalg.expm(t * block) @ np.concatenate([u, v, [1.0]])
+    assert np.linalg.norm(y - ref[:n]) <= 1e-13 * np.linalg.norm(ref[:n])
+    assert np.linalg.norm(yp - ref[n:2 * n]) <= 1e-13 * np.linalg.norm(ref[n:2 * n])
 
 
 def test_exact_ivp_identity_sine():
