@@ -375,14 +375,8 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         (d_psi,), (c_psi,), _, delta_psi, _ = _grow_admissible(
             op, [(w0, ScalarFunKind.PSI)], delta, cfg.tol * beta_psi, m_tilde
         )
-        if delta_psi < delta:
-            delta = delta_psi
-            if beta_sigma > 0:
-                # The sigma basis is still alive, and this rebuild from v
-                # repeats its m steps exactly (m more matvecs); it is kept
-                # so that the matvec counts stay as they have been measured.
-                d_sigma = krylov_build(op, ivp.v, d_sigma.m)
-                c_sigma = ResidualCurve(d_sigma, ScalarFunKind.SIGMA)
+        # the live sigma basis serves the shorter step as it is
+        delta = min(delta, delta_psi)
 
     if beta_psi + beta_sigma == 0.0:
         return SolveReport(

@@ -4,6 +4,11 @@ Two families: a 3-D wave equation semi-discretized by the seven-point
 stencil with homogeneous Dirichlet boundary conditions (isotropic and
 strongly anisotropic presets), and a 1-D transport equation with decay
 recast as a second-order PDE, whose discretization is nonsymmetric.
+
+The wave reference evaluates every sine mode with numpy's cos and sinc,
+and the dense reference of a nonsymmetric operator is the action of the
+exponential of its first-order block, so neither shares a function with
+the solvers it checks.
 """
 from __future__ import annotations
 
@@ -106,8 +111,10 @@ def spectral_reference_wave3d(spec: WaveProblemSpec, t: float,
                               cap: int = SPECTRAL_REFERENCE_CAP):
     """(y(t), y'(t)) via the discrete sine eigenbasis of the stencil.
 
-    Exact for the discretized problem: every mode evolves by cos and sigma
-    of its eigenvalue.  Usable as ground truth up to the DST-size cap.
+    Exact for the discretized problem: every mode evolves by cos(t sqrt(lam))
+    and sin(t sqrt(lam))/sqrt(lam) of its (positive) eigenvalue lam, taken
+    from numpy rather than from the functions the solvers use.  Usable as
+    ground truth up to the DST-size cap.
     """
     if max(spec.nx, spec.ny, spec.nz) > cap:
         raise ValueError(f"grid exceeds spectral reference cap {cap}")
@@ -121,9 +128,9 @@ def spectral_reference_wave3d(spec: WaveProblemSpec, t: float,
     )
     uh = scipy.fft.dstn(u0, type=1)
     vh = scipy.fft.dstn(v0, type=1)
-    t2 = t * t
-    cos_vals = smallfun.cos_sqrt(t2 * lam)
-    tsig = t * smallfun.sigma(t2 * lam)
+    t_sqrt_lam = t * np.sqrt(lam)
+    cos_vals = np.cos(t_sqrt_lam)
+    tsig = t * np.sinc(t_sqrt_lam / np.pi)  # t sigma(t^2 lam)
     yh = cos_vals * uh + tsig * vh
     yph = -lam * tsig * uh + cos_vals * vh
     y = scipy.fft.idstn(yh, type=1)
@@ -194,9 +201,12 @@ def reference_solution(ivp: SecondOrderIVP, method: str,
                        wave_spec: WaveProblemSpec | None = None):
     """Ground-truth (y, y') at t_final by one of three routes.
 
-    ``dense`` factorizes the assembled matrix, ``spectral`` uses the sine
+    ``dense`` works on the assembled A (``eigh`` when A is symmetric, the
+    action of the exponential of the first-order block otherwise; see
+    :func:`smallfun.exact_ivp_solution`), ``spectral`` uses the sine
     eigenbasis (wave problems only), ``tight-tolerance`` runs the sequential
-    RT solver at tol 1e-12 with m_max 60 (large or nonsymmetric cases).
+    RT solver at tol 1e-12 with m_max 60 (cases too large for the others;
+    not independent of that solver).
     """
     if method == "dense":
         return smallfun.exact_ivp_solution(ivp, ivp.t_final)

@@ -54,6 +54,7 @@ import enum
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import linop
 
@@ -320,6 +321,12 @@ def parlett_fun_triangular(t_mat, kind: ScalarFunKind, scale: float = 1.0,
     return f
 
 
+def _looks_symmetric(h_mat) -> bool:
+    """Symmetric to 1e-13 of ||H||_inf."""
+    scale = np.linalg.norm(h_mat, np.inf) or 1.0
+    return bool(np.all(np.abs(h_mat - h_mat.T) <= 1e-13 * scale))
+
+
 class SpectralCache:
     """Reusable factorization of a small matrix H plus the starting scale beta.
 
@@ -379,8 +386,7 @@ class SpectralCache:
         (or with ``eigenbasis=False``) the complex Schur form."""
         h_mat = np.asarray(h_mat, dtype=float)
         if symmetric is None:
-            scale = np.linalg.norm(h_mat, np.inf) or 1.0
-            symmetric = bool(np.all(np.abs(h_mat - h_mat.T) <= 1e-13 * scale))
+            symmetric = _looks_symmetric(h_mat)
         if symmetric:
             lam, q = np.linalg.eigh(h_mat)
             return cls(lam=lam, q=q, beta=beta)
@@ -502,24 +508,48 @@ def projected_velocity(h_mat, kind: ScalarFunKind, beta: float, t: float,
 
 
 def exact_ivp_solution(ivp, t: float, cap: int = 4096):
-    """Ground-truth (y(t), y'(t)) of y'' = -A y + g via dense factorization.
+    """Ground-truth (y(t), y'(t)) of y'' = -A y + g from the assembled A.
+
+    A symmetric A is factored by ``eigh``, and
 
         y(t)  = u + t^2/2 psi(t^2 A)(g - A u) + t sigma(t^2 A) v
-        y'(t) = t sigma(t^2 A)(g - A u) + cos(t sqrt(A)) v
+        y'(t) = t sigma(t^2 A)(g - A u) + cos(t sqrt(A)) v.
+
+    A nonsymmetric A goes through none of this module's functions: with s
+    the power of two nearest sqrt(||A||_1) (at least 1), (s y, y', 1) solves
+    the first-order system with the block
+
+        B = [[0, s I, 0], [-A/s, 0, g], [0, 0, 0]]
+
+    of dimension 2n + 1, so one sparse action exp(t B) (s u, v, 1)
+    (``scipy.sparse.linalg.expm_multiply``, Al-Mohy & Higham, SISC 33,
+    2011) gives both.  The scaling by s is exact and brings ||B||_1 from
+    about ||A||_1 down to about 2 sqrt(||A||_1), the size of the block's
+    spectrum, which sets the cost of the action.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     a_mat = linop.assemble_dense(ivp.op, cap=cap)
-    w = ivp.g - a_mat @ ivp.u
-    # a nonsymmetric A stays on the Schur path: the assembled transport512
-    # operator has kappa_1(X) = 4113, past EIGENBASIS_KAPPA_MAX, so trying
-    # eig first would only add its time and memory to every reference
-    cache = SpectralCache.from_dense(
-        a_mat, beta=1.0, symmetric=ivp.op.is_symmetric or None, eigenbasis=False
+    if ivp.op.is_symmetric or _looks_symmetric(a_mat):
+        w = ivp.g - a_mat @ ivp.u
+        cache = SpectralCache.from_dense(a_mat, beta=1.0, symmetric=True)
+        t2 = t * t
+        # one sigma(t^2 A) serves both w and v
+        sig = t * cache.apply_fun(ScalarFunKind.SIGMA, t2, np.column_stack([w, ivp.v]))
+        y = ivp.u + 0.5 * t2 * cache.apply_fun(ScalarFunKind.PSI, t2, w) + sig[:, 1]
+        yp = sig[:, 0] + cache.apply_fun(ScalarFunKind.COS, t2, ivp.v)
+        return y, yp
+    # imported here: the solvers never need it, and it adds 2 MB to every process
+    import scipy.sparse.linalg
+
+    n = a_mat.shape[0]
+    s = 2.0 ** max(0, round(0.5 * np.log2(max(np.linalg.norm(a_mat, 1), 1.0))))
+    block = scipy.sparse.bmat([
+        [None, s * scipy.sparse.eye(n), None],
+        [scipy.sparse.csr_matrix(a_mat / -s), None, scipy.sparse.csr_matrix(ivp.g[:, None])],
+        [None, None, scipy.sparse.csr_matrix((1, 1))],
+    ], format="csr")
+    z = scipy.sparse.linalg.expm_multiply(
+        t * block, np.concatenate([s * ivp.u, ivp.v, [1.0]]), traceA=0.0
     )
-    t2 = t * t
-    # one sigma(t^2 A) serves both w and v
-    sig = t * cache.apply_fun(ScalarFunKind.SIGMA, t2, np.column_stack([w, ivp.v]))
-    y = ivp.u + 0.5 * t2 * cache.apply_fun(ScalarFunKind.PSI, t2, w) + sig[:, 1]
-    yp = sig[:, 0] + cache.apply_fun(ScalarFunKind.COS, t2, ivp.v)
-    return y, yp
+    return z[:n] / s, z[n:2 * n]

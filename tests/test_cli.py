@@ -6,6 +6,7 @@ import scipy.io
 import scipy.sparse
 
 import trigkrylov.cli as cli
+import trigkrylov.problems as pb
 from trigkrylov.cli import (
     BENCH_HEADER,
     BOUNDS_HEADER,
@@ -177,6 +178,27 @@ def test_bench_truncation_marker_with_jobs(tmp_path):
     assert rows[0] == BENCH_HEADER
     assert rows[-1] == ["TRUNCATED"] + [""] * (len(BENCH_HEADER) - 1)
     assert len(rows) < 1 + 4 * 2 * 4
+
+
+def test_reported_errors_do_not_come_from_rt_seq(tmp_path, monkeypatch):
+    # rt-seq at tol 1e-12 is a solver under test, so it must not be the
+    # ground truth of a transport problem or of a wave grid past 48
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reference taken from rt_sequential")
+
+    monkeypatch.setattr(pb, "rt_sequential", forbidden)
+    for problem, tol in (("transport128", "1e-6"), ("isotropic50", "1e-4")):
+        out = tmp_path / problem
+        assert main(["solve", "--problem", problem, "--tol", tol,
+                     "--out", str(out)]) == 0
+        rel = float(_rows(out / "summary.csv")[0]["rel_accuracy"])
+        assert 0.0 < rel <= 10.0 * float(tol), problem
+    assert main(["bench", "--suite", "table5", "--scale", "0.05", "--no-timing",
+                 "--out", str(tmp_path / "b")]) == 0
+    rows = _rows(tmp_path / "b" / "table5.csv")
+    assert len(rows) == 4 * 2 * 4
+    assert all(0.0 < float(row["rel_err"]) <= 10.0 * float(row["tol_used"])
+               for row in rows)
 
 
 def test_bench_tolerance_adjustments(tmp_path):

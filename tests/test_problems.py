@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from trigkrylov import smallfun
 from trigkrylov.integrators import SolverConfig, rt_sequential
 from trigkrylov.krylov import krylov_build
 from trigkrylov.linop import assemble_dense, dirichlet_laplacian_1d
@@ -171,6 +172,19 @@ def test_spectral_reference_cap():
     spec = isotropic_wave_spec(50)
     with pytest.raises(ValueError, match="cap"):
         spectral_reference_wave3d(spec, 1.0)
+
+
+def test_spectral_reference_uses_none_of_the_solver_functions(monkeypatch):
+    # the wave ground truth must not share psi, sigma or cos with the solvers
+    def forbidden(z):
+        raise AssertionError("spectral reference called a solver function")
+
+    spec = anisotropic_wave_spec(6)
+    y, yp = spectral_reference_wave3d(spec, 1.0)
+    for name in ("psi", "sigma", "cos_sqrt"):
+        monkeypatch.setattr(smallfun, name, forbidden)
+    y_free, yp_free = spectral_reference_wave3d(spec, 1.0)
+    assert np.array_equal(y_free, y) and np.array_equal(yp_free, yp)
 
 
 def test_reference_methods_cross_check():

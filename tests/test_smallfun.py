@@ -4,9 +4,10 @@ import pytest
 import scipy.linalg
 import scipy.linalg.blas
 
+from trigkrylov import smallfun
 from trigkrylov.integrators import SecondOrderIVP
 from trigkrylov.krylov import krylov_build
-from trigkrylov.linop import BlockFirstOrderOperator, DenseOperator
+from trigkrylov.linop import BlockFirstOrderOperator, DenseOperator, assemble_dense
 from trigkrylov.problems import TransportProblemSpec, build_transport
 from trigkrylov.smallfun import (
     PADE_THRESHOLD,
@@ -486,6 +487,97 @@ def test_exact_ivp_velocity_is_time_derivative():
     _, v = exact_ivp_solution(ivp, t)
     np.testing.assert_allclose((yp - ym) / (2 * h), v,
                                atol=1e-8 * max(1.0, np.linalg.norm(v)))
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the nonsymmetric reference must not call this")
+
+
+def test_exact_ivp_nonsymmetric_uses_none_of_the_solver_functions(monkeypatch):
+    # a defect in the solvers' scalar functions or Schur-Parlett code must
+    # not reach the ground truth the solvers are checked against
+    monkeypatch.setattr(smallfun, "scalar_fun", _raise)
+    monkeypatch.setattr(SpectralCache, "from_dense", _raise)
+    monkeypatch.setattr(scipy.linalg, "schur", _raise)
+    ivp = build_transport(TransportProblemSpec(64))
+    y, yp = exact_ivp_solution(ivp, 1.0)
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(yp))
+    assert np.linalg.norm(y) > 0
+
+
+def _near_jordan_ivp(n, t):
+    rng = np.random.default_rng(n)
+    return SecondOrderIVP(DenseOperator(_near_jordan(n), is_symmetric=False),
+                          *rng.standard_normal((3, n)), t)
+
+
+def _random_nonsymmetric_ivp(n, t):
+    rng = np.random.default_rng(10)
+    return SecondOrderIVP(DenseOperator(rng.standard_normal((n, n)), is_symmetric=False),
+                          *rng.standard_normal((3, n)), t)
+
+
+def _block_exponential_oracle(ivp, t):
+    """(y, y') from exp(t B) (u, v, 1), B = [[0, I, 0], [-A, 0, g], [0, 0, 0]],
+    with mpmath's exponential at 30 digits."""
+    a_mat = assemble_dense(ivp.op)
+    n = a_mat.shape[0]
+    with mp.workdps(30):
+        block = mp.zeros(2 * n + 1, 2 * n + 1)
+        for i in range(n):
+            block[i, n + i] = 1
+            block[n + i, 2 * n] = ivp.g[i]
+            for j in range(n):
+                block[n + i, j] = -a_mat[i, j]
+        z = mp.expm(t * block) * mp.matrix(np.concatenate([ivp.u, ivp.v, [1.0]]).tolist())
+        z = np.array([float(z[i]) for i in range(2 * n)])
+    return z[:n], z[n:]
+
+
+@pytest.mark.parametrize("make_ivp, t, bound", [
+    (lambda t: build_transport(TransportProblemSpec(16, t_final=t)), 1.0, 1e-13),
+    (lambda t: _random_nonsymmetric_ivp(10, t), 1.0, 1e-13),
+    (lambda t: _near_jordan_ivp(6, t), 1.0, 1e-13),
+    # the forward error grows with t ||B||: scipy's dense expm of the same
+    # block is 1.6e-13 off here, the action 5e-13
+    (lambda t: _near_jordan_ivp(6, t), 100.0, 1e-10),
+], ids=["transport16", "random10", "near-jordan6", "near-jordan6-t100"])
+def test_exact_ivp_nonsymmetric_vs_extended_precision(make_ivp, t, bound):
+    ivp = make_ivp(t)
+    y_ref, yp_ref = _block_exponential_oracle(ivp, t)
+    y, yp = exact_ivp_solution(ivp, t)
+    assert np.linalg.norm(y - y_ref) <= bound * np.linalg.norm(y_ref)
+    assert np.linalg.norm(yp - yp_ref) <= bound * np.linalg.norm(yp_ref)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_exact_ivp_nonsymmetric_agrees_with_schur_parlett(n):
+    ivp = build_transport(TransportProblemSpec(n))
+    a_mat = assemble_dense(ivp.op)
+    cache = SpectralCache.from_dense(a_mat, symmetric=False, eigenbasis=False)
+    w = ivp.g - a_mat @ ivp.u
+    t = ivp.t_final
+    t2 = t * t
+    y_ref = (ivp.u + 0.5 * t2 * cache.apply_fun(ScalarFunKind.PSI, t2, w)
+             + t * cache.apply_fun(ScalarFunKind.SIGMA, t2, ivp.v))
+    yp_ref = (t * cache.apply_fun(ScalarFunKind.SIGMA, t2, w)
+              + cache.apply_fun(ScalarFunKind.COS, t2, ivp.v))
+    y, yp = exact_ivp_solution(ivp, t)
+    assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
+    assert np.linalg.norm(yp - yp_ref) <= 1e-10 * np.linalg.norm(yp_ref)
+
+
+def test_exact_ivp_nonsymmetric_edge_cases():
+    ivp = build_transport(TransportProblemSpec(64))
+    y, yp = exact_ivp_solution(ivp, 0.0)
+    assert np.array_equal(y, ivp.u) and np.array_equal(yp, ivp.v)
+    # g != 0: the equilibrium u = A^-1 g, v = 0 stays where it is
+    a_mat = assemble_dense(ivp.op)
+    g = np.random.default_rng(64).standard_normal(64)
+    u = np.linalg.solve(a_mat, g)
+    y, yp = exact_ivp_solution(SecondOrderIVP(ivp.op, u, np.zeros(64), g, 1.0), 1.0)
+    assert np.linalg.norm(y - u) <= 1e-12 * np.linalg.norm(u)
+    assert np.linalg.norm(yp) <= 1e-12 * np.linalg.norm(u)
 
 
 def _dense_actions(a_mat, t, w):
