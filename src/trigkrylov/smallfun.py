@@ -23,22 +23,12 @@ orthogonal eigenvectors.  Nonsymmetric H uses the eigenvectors from
 (1e3): the eigenbasis evaluation has a relative error of about kappa(X) u
 (Higham, Functions of Matrices, SIAM 2008, sec. 4.5), so the bound keeps it
 near 1e-13.  The projected matrices of the transport problem have
-kappa_1(X) of at most about 50.  Any other H falls back to a complex Schur
-form H = Q T Q^H with the Parlett recurrence.  Either factorization is
-cached, so that many evaluation times reuse it.
-
-The Parlett recurrence for f(sT) is scale-free: in column j the scale s
-multiplies both the system sT[:j,:j] - s T[j,j] I and its right-hand side,
-so it cancels.  Every scale therefore shares the m - 1 triangular systems
-of the unscaled T, and only the diagonal values f(s T[j,j]) differ.
-:func:`parlett_batched` evaluates a whole set of scales (all sample times
-of a residual curve) with one triangular solve per column.  Clusters are
-checked once per factorization, on the diagonal of the unscaled T, so a
-scale of 0 or a tiny scale does not make distinct eigenvalues look
-confluent.  A T with confluent diagonal entries falls back to
-:func:`parlett_fun_triangular`, one scale at a time, which handles adjacent
-confluent pairs by divided differences and longer clusters through the
-exponential of an augmented block matrix.
+kappa_1(X) of at most about 50.  The eigenbasis is cached, so that many
+evaluation times reuse it.  Any other H, defective or near it, is kept as
+it is, and each f(sH) is read from the exponential of an augmented block
+matrix (:func:`_fun_by_expm`) in real arithmetic.  That needs no
+separation of the eigenvalues, but costs one 3m x 3m (2m x 2m for phi)
+``expm`` per scale.
 
 Every solver update and every residual curve is built from one table,
 :data:`BRANCH_TERMS`: for each branch kind, its position and velocity
@@ -60,14 +50,12 @@ from . import linop
 
 PADE_THRESHOLD = 1e-3
 
-#: Separation below which triangular diagonal entries count as confluent.
-PARLETT_CLUSTER_TOL = 1e-8
-
 #: Largest kappa_1(X) = ||X||_1 ||X^-1||_1 of the unit-column eigenvector
 #: matrix of a nonsymmetric H for which f(sH) is evaluated as
 #: X f(s Lambda) X^-1.  That evaluation has a relative error of about
 #: kappa(X) u (Higham, Functions of Matrices, 2008, sec. 4.5), so at 1e3 it
-#: stays near 1e-13, the accuracy the Schur-Parlett path is tested to.
+#: stays near 1e-13, the accuracy the block-exponential fallback is
+#: tested to.
 EIGENBASIS_KAPPA_MAX = 1e3
 
 
@@ -170,85 +158,17 @@ def cos_sqrt(z):
     return _finish(np.cos(np.sqrt(zw)), scalar, real_input)
 
 
-def _sigma_prime(z):
-    zw, scalar, real_input = _prepare(z)
-    small = np.abs(zw) < PADE_THRESHOLD
-    zsafe = np.where(small, 1.0, zw)
-    direct = (np.cos(np.sqrt(zsafe)) - sigma(zsafe)) / (2.0 * zsafe)
-    series = -1.0 / 6.0 + zw / 60.0 - zw * zw / 1680.0
-    return _finish(np.where(small, series, direct), scalar, real_input)
-
-
-def _psi_prime(z):
-    zw, scalar, real_input = _prepare(z)
-    small = np.abs(zw) < PADE_THRESHOLD
-    zsafe = np.where(small, 1.0, zw)
-    direct = (sigma(zsafe) - psi(zsafe)) / zsafe
-    series = -1.0 / 12.0 + zw / 180.0 - zw * zw / 6720.0
-    return _finish(np.where(small, series, direct), scalar, real_input)
-
-
-def _phi_prime(z):
-    zw, scalar, real_input = _prepare(z, needs_complex_for_negative=False)
-    small = np.abs(zw) < PADE_THRESHOLD
-    zsafe = np.where(small, 1.0, zw)
-    direct = (np.exp(zsafe) - phi(zsafe)) / zsafe
-    series = 0.5 + zw / 3.0 + zw * zw / 8.0
-    return _finish(np.where(small, series, direct), scalar, real_input)
-
-
-def _cos_sqrt_prime(z):
-    return -sigma(z) / 2.0
-
-
 _FUNS = {
-    ScalarFunKind.PSI: (psi, _psi_prime),
-    ScalarFunKind.SIGMA: (sigma, _sigma_prime),
-    ScalarFunKind.PHI: (phi, _phi_prime),
-    ScalarFunKind.COS: (cos_sqrt, _cos_sqrt_prime),
+    ScalarFunKind.PSI: psi,
+    ScalarFunKind.SIGMA: sigma,
+    ScalarFunKind.PHI: phi,
+    ScalarFunKind.COS: cos_sqrt,
 }
 
 
 def scalar_fun(kind: ScalarFunKind, z):
     """Evaluate one of psi, sigma, phi, cos_sqrt at a scalar or array argument."""
-    return _FUNS[kind][0](z)
-
-
-def parlett_batched(t_mat, fvals):
-    """f(s_k T) for every sample k, from the unscaled upper-triangular T.
-
-    ``fvals`` has shape (S, m); row k holds f(s_k d) for the diagonal d of
-    T.  Returns F of shape (S, m, m).  Column j of f(sT) solves
-    (sT[:j,:j] - s d_j I) x = F[:j,:j] (sT[:j,j]) - f(s d_j) (sT[:j,j]), where
-    the scale s cancels, so all samples share the unscaled system of column j
-    and one triangular solve takes all S right-hand sides.  The diagonal of
-    T must be free of repeated entries.
-    """
-    t_mat = np.asarray(t_mat, dtype=complex)
-    fvals = np.atleast_2d(fvals)
-    m = t_mat.shape[0]
-    d = np.diagonal(t_mat)
-    if np.unique(d).size < m:
-        raise np.linalg.LinAlgError("repeated diagonal entry: singular Parlett system")
-    f = np.zeros((fvals.shape[0], m, m), dtype=complex)
-    f[:, np.arange(m), np.arange(m)] = fvals
-    shifted = t_mat.copy()
-    for j in range(1, m):
-        col = t_mat[:j, j]
-        rhs = f[:, :j, :j] @ col - fvals[:, j, None] * col
-        np.fill_diagonal(shifted, d - d[j])
-        # BLAS trsm, not solve_triangular (LAPACK trtrs): trtrs wakes the
-        # BLAS thread pool even for these small systems, and interleaved
-        # with the matmul above each solve then costs milliseconds with two
-        # BLAS threads; trsm keeps small solves on the calling thread
-        f[:, :j, j] = scipy.linalg.blas.ztrsm(1.0, shifted[:j, :j], rhs.T).T
-    return f
-
-
-def _has_confluent_diagonal(d, ctol: float = PARLETT_CLUSTER_TOL) -> bool:
-    """True iff two entries of d lie closer than ctol."""
-    iu, ju = np.triu_indices(len(d), k=1)
-    return bool(np.any(np.abs(d[iu] - d[ju]) < ctol))
+    return _FUNS[kind](z)
 
 
 def _fun_by_expm(z, kind: ScalarFunKind):
@@ -258,15 +178,15 @@ def _fun_by_expm(z, kind: ScalarFunKind):
     x1'' = -Z x1 + x3, so the first block row of e^M holds cos(sqrt(Z)),
     sigma(Z) and psi(Z)/2; the top-right block of e^[[Z, I], [0, 0]] is
     phi(Z).  Scaling and squaring needs no separation of the eigenvalues of
-    Z, so this serves a T whose diagonal has a cluster of any length.
+    Z, so this serves a defective or near-defective Z.
     """
     m = z.shape[0]
     if kind is ScalarFunKind.PHI:
-        blk = np.zeros((2 * m, 2 * m), dtype=complex)
+        blk = np.zeros((2 * m, 2 * m), dtype=z.dtype)
         blk[:m, :m] = z
         blk[:m, m:] = np.eye(m)
         return scipy.linalg.expm(blk)[:m, m:]
-    blk = np.zeros((3 * m, 3 * m), dtype=complex)
+    blk = np.zeros((3 * m, 3 * m), dtype=z.dtype)
     blk[:m, m:2 * m] = np.eye(m)
     blk[m:2 * m, :m] = -z
     blk[m:2 * m, 2 * m:] = np.eye(m)
@@ -276,49 +196,6 @@ def _fun_by_expm(z, kind: ScalarFunKind):
     if kind is ScalarFunKind.SIGMA:
         return top[:, m:2 * m]
     return 2.0 * top[:, 2 * m:]
-
-
-def parlett_fun_triangular(t_mat, kind: ScalarFunKind, scale: float = 1.0,
-                           ctol: float = PARLETT_CLUSTER_TOL):
-    """Evaluate f(scale*T) for upper-triangular complex T.
-
-    Adjacent confluent diagonal pairs use the 2x2 Sylvester-block (divided
-    difference) formula inside the Parlett recurrence.  A cluster that is
-    not an adjacent pair would make the recurrence divide by separations
-    below ctol, so such a T is evaluated by :func:`_fun_by_expm` instead.
-    """
-    fun, dfun = _FUNS[kind]
-    t_scaled = np.asarray(t_mat, dtype=complex) * scale
-    m = t_scaled.shape[0]
-    d = np.diagonal(t_scaled).copy()
-    if m == 1:
-        return np.array([[fun(d[0])]], dtype=complex)
-
-    sep = np.abs(d[:, None] - d[None, :])
-    iu, ju = np.triu_indices(m, k=1)
-    close = sep[iu, ju] < ctol
-    if np.any(close & (ju - iu > 1)):
-        return _fun_by_expm(t_scaled, kind)
-    fvals = fun(d)
-    if not np.any(close):
-        return parlett_batched(t_scaled, fvals)[0]
-
-    # Scalar recurrence with divided-difference handling of adjacent pairs.
-    f = np.zeros_like(t_scaled)
-    np.fill_diagonal(f, fvals)
-    for off in range(1, m):
-        for i in range(m - off):
-            j = i + off
-            num = t_scaled[i, j] * (fvals[i] - fvals[j])
-            if off > 1:
-                num += f[i, i + 1:j] @ t_scaled[i + 1:j, j]
-                num -= t_scaled[i, i + 1:j] @ f[i + 1:j, j]
-            den = d[i] - d[j]
-            if abs(den) >= ctol:
-                f[i, j] = num / den
-            else:  # an adjacent pair: every other close pair went to expm
-                f[i, j] = t_scaled[i, j] * dfun((d[i] + d[j]) / 2.0)
-    return f
 
 
 def _looks_symmetric(h_mat) -> bool:
@@ -334,28 +211,24 @@ class SpectralCache:
     accurate: symmetric H as Q diag(lam) Q^T (X^-1 = Q^T), general H as the
     eigenvectors from ``np.linalg.eig`` and their inverse when kappa_1(X) is
     at most :data:`EIGENBASIS_KAPPA_MAX`.  Every f(sH) is then a weighted
-    sum over the eigenvalues.  Any other H is held as a complex Schur form
-    Q T Q^H (``t_mat`` is set), and whether T has confluent diagonal entries
-    is decided once, on the unscaled T: if not, every scale goes through
-    :func:`parlett_batched`.  One factorization serves many evaluation
-    times, which is what the residual-curve sampling needs.
+    sum over the eigenvalues, and one factorization serves many evaluation
+    times, which is what the residual-curve sampling needs.  Any other H is
+    held as it is (``h_mat`` is set), and each scale s costs one
+    :func:`_fun_by_expm` of sH.
     """
 
-    def __init__(self, *, lam=None, q=None, q_inv=None, t_mat=None, beta=1.0):
+    def __init__(self, *, lam=None, q=None, q_inv=None, h_mat=None, beta=1.0):
         self.lam = lam
         self.q = q
-        self.t_mat = t_mat
+        self.h_mat = h_mat
         self.beta = float(beta)
-        self.symmetric = t_mat is None and q_inv is None
-        self.m = (q.shape[0] if q is not None else 0)
-        if t_mat is None:
+        self.symmetric = h_mat is None and q_inv is None
+        self.m = (q if h_mat is None else h_mat).shape[0]
+        if h_mat is None:
             self._q_inv = q.T if q_inv is None else q_inv
             # Weights for fast e_m^T f(scale H) e_1 sampling.
             self._w_first = self._q_inv[:, 0]
             self._w_corner = self.q[-1, :] * self._w_first
-        else:
-            self._qh_e1 = self.q[0, :].conj()
-            self._confluent = _has_confluent_diagonal(np.diagonal(t_mat))
 
     @classmethod
     def from_tridiagonal(cls, diag, offdiag, beta=1.0):
@@ -379,69 +252,61 @@ class SpectralCache:
         return cls(lam=lam, q=q, beta=beta)
 
     @classmethod
-    def from_dense(cls, h_mat, beta=1.0, symmetric=None, eigenbasis=True):
+    def from_dense(cls, h_mat, beta=1.0, symmetric=None):
         """Factor a dense H: ``eigh`` when symmetric (detected when
         ``symmetric`` is None), else the eigenbasis of ``np.linalg.eig``
         when its kappa_1(X) is at most :data:`EIGENBASIS_KAPPA_MAX`, else
-        (or with ``eigenbasis=False``) the complex Schur form."""
+        keep H for :func:`_fun_by_expm`.  Non-finite entries raise
+        ``ValueError``, since ``expm`` would return NaN without an error."""
         h_mat = np.asarray(h_mat, dtype=float)
+        if not np.isfinite(h_mat).all():
+            raise ValueError("matrix entries must be finite")
         if symmetric is None:
             symmetric = _looks_symmetric(h_mat)
         if symmetric:
             lam, q = np.linalg.eigh(h_mat)
             return cls(lam=lam, q=q, beta=beta)
-        if eigenbasis:
-            try:
-                lam, x = np.linalg.eig(h_mat)
-                x_inv = np.linalg.inv(x)
-            except np.linalg.LinAlgError:  # non-finite H or singular X
-                pass
-            else:
-                kappa = np.linalg.norm(x, 1) * np.linalg.norm(x_inv, 1)
-                if kappa <= EIGENBASIS_KAPPA_MAX:
-                    return cls(lam=lam, q=x, q_inv=x_inv, beta=beta)
-        t_mat, q = scipy.linalg.schur(h_mat, output="complex")
-        return cls(t_mat=t_mat, q=q, beta=beta)
-
-    def _fun_of_t(self, kind, scales):
-        """f(s T) for each s in scales, shape (S, m, m)."""
-        if not self._confluent:
-            fvals = scalar_fun(kind, np.multiply.outer(scales, np.diagonal(self.t_mat)))
-            return parlett_batched(self.t_mat, fvals)
-        return np.stack([parlett_fun_triangular(self.t_mat, kind, s) for s in scales])
+        try:
+            lam, x = np.linalg.eig(h_mat)
+            x_inv = np.linalg.inv(x)
+        except np.linalg.LinAlgError:  # no convergence or singular X
+            pass
+        else:
+            kappa = np.linalg.norm(x, 1) * np.linalg.norm(x_inv, 1)
+            if kappa <= EIGENBASIS_KAPPA_MAX:
+                return cls(lam=lam, q=x, q_inv=x_inv, beta=beta)
+        return cls(h_mat=h_mat, beta=beta)
 
     def apply_fun(self, kind: ScalarFunKind, scale: float, b):
         """f(scale*H) @ b, for b of shape (m,) or (m, k)."""
         b = np.asarray(b)
-        if self.t_mat is None:
+        if self.h_mat is None:
             fl = scalar_fun(kind, scale * self.lam)
             out = self.q @ (fl * (self._q_inv @ b).T).T
         else:
-            out = self.q @ (self._fun_of_t(kind, [scale])[0] @ (self.q.conj().T @ b))
+            out = _fun_by_expm(scale * self.h_mat, kind) @ b
         return out.real if not np.iscomplexobj(b) else out
 
     def fun_e1(self, kind: ScalarFunKind, scales):
         """f(scale*H) @ (beta e_1): shape (m,) for one scale, (S, m) for S scales."""
         scales = np.asarray(scales, dtype=float)
         s = np.atleast_1d(scales)
-        if self.t_mat is None:
+        if self.h_mat is None:
             vals = scalar_fun(kind, np.multiply.outer(s, self.lam))
             out = ((vals * self._w_first) @ self.q.T).real
         else:
-            out = ((self._fun_of_t(kind, s) @ self._qh_e1) @ self.q.T).real
+            out = np.array([_fun_by_expm(x * self.h_mat, kind)[:, 0] for x in s])
         out = self.beta * out
         return out[0] if scales.ndim == 0 else out
 
     def corner_fun_e1(self, kind: ScalarFunKind, scales) -> np.ndarray:
         """e_m^T f(scale*H) (beta e_1) for an array of scales."""
         scales = np.atleast_1d(np.asarray(scales, dtype=float))
-        if self.t_mat is None:
+        if self.h_mat is None:
             vals = scalar_fun(kind, np.outer(scales, self.lam))
             return self.beta * (np.atleast_2d(vals) @ self._w_corner).real
-        f_e1 = self._fun_of_t(kind, scales) @ self._qh_e1
-        # an elementwise sum, not a matmul: an (S, m) gemv would run on the
-        # BLAS thread pool between the Parlett solves of consecutive calls
-        return self.beta * (f_e1 * self.q[-1, :]).sum(axis=1).real
+        return self.beta * np.array([_fun_by_expm(x * self.h_mat, kind)[-1, 0]
+                                     for x in scales])
 
 
 def matfun_action(h_mat, kind: ScalarFunKind, scale: float, b,
@@ -449,7 +314,7 @@ def matfun_action(h_mat, kind: ScalarFunKind, scale: float, b,
     """f(scale*H) @ b for a small matrix H, where f is the selected function.
 
     See :meth:`SpectralCache.from_dense` for the choice between the
-    eigenbasis and the Schur form with the Parlett recurrence.
+    eigenbasis and the augmented-block exponential.
     """
     if cache is None:
         cache = SpectralCache.from_dense(h_mat, beta=1.0, symmetric=symmetric)

@@ -131,7 +131,7 @@ def transport_cells(cell_steps):
     out = {}
     for grid in (128, 256, 512):
         ivp = build_transport(TransportProblemSpec(grid))
-        yref, _ = reference_solution(ivp, "tight-tolerance")
+        yref, _ = reference_solution(ivp, "dense")
         for tol in (1e-4, 1e-6):
             for solver, adj in (("rt-seq", 1.0), ("gautschi", 1.0),
                                 ("first-order", 10.0)):

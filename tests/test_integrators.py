@@ -465,29 +465,20 @@ def test_sequential_rebuild_fallback_without_rungs(monkeypatch):
 
 @pytest.mark.parametrize("kind", [ScalarFunKind.PSI, ScalarFunKind.SIGMA,
                                   ScalarFunKind.PHI])
-def test_branch_updates_batch_the_parlett_evaluations(monkeypatch, kind):
+def test_branch_updates_batch_the_parlett_evaluations(kind):
     from trigkrylov import smallfun
 
     # 3I + N + 1e-3 L from e1: H_m is its leading block, whose distinct
     # eigenvalues have an eigenvector matrix too ill conditioned for the
-    # eigenbasis path, so the cache takes the batched Schur-Parlett fallback
+    # eigenbasis path, so the cache takes the block-exponential fallback
     n = 64
     op = DenseOperator(3.0 * np.eye(n) + np.eye(n, k=1) + 1e-3 * np.eye(n, k=-1),
                        is_symmetric=False)
     d = krylov_build(op, np.eye(n)[0], 10)
     cache = d.spectral_cache()
-    assert not cache.symmetric and cache.t_mat is not None
+    assert not cache.symmetric and cache.h_mat is not None
     steps = [0.05 * f for f in (1.0, 0.99, 0.98, 0.97, 0.96)]
-    calls = []
-    batched = smallfun.parlett_batched
-
-    def counting(*args):
-        calls.append(1)
-        return batched(*args)
-
-    monkeypatch.setattr(smallfun, "parlett_batched", counting)
     updates = integ._branch_updates(d, cache, kind, steps)
-    assert 0 < len(calls) <= 2
     terms = smallfun.BRANCH_TERMS[kind]
     assert updates.shape == (len(steps), len(terms), n)
     for i, s in enumerate(steps):
@@ -499,8 +490,8 @@ def test_branch_updates_batch_the_parlett_evaluations(monkeypatch, kind):
 
 def test_transport512_krylov_caches_take_the_eigenbasis_path(monkeypatch):
     # every projected matrix of the benchmark's transport cells is well
-    # conditioned enough for the eigenbasis; a silent Schur fallback would
-    # cost several times the solve time
+    # conditioned enough for the eigenbasis; a silent block-exponential
+    # fallback would cost many times the solve time
     from trigkrylov.problems import TransportProblemSpec, build_transport
     from trigkrylov.smallfun import SpectralCache
 
@@ -518,8 +509,8 @@ def test_transport512_krylov_caches_take_the_eigenbasis_path(monkeypatch):
         before = len(caches)
         solve(ivp, SolverConfig(tol=tol), name)
         assert len(caches) > before, name
-    schur = [c.m for c in caches if c.t_mat is not None]
-    assert not schur, f"{len(schur)} of {len(caches)} caches took the Schur path"
+    fallback = [c.m for c in caches if c.h_mat is not None]
+    assert not fallback, f"{len(fallback)} of {len(caches)} caches took the fallback"
 
 
 def test_zero_velocity_branch_skipped():

@@ -111,7 +111,7 @@ def test_arnoldi_curve_at_zero_and_tiny_times(kind):
     ivp = build_transport(TransportProblemSpec(64))
     d = krylov_build(ivp.op, ivp.v, 8)
     curve = ResidualCurve(d, kind)
-    assert not curve.cache.symmetric and curve.cache.t_mat is None  # eigenbasis
+    assert not curve.cache.symmetric and curve.cache.h_mat is None  # eigenbasis
     assert residual_norm_at(curve, 0.0) == 0.0
     t = 1e-9
     value = residual_norm_at(curve, t)

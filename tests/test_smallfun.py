@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.blas
 
 from trigkrylov import smallfun
 from trigkrylov.integrators import SecondOrderIVP
@@ -16,8 +20,6 @@ from trigkrylov.smallfun import (
     cos_sqrt,
     exact_ivp_solution,
     matfun_action,
-    parlett_batched,
-    parlett_fun_triangular,
     phi,
     projected_solution,
     projected_velocity,
@@ -150,8 +152,14 @@ def test_matfun_action_symmetric_vs_eig_oracle(kind):
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.linalg.norm(ref) + 1e-15)
 
 
+def _force_fallback(monkeypatch):
+    """Make every nonsymmetric H take the augmented-block exponential:
+    kappa_1(X) is at least 1 for any X."""
+    monkeypatch.setattr(smallfun, "EIGENBASIS_KAPPA_MAX", 0.5)
+
+
 @pytest.mark.parametrize("kind", [ScalarFunKind.PSI, ScalarFunKind.SIGMA, ScalarFunKind.PHI])
-def test_matfun_action_schur_path_vs_diagonalizable_oracle(kind):
+def test_matfun_action_schur_path_vs_diagonalizable_oracle(monkeypatch, kind):
     rng = np.random.default_rng(3)
     lam = np.linspace(0.5, 9.0, 9)
     v = rng.standard_normal((9, 9)) + np.eye(9)
@@ -161,30 +169,24 @@ def test_matfun_action_schur_path_vs_diagonalizable_oracle(kind):
     ref = (v @ np.diag(fn(1.3 * lam)) @ np.linalg.inv(v)) @ b
     out = matfun_action(h, kind, 1.3, b, symmetric=False)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9 * np.linalg.norm(ref))
-    schur = SpectralCache.from_dense(h, symmetric=False, eigenbasis=False)
-    assert schur.t_mat is not None
-    np.testing.assert_allclose(schur.apply_fun(kind, 1.3, b), ref, rtol=0,
+    _force_fallback(monkeypatch)
+    fallback = SpectralCache.from_dense(h, symmetric=False)
+    assert fallback.h_mat is not None
+    np.testing.assert_allclose(fallback.apply_fun(kind, 1.3, b), ref, rtol=0,
                                atol=1e-9 * np.linalg.norm(ref))
 
 
-def test_parlett_adjacent_confluent_pair():
-    # Exactly repeated diagonal: the divided-difference (2x2 Sylvester) path.
-    t_mat = np.array([[2.0, 1.0], [0.0, 2.0]], dtype=complex)
-    f = parlett_fun_triangular(t_mat, ScalarFunKind.SIGMA, 1.0)
-    lam = 2.0
-    dsig = (np.cos(np.sqrt(lam)) - sigma(lam)) / (2 * lam)
-    assert f[0, 1] == pytest.approx(dsig, rel=1e-12)
-    assert f[0, 0] == pytest.approx(sigma(lam), rel=1e-13)
-
-
 def test_parlett_nonadjacent_cluster_is_exact():
-    # 1 and 1 + 1e-12 are not adjacent on the diagonal, so the recurrence
-    # would divide by their separation; the augmented exponential does not
+    # 1 and 1 + 1e-12 are not adjacent on the diagonal, so a Parlett
+    # recurrence would divide by their separation; the augmented exponential
+    # the cache falls back to does not
     d = [1.0, 3.0, 1.0 + 1e-12]
-    t_mat = np.triu(np.ones((3, 3))) + np.diag(d) - np.eye(3)
-    z = mp.matrix(t_mat.tolist())
+    h = np.triu(np.ones((3, 3))) + np.diag(d) - np.eye(3)
+    cache = SpectralCache.from_dense(h, symmetric=False)
+    assert cache.h_mat is not None
+    z = mp.matrix(h.tolist())
     for kind in ScalarFunKind:
-        f = parlett_fun_triangular(t_mat.astype(complex), kind, 1.0)
+        f = cache.apply_fun(kind, 1.0, np.eye(3))
         ref, term = mp.zeros(3), mp.eye(3)
         for k in range(80):
             ref += _TAYLOR_COEFF[kind](k) * term
@@ -243,15 +245,16 @@ def _check_against_taylor_oracle(cache, h, kind, scales, beta):
 
 @pytest.mark.parametrize("m", [1, 2, 10])
 @pytest.mark.parametrize("kind", list(ScalarFunKind))
-def test_batched_corner_vs_taylor_oracle(m, kind):
+def test_batched_corner_vs_taylor_oracle(monkeypatch, m, kind):
     h = _hessenberg(m, 40 + m)
     beta = 1.7
     scales = np.array([0.0, 1e-18, 1e-9, 0.3, 1.5, -0.8])
     for eigenbasis in (True, False):
-        cache = SpectralCache.from_dense(h, beta=beta, symmetric=False,
-                                         eigenbasis=eigenbasis)
-        # these H have kappa_1(X) <= 40, so only eigenbasis=False is Schur
-        assert (cache.t_mat is None) == eigenbasis
+        if not eigenbasis:
+            _force_fallback(monkeypatch)
+        cache = SpectralCache.from_dense(h, beta=beta, symmetric=False)
+        # these H have kappa_1(X) <= 40, so only the forced run falls back
+        assert (cache.h_mat is None) == eigenbasis
         got = _check_against_taylor_oracle(cache, h, kind, scales, beta)
         # one scale at a time through fun_e1 and apply_fun gives the same corner
         e1 = np.zeros(m)
@@ -278,7 +281,7 @@ def nonsymmetric_krylov_h():
 def test_eigenbasis_path_vs_taylor_oracle(nonsymmetric_krylov_h, name, kind):
     h = nonsymmetric_krylov_h[name]
     cache = SpectralCache.from_dense(h, beta=1.7, symmetric=False)
-    assert not cache.symmetric and cache.t_mat is None
+    assert not cache.symmetric and cache.h_mat is None
     if name.startswith("first-order"):
         assert np.sum(np.abs(cache.lam.imag) > 1e-8 * np.abs(cache.lam).max()) >= 2
     # ||sH|| up to 20, where the oracle's 80 Taylor terms still converge
@@ -300,51 +303,43 @@ def _near_jordan(m, eps=1e-3):
 @pytest.mark.parametrize("kind", list(ScalarFunKind))
 def test_non_normal_h_falls_back_to_schur(h, kind):
     cache = SpectralCache.from_dense(h, beta=1.7, symmetric=False)
-    assert cache.t_mat is not None
+    assert cache.h_mat is not None
     scales = np.array([0.0, 1e-18, 1e-9, 0.3, 1.5, -0.8])
     _check_against_taylor_oracle(cache, h, kind, scales, 1.7)
 
 
+@pytest.mark.parametrize("m", [6, 10])
+@pytest.mark.parametrize("kind", list(ScalarFunKind))
+def test_near_defective_apply_fun_vs_taylor_oracle(m, kind):
+    # eigenvalues about 0.02 (m = 6) or 0.01 (m = 10) apart: an unblocked
+    # Parlett recurrence divides by those separations and loses 3 to 8 digits
+    h = _near_jordan(m)
+    cache = SpectralCache.from_dense(h, symmetric=False)
+    assert cache.h_mat is not None
+    b = np.random.default_rng(m).standard_normal(m)
+    for scale in (0.3, 1.0, 2.0, 4.0):
+        z = mp.matrix(h.tolist()) * mp.mpf(scale)
+        x, ref = mp.matrix(b.tolist()), mp.matrix(m, 1)
+        for k in range(120):
+            ref += _TAYLOR_COEFF[kind](k) * x
+            x = z * x
+        ref = np.array([float(r) for r in ref])
+        got = cache.apply_fun(kind, scale, b)
+        assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref), scale
+
+
 def test_confluent_schur_factor_keeps_per_sample_path():
-    # A Jordan block: the Schur factor has a repeated diagonal entry, so the
-    # cache evaluates each scale with the divided-difference recurrence.
+    # A Jordan block has no eigenbasis, so the cache evaluates each scale
+    # through the augmented-block exponential.
     h = np.array([[2.0, 1.0], [0.0, 2.0]])
     cache = SpectralCache.from_dense(h, symmetric=False)
+    assert cache.h_mat is not None
     scales = np.array([0.0, 0.4, 1.0])
     for kind in ScalarFunKind:
         got = cache.corner_fun_e1(kind, scales)
         for s, value in zip(scales, got):
             ref, bound = _taylor_corner(h, kind, s)
             assert abs(value - ref) <= 1e-13 * bound
-
-
-def test_parlett_batched_rejects_repeated_diagonal():
-    t_mat = np.array([[1.0, 2.0, 0.5], [0.0, 3.0, 1.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(np.linalg.LinAlgError, match="repeated diagonal"):
-        parlett_batched(t_mat, np.ones((4, 3)))
-
-
-def test_corner_costs_one_triangular_solve_per_column(monkeypatch):
-    # Guards against a per-sample loop: 200 scales must share the m - 1
-    # column solves.  Both the BLAS routine and the scipy wrapper count.
-    calls = []
-
-    def counting(module, name):
-        solve = getattr(module, name)
-
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapped)
-
-    counting(scipy.linalg.blas, "ztrsm")
-    counting(scipy.linalg, "solve_triangular")
-    m = 12
-    cache = SpectralCache.from_dense(_near_jordan(m), symmetric=False)
-    assert cache.t_mat is not None  # kappa_1(X) is far above the eigenbasis bound
-    cache.corner_fun_e1(ScalarFunKind.SIGMA, np.linspace(0.0, 2.0, 200))
-    assert 0 < len(calls) <= m
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -490,19 +485,31 @@ def test_exact_ivp_velocity_is_time_derivative():
 
 
 def _raise(*args, **kwargs):
-    raise AssertionError("the nonsymmetric reference must not call this")
+    raise AssertionError("must not be called here")
 
 
 def test_exact_ivp_nonsymmetric_uses_none_of_the_solver_functions(monkeypatch):
-    # a defect in the solvers' scalar functions or Schur-Parlett code must
-    # not reach the ground truth the solvers are checked against
+    # a defect in the solvers' scalar functions, eigenbasis or
+    # block-exponential fallback must not reach the ground truth the
+    # solvers are checked against
     monkeypatch.setattr(smallfun, "scalar_fun", _raise)
     monkeypatch.setattr(SpectralCache, "from_dense", _raise)
+    monkeypatch.setattr(smallfun, "_fun_by_expm", _raise)
     monkeypatch.setattr(scipy.linalg, "schur", _raise)
     ivp = build_transport(TransportProblemSpec(64))
     y, yp = exact_ivp_solution(ivp, 1.0)
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(yp))
     assert np.linalg.norm(y) > 0
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    # exact_ivp_solution imports scipy.sparse.linalg itself: at module level
+    # it would add about 2 MB to the resident memory of every process
+    src = str(Path(smallfun.__file__).parents[1])
+    code = "import sys, trigkrylov; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def _near_jordan_ivp(n, t):
@@ -551,10 +558,12 @@ def test_exact_ivp_nonsymmetric_vs_extended_precision(make_ivp, t, bound):
 
 
 @pytest.mark.parametrize("n", [128, 256])
-def test_exact_ivp_nonsymmetric_agrees_with_schur_parlett(n):
+def test_exact_ivp_nonsymmetric_agrees_with_schur_parlett(monkeypatch, n):
     ivp = build_transport(TransportProblemSpec(n))
     a_mat = assemble_dense(ivp.op)
-    cache = SpectralCache.from_dense(a_mat, symmetric=False, eigenbasis=False)
+    _force_fallback(monkeypatch)
+    cache = SpectralCache.from_dense(a_mat, symmetric=False)
+    assert cache.h_mat is not None
     w = ivp.g - a_mat @ ivp.u
     t = ivp.t_final
     t2 = t * t
@@ -711,3 +720,17 @@ def test_symmetric_corner_bits_equal_the_guarded_evaluation(m, kind):
 def test_from_tridiagonal_rejects_non_finite_entries(diag, off):
     with pytest.raises(ValueError):
         SpectralCache.from_tridiagonal(np.array(diag), np.array(off))
+
+
+@pytest.mark.parametrize("symmetric", [True, False, None])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_dense_rejects_non_finite_entries(monkeypatch, symmetric, bad):
+    # scipy's expm returns NaN without an error, so the check must come
+    # before any factorization
+    monkeypatch.setattr(np.linalg, "eig", _raise)
+    monkeypatch.setattr(np.linalg, "eigh", _raise)
+    monkeypatch.setattr(smallfun, "_fun_by_expm", _raise)
+    h = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 4.0]])
+    h[1, 2] = h[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SpectralCache.from_dense(h, symmetric=symmetric)
