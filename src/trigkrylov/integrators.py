@@ -182,10 +182,14 @@ def _branch_updates(decomp, cache, kind, steps):
 
 def _add_updates(y, updates):
     """y plus each branch's position update in turn, and the sum of the
-    branches' velocity updates: the state after all branches have run."""
+    branches' velocity updates: the state after all branches have run.
+
+    The updates are added into ``y`` in place, so the caller hands in a
+    vector it owns and does not read the old state afterwards.
+    """
     vel = np.zeros_like(y)
     for y_add, v_add in updates:
-        y = y + y_add
+        np.add(y, y_add, out=y)
         vel += v_add
     return y, vel
 
@@ -204,6 +208,8 @@ def _restart(ivp: SecondOrderIVP, solver: str, advance) -> SolveReport:
     delta <= t_rem and returns ``(delta, y, vel, entries, repaired)``: the
     state at t + delta, the cycle's residual-log entries as ``(phase, m,
     step, residual)`` over [t, t + step], and whether it repaired a step.
+    The cycle's y and vel are the loop's own vectors, which ``advance`` may
+    update in place, and gt is formed in the buffer of the product A y.
     """
     op = ivp.op
     count0 = op.matvec_count
@@ -217,7 +223,8 @@ def _restart(ivp: SecondOrderIVP, solver: str, advance) -> SolveReport:
         cycle = len(step_sizes)
         if cycle >= _MAX_CYCLES:
             raise RuntimeError("restart cycle limit exceeded")
-        gt = ivp.g - op.apply(y)
+        gt = op.apply(y)
+        np.subtract(ivp.g, gt, out=gt)
         beta_psi = _norm(gt)
         beta_sigma = _norm(vel)
         if beta_psi + beta_sigma == 0.0:
@@ -554,7 +561,9 @@ def rt_first_order_block(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         )
         entry = ("phi", d.m, delta, _peak(curve, delta))
         update = _branch_updates(d, curve.cache, ScalarFunKind.PHI, [delta])[0, 0]
-        return delta, cyc.y + update[:n], cyc.vel + update[n:], [entry], False
+        y = np.add(cyc.y, update[:n], out=cyc.y)
+        vel = np.add(cyc.vel, update[n:], out=cyc.vel)
+        return delta, y, vel, [entry], False
 
     return _restart(ivp, "first-order", advance)
 

@@ -8,6 +8,11 @@ number of products consumed by a run (measured as a counter delta).
 writable float64 vector of the operator's dimension that does not overlap
 ``x``, it writes the product there and returns ``out``, so a Krylov step can
 apply A straight into its basis store.  Both forms give the same bits.
+A non-finite entry of x spreads through a full GEMM as inf * 0 = NaN along
+its whole contracted line.  :class:`KroneckerSum3D` multiplies its z and y
+factors only over their band, so along those lines it reaches only the row
+blocks whose band covers the entry (86 instead of 190 non-finite entries
+for one inf at 64^3; the x line, one GEMM, still fills).
 :class:`KroneckerSum3D` keeps its two n-vector intermediates in a
 per-thread workspace, so concurrent applies on distinct vectors stay safe.
 """
@@ -147,15 +152,58 @@ def centered_difference_1d(n: int) -> np.ndarray:
     return (np.eye(n, k=1) - np.eye(n, k=-1)) / (2.0 * h)
 
 
+#: Rows per banded GEMM block of a Kronecker factor (see :class:`KroneckerSum3D`).
+_BAND_BLOCK = 8
+
+
+def _band_blocks(fac: np.ndarray, ncols: int) -> list:
+    """Row blocks of the square factor ``fac`` for a product with ``ncols``
+    columns, each with the columns of ``fac`` its band reaches.
+
+    Returns ``(fac[rows, cols], rows, cols)`` triples, ``rows = slice(r0,
+    r1)`` and ``cols = slice(c0, c1)`` with ``[c0, c1) = [r0 - lower, r1 +
+    upper)`` clipped to the factor, where lower and upper are the bandwidths
+    of the factor's nonzeros; so each block leaves out only exact zeros.  No
+    block has a single row, since numpy hands a one-row product to GEMV,
+    which sums in another order.  The whole factor comes back as one block
+    when the band leaves nothing worth skipping (a dense or a small factor)
+    and when ``ncols`` is not a multiple of 8: OpenBLAS's x86-64 kernels
+    compute the last ``ncols % 8`` columns by a path whose sums depend on
+    where the inner dimension starts.
+    """
+    n = fac.shape[0]
+    i, j = np.nonzero(fac)
+    lower = int(np.max(i - j, initial=0))
+    upper = int(np.max(j - i, initial=0))
+    if lower + upper + _BAND_BLOCK >= n or ncols % 8:
+        return [(fac, slice(0, n), slice(0, n))]
+    bounds = list(range(0, n, _BAND_BLOCK)) + [n]
+    if bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    blocks = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        rows, cols = slice(r0, r1), slice(max(r0 - lower, 0), min(r1 + upper, n))
+        blocks.append((fac[rows, cols], rows, cols))
+    return blocks
+
+
 class KroneckerSum3D(LinearOperator):
     """3-D separable operator  kz*Lz (x) I (x) I + I (x) ky*Ly (x) I + I (x) I (x) kx*Lx.
 
     Vectors use x-fastest ordering, i.e. entry (i, j, k) of the grid lives at
     flat index ``i + nx*(j + ny*k)``.  The three factors are small dense
-    tridiagonal matrices, so each apply is three BLAS contractions: the
-    same ``np.dot`` calls ``np.tensordot`` makes, writing into ``out`` and
-    into a workspace of two n-vectors that each calling thread allocates
-    once (a ``threading.local``).
+    (typically tridiagonal) matrices, so each apply is three BLAS
+    contractions, the ``np.dot`` calls ``np.tensordot`` makes, writing into
+    ``out`` and into a workspace of two n-vectors that each calling thread
+    allocates once (a ``threading.local``).
+
+    The z and y contractions are banded GEMM blocks (:func:`_band_blocks`):
+    each block of rows of Lz or Ly multiplies only the columns its band
+    reaches.  The bits equal those of the full GEMM for finite x, because
+    the dropped terms are exact zeros, which add nothing to each entry's
+    multiply-add chain, and every block keeps the full GEMM's column count
+    (ny*nx for z, nz*nx for y) and with it the BLAS column tiling.  The x
+    contraction is one GEMM.
     """
 
     def __init__(self, lx, ly, lz, kx: float = 1.0, ky: float = 1.0, kz: float = 1.0):
@@ -173,6 +221,8 @@ class KroneckerSum3D(LinearOperator):
             np.array_equal(fac, fac.T) for fac in (self.lx, self.ly, self.lz)
         )
         super().__init__(self.nx * self.ny * self.nz, is_symmetric=symmetric)
+        self._zblocks = _band_blocks(self.lz, self.ny * self.nx)
+        self._yblocks = _band_blocks(self.ly, self.nz * self.nx)
         self._local = threading.local()
 
     def _matvec(self, x, out):
@@ -181,16 +231,23 @@ class KroneckerSum3D(LinearOperator):
         if ws is None:
             ws = self._local.ws = np.empty((2, self.dim))
         # z: lz contracts the slowest axis
-        np.dot(self.lz, x.reshape(nz, ny * nx), out=out.reshape(nz, ny * nx))
-        out *= self.kz
+        xz, oz = x.reshape(nz, ny * nx), out.reshape(nz, ny * nx)
+        for block, rows, cols in self._zblocks:
+            np.dot(block, xz[cols], out=oz[rows])
+        if self.kz != 1.0:
+            out *= self.kz
         # y: bring the y axis to the front (the copy tensordot makes), contract
         np.copyto(ws[0].reshape(ny, nz, nx), x.reshape(nz, ny, nx).transpose(1, 0, 2))
-        np.dot(self.ly, ws[0].reshape(ny, nz * nx), out=ws[1].reshape(ny, nz * nx))
-        ws[1] *= self.ky
+        xy, oy = ws[0].reshape(ny, nz * nx), ws[1].reshape(ny, nz * nx)
+        for block, rows, cols in self._yblocks:
+            np.dot(block, xy[cols], out=oy[rows])
+        if self.ky != 1.0:
+            ws[1] *= self.ky
         out.reshape(nz, ny, nx)[...] += ws[1].reshape(ny, nz, nx).transpose(1, 0, 2)
         # x: lx contracts the fastest axis
         np.dot(x.reshape(nz * ny, nx), self.lx.T, out=ws[0].reshape(nz * ny, nx))
-        ws[0] *= self.kx
+        if self.kx != 1.0:
+            ws[0] *= self.kx
         out += ws[0]
 
 

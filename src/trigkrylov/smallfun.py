@@ -50,6 +50,9 @@ from . import linop
 
 PADE_THRESHOLD = 1e-3
 
+#: log of the largest float, the x beyond which exp(x) overflows.
+_EXP_MAX = float(np.log(np.finfo(float).max))
+
 #: Largest kappa_1(X) = ||X||_1 ||X^-1||_1 of the unit-column eigenvector
 #: matrix of a nonsymmetric H for which f(sH) is evaluated as
 #: X f(s Lambda) X^-1.  That evaluation has a relative error of about
@@ -138,16 +141,24 @@ def phi(z):
 
     The small-argument branch is a six-term Taylor polynomial (truncation
     below 1e-22 at the threshold), since the (1,1) Pade form would lose
-    three digits there.
+    three digits there.  Where exp(z) overflows (Re z > ``_EXP_MAX``) the
+    -1 is below the last bit, and phi is exp(z - log z): a finite value
+    while phi itself is, beyond that an infinite one with no NaN part.
+    (Complex ``expm1`` would multiply its infinite modulus by a zero
+    sin(Im z) and give NaN.)
     """
     zw, scalar, real_input = _prepare(z, needs_complex_for_negative=False)
     small = np.abs(zw) < PADE_THRESHOLD
-    zsafe = np.where(small, 1.0, zw)
-    with np.errstate(over="ignore"):  # phi overflows to inf beyond z ~ 709
+    big = zw.real > _EXP_MAX
+    zsafe = np.where(small | big, 1.0, zw)
+    with np.errstate(over="ignore"):  # phi overflows to inf beyond z ~ 716
         # expm1, also for complex z: exp(z) - 1 loses log10(1/|z|) digits
         direct = np.expm1(zsafe) / zsafe
-    series = 1.0 + zw * (
-        1.0 / 2.0 + zw * (1.0 / 6.0 + zw * (1.0 / 24.0 + zw * (1.0 / 120.0 + zw / 720.0)))
+        if big.any():
+            direct[big] = np.exp(zw[big] - np.log(zw[big]))
+    zs = np.where(small, zw, 0.0)
+    series = 1.0 + zs * (
+        1.0 / 2.0 + zs * (1.0 / 6.0 + zs * (1.0 / 24.0 + zs * (1.0 / 120.0 + zs / 720.0)))
     )
     return _finish(np.where(small, series, direct), scalar, real_input)
 

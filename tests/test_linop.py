@@ -12,6 +12,7 @@ from trigkrylov.linop import (
     IdentityOperator,
     KroneckerSum3D,
     SparseCSR,
+    _band_blocks,
     assemble_dense,
     centered_difference_1d,
     dirichlet_laplacian_1d,
@@ -19,9 +20,11 @@ from trigkrylov.linop import (
 )
 from trigkrylov.problems import (
     TransportProblemSpec,
+    WaveProblemSpec,
     anisotropic_wave_spec,
     build_transport,
     build_wave3d,
+    isotropic_wave_spec,
 )
 
 
@@ -172,11 +175,30 @@ def _tensordot_apply(op, x):
     return out.reshape(op.dim)
 
 
+def _nonsymmetric_1d(n):
+    return dirichlet_laplacian_1d(n) + centered_difference_1d(n)
+
+
+def _pentadiagonal_1d(n):
+    return sum((3.5 + k) * np.eye(n, k=k) for k in (-2, -1, 0, 1, 2))
+
+
 def _kronecker_ops():
     for nx, ny, nz in [(2, 2, 2), (3, 4, 2), (8, 8, 8)]:
         lx, ly, lz = (dirichlet_laplacian_1d(n) for n in (nx, ny, nz))
         yield KroneckerSum3D(lx, ly, lz, kx=2.0, ky=0.5, kz=3.0)
     yield build_wave3d(anisotropic_wave_spec(20)).op
+    # banded GEMM blocks: the wave3d-large operator, large and odd grids
+    yield build_wave3d(isotropic_wave_spec(64)).op
+    yield build_wave3d(anisotropic_wave_spec(48)).op
+    for shape in ((17, 17, 17), (17, 23, 31), (8, 17, 33)):
+        yield build_wave3d(WaveProblemSpec(*shape, 1e4, 1e2, 1.0, "anisotropic-sines")).op
+    # wider and nonsymmetric bands, and a dense factor
+    yield KroneckerSum3D(*(_nonsymmetric_1d(n) for n in (16, 24, 40)), kx=0.5, kz=2.0)
+    yield KroneckerSum3D(*(_pentadiagonal_1d(n) for n in (8, 27, 41)), ky=2.0)
+    rng = np.random.default_rng(5)
+    yield KroneckerSum3D(dirichlet_laplacian_1d(8),
+                         *(rng.standard_normal((n, n)) for n in (16, 24)))
 
 
 def test_kronecker_apply_bits_equal_the_tensordot_formula():
@@ -189,6 +211,31 @@ def test_kronecker_apply_bits_equal_the_tensordot_formula():
             out = np.full(op.dim, np.nan)
             assert op.apply(x, out=out) is out
             assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("fac,ncols,n_blocks", [
+    (dirichlet_laplacian_1d(64), 4096, 8),
+    (dirichlet_laplacian_1d(20), 400, 3),
+    (dirichlet_laplacian_1d(17), 136, 2),          # no one-row block
+    (_nonsymmetric_1d(40), 640, 5),
+    (_pentadiagonal_1d(41), 216, 5),
+    (dirichlet_laplacian_1d(10), 100, 1),          # band covers the factor
+    (dirichlet_laplacian_1d(64), 4095, 1),         # columns not a multiple of 8
+    (np.random.default_rng(2).standard_normal((64, 64)), 4096, 1),  # dense
+])
+def test_band_blocks_cover_every_nonzero(fac, ncols, n_blocks):
+    blocks = _band_blocks(fac, ncols)
+    assert len(blocks) == n_blocks
+    covered = np.zeros_like(fac)
+    next_row = 0
+    for block, rows, cols in blocks:
+        assert rows.start == next_row and rows.stop - rows.start > 1
+        assert np.shares_memory(block, fac)
+        assert np.array_equal(block, fac[rows, cols])
+        covered[rows, cols] = block
+        next_row = rows.stop
+    assert next_row == fac.shape[0]
+    assert np.array_equal(covered, fac)
 
 
 @pytest.mark.parametrize("make_op", [

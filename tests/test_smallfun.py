@@ -117,6 +117,40 @@ def test_complex_arguments():
     assert phi(z) == pytest.approx((np.exp(z) - 1) / z, rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [700 + 0j, 800 + 0j, 800 + 1j, 1000 + 0j])
+def test_phi_complex_overflow_has_no_nan(z):
+    with np.errstate(all="raise"):
+        value = phi(np.array([z]))[0]
+    ref = (mp.exp(mp.mpc(z)) - 1) / mp.mpc(z)
+    if abs(ref) < np.finfo(float).max:  # 700 + 0j
+        assert value == pytest.approx(complex(ref), rel=1e-13)
+    else:
+        assert np.isinf(value.real) and not np.isnan(value.imag)
+        assert np.sign(value.real) == mp.sign(ref.real)
+        assert value.imag == 0.0 if z.imag == 0 else np.isinf(value.imag)
+
+
+def test_phi_keeps_the_bits_of_its_finite_values():
+    # phi as it stood before its overflow branch: series or expm1(z)/z
+    def expm1_formula(z):
+        small = np.abs(z) < PADE_THRESHOLD
+        zsafe = np.where(small, 1.0, z)
+        with np.errstate(all="ignore"):
+            direct = np.expm1(zsafe) / zsafe
+            series = 1.0 + z * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120 + z / 720))))
+        return np.where(small, series, direct)
+
+    real = np.concatenate([np.logspace(-8, 6, 40), -np.logspace(-8, 2, 20),
+                           np.linspace(-50.0, 709.7, 97), [0.0]])
+    grids = [real, real.astype(complex),
+             (real[:, None] + 1j * np.array([-3.0, 0.5, 2.0])).ravel()]
+    for z in grids:
+        expected = expm1_formula(z)
+        finite = np.isfinite(expected)
+        assert finite.sum() > 140
+        assert np.array_equal(phi(z)[finite], expected[finite])
+
+
 def test_cos_sqrt_identity():
     z = np.linspace(0.1, 40.0, 17)
     np.testing.assert_allclose(cos_sqrt(z), 1 - z * psi(z) / 2, atol=1e-13)
