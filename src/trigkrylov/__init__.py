@@ -24,10 +24,7 @@ from .smallfun import (
     SpectralCache,
     cos_sqrt,
     exact_ivp_solution,
-    matfun_action,
     phi,
-    projected_solution,
-    projected_velocity,
     psi,
     scalar_fun,
     sigma,
@@ -39,7 +36,6 @@ from .krylov import (
     coarse_residual_check,
     find_largest_admissible_step,
     krylov_build,
-    residual_norm_at,
 )
 from .integrators import (
     SecondOrderIVP,

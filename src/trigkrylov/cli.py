@@ -343,14 +343,14 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
-    p.add_argument("--mmax", type=int, default=30, help="max Krylov dimension")
-    p.add_argument("--alpha", type=float, default=0.85, help="Gautschi safety factor")
-    p.add_argument("--t", type=float, default=None, help="final time override")
     p.add_argument("--scale", type=float, default=1.0,
                    help="grid scale factor, n -> max(4, floor(n*scale))")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+
+
+def _add_solver_flags(p: argparse.ArgumentParser):
+    """The flags of the subcommands that run solvers."""
+    p.add_argument("--mmax", type=int, default=30, help="max Krylov dimension")
     p.add_argument("--no-timing", action="store_true",
                    help="write 0 for cpu_seconds (byte-reproducible CSV)")
 
@@ -372,6 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--g-file", help="constant forcing vector dump")
     p_solve.add_argument("--solver", choices=sorted(SOLVERS), default="rt-seq")
     p_solve.add_argument("--reference", choices=("auto", "none"), default="auto")
+    p_solve.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
+    p_solve.add_argument("--alpha", type=float, default=0.85,
+                         help="Gautschi safety factor")
+    p_solve.add_argument("--t", type=float, default=None, help="final time override")
+    _add_solver_flags(p_solve)
     _add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -381,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="concurrent bench cells")
     p_bench.add_argument("--max-seconds", type=float, default=None,
                          help="wall budget; remaining cells are truncated")
+    _add_solver_flags(p_bench)
     _add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
@@ -392,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--m", default="2:8", help="Krylov steps, e.g. 2:8 or 3,8")
     p_bounds.add_argument("--t-values", default="0.25,0.5,1",
                           help="comma-separated times")
+    p_bounds.add_argument("--seed", type=int, default=0,
+                          help="random seed of the synthetic problem")
     _add_common(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
     return parser
@@ -399,27 +407,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        file_conf = load_config_file(args.config)
-        explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                    for a in (argv if argv is not None else sys.argv[1:])
-                    if a.startswith("--")}
-        for key, val in file_conf.items():
+        # the file's entries go in as flags between the subcommand and the
+        # command line's own flags, so argparse converts them and an
+        # explicit flag, which comes later, wins
+        file_args = []
+        for key, val in load_config_file(args.config).items():
             attr = key.replace("-", "_")
             if not hasattr(args, attr):
                 raise SystemExit(f"unknown config key {key!r}")
-            if attr in explicit:
-                continue
-            current = getattr(args, attr)
-            if isinstance(current, bool):
-                setattr(args, attr, val.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int) and not isinstance(current, bool):
-                setattr(args, attr, int(val))
-            elif isinstance(current, float):
-                setattr(args, attr, float(val))
+            flag = "--" + attr.replace("_", "-")
+            if isinstance(getattr(args, attr), bool):
+                if val.lower() in ("1", "true", "yes"):
+                    file_args.append(flag)
             else:
-                setattr(args, attr, val)
+                file_args.append(f"{flag}={val}")
+        args = parser.parse_args(argv[:1] + file_args + argv[1:])
     return args.func(args)
 
 

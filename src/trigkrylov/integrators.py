@@ -393,16 +393,19 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
 
     # Adjust delta to hit t_final exactly; shrinking keeps residuals
     # admissible on the fine grid, but re-verify the coarse samples since
-    # they move with delta.
+    # they move with delta.  At most three checks: a step shrunk by the
+    # third is only rounded down to divide t_final.
     checks = [(c, cfg.tol * beta) for c, beta in ((c_psi, beta_psi), (c_sigma, beta_sigma))
               if c is not None]
-    for _ in range(3):
+    for attempt in range(4):
         steps = max(1, math.ceil(t_total / delta - 1e-12))
         if steps > _MAX_CYCLES:
             raise RuntimeError("Gautschi step count limit exceeded")
         delta = t_total / steps
-        if all(coarse_residual_check(c, delta, th) and confirm_admissible(c, delta, th)
-               for c, th in checks):
+        if attempt == 3 or all(
+            coarse_residual_check(c, delta, th) and confirm_admissible(c, delta, th)
+            for c, th in checks
+        ):
             break
         shrunk = min([delta] + [find_largest_admissible_step(c, delta, th)
                                 for c, th in checks])
@@ -527,8 +530,7 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     updates = []
     if beta_psi > 0:
         d_psi = pass_one(w0, ScalarFunKind.PSI, th_psi, "psi")
-        w0b = ivp.g - op.apply(ivp.u)  # recomputed: pass one kept no vectors
-        updates.append(pass_two(w0b / beta_psi, d_psi, ScalarFunKind.PSI))
+        updates.append(pass_two(w0 / beta_psi, d_psi, ScalarFunKind.PSI))
     if beta_sigma > 0:
         d_sigma = pass_one(ivp.v, ScalarFunKind.SIGMA, th_sigma, "sigma")
         updates.append(pass_two(ivp.v / beta_sigma, d_sigma, ScalarFunKind.SIGMA))

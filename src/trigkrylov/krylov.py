@@ -212,14 +212,6 @@ class KrylovDecomposition:
         return self._rows(self.m)
 
     @property
-    def H(self) -> np.ndarray:
-        """The (m+1) x m rectangular projected matrix."""
-        h = np.zeros((self.m + 1, self.m))
-        h[: self.m, :] = self.H_m
-        h[self.m, self.m - 1] = self.h_next
-        return h
-
-    @property
     def H_m(self) -> np.ndarray:
         if self._h_square is None:
             diag, off = self._tridiag
@@ -235,6 +227,9 @@ class KrylovDecomposition:
         return self._tridiag
 
     def spectral_cache(self) -> SpectralCache:
+        """Factor the projected matrix: a Lanczos snapshot by its
+        tridiagonal, an Arnoldi snapshot by :meth:`SpectralCache.from_dense`
+        with ``symmetric=False``, which that method requires."""
         if self._tridiag is not None:
             return SpectralCache.from_tridiagonal(*self._tridiag, beta=self.beta)
         return SpectralCache.from_dense(self._h_square, beta=self.beta, symmetric=False)
@@ -243,14 +238,13 @@ class KrylovDecomposition:
 class ResidualCurve:
     """Evaluator of t -> ||r_m(t)|| = h_{m+1,m} |e_m^T u(t)| for one branch."""
 
-    def __init__(self, decomposition, kind: ScalarFunKind,
-                 cache: SpectralCache | None = None):
+    def __init__(self, decomposition, kind: ScalarFunKind):
         if kind not in BRANCH_TERMS:
             raise ValueError(f"no residual curve for kind {kind}")
         self.decomposition = decomposition
         self.kind = kind
         self.h_next = decomposition.h_next
-        self.cache = cache if cache is not None else decomposition.spectral_cache()
+        self.cache = decomposition.spectral_cache()
 
     def values(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -268,7 +262,7 @@ class CombinedResidualCurve:
     """Pointwise sum of several residual curves (triangle-inequality bound)."""
 
     def __init__(self, *curves):
-        self.curves = [c for c in curves if c is not None]
+        self.curves = curves
 
     def values(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -281,13 +275,6 @@ class CombinedResidualCurve:
         return float(self.values(t)[0])
 
 
-def residual_norm_at(curve, t: float) -> float:
-    """||r_m(t)|| for a residual curve (zero at t = 0 and after breakdown)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return curve.value(t)
-
-
 def coarse_residual_check(curve, t: float, tol: float) -> bool:
     """True iff the residual stays below tol on the six coarse samples of [0, t]."""
     if t <= 0:
@@ -295,8 +282,9 @@ def coarse_residual_check(curve, t: float, tol: float) -> bool:
     return bool(np.max(curve.values(t * COARSE_FRACTIONS)) <= tol)
 
 
-def confirm_admissible(curve, t: float, tol: float, samples: int = 100) -> bool:
-    """Confirm max_{s in [0,t]} ||r_m(s)|| <= tol on two staggered fine grids.
+def confirm_admissible(curve, t: float, tol: float) -> bool:
+    """Confirm max_{s in [0,t]} ||r_m(s)|| <= tol on two staggered fine grids
+    of 100 points each.
 
     The coarse samples are an arithmetic progression in phase, so a
     single-frequency residual curve (small m) can alias entirely below
@@ -305,24 +293,24 @@ def confirm_admissible(curve, t: float, tol: float, samples: int = 100) -> bool:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    js = np.arange(1, samples + 1, dtype=float)
-    grid = np.concatenate([t * js / samples, t * (js - 1.0 / np.pi) / samples])
+    js = np.arange(1, 101, dtype=float)
+    grid = np.concatenate([t * js / 100.0, t * (js - 1.0 / np.pi) / 100.0])
     return bool(np.max(curve.values(grid)) <= tol)
 
 
-def find_largest_admissible_step(curve, t: float, tol: float,
-                                 k_max: int = DEFAULT_KMAX_HALVINGS) -> float:
+def find_largest_admissible_step(curve, t: float, tol: float) -> float:
     """Largest step delta in [0, t] on which the residual stays below tol.
 
-    The base resolution is t/100; it is halved until the residual at the
-    first sample is admissible, then the fine grid is scanned until the
+    The base resolution is t/100; it is halved, at most
+    :data:`DEFAULT_KMAX_HALVINGS` times, until the residual at the first
+    sample is admissible, then the fine grid is scanned until the
     first violation.  A tie (residual == tol) counts as admissible and a NaN
     sample (an overflowed evaluation) as a violation.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     dt = None
-    for k in range(k_max + 1):
+    for k in range(DEFAULT_KMAX_HALVINGS + 1):
         cand = t / (2**k * 100.0)
         if curve.value(cand) <= tol:
             dt = cand
@@ -344,7 +332,7 @@ def find_largest_admissible_step(curve, t: float, tol: float,
     return t
 
 
-def krylov_build(op: LinearOperator, w, m_target: int, mode: str | None = None,
+def krylov_build(op: LinearOperator, w, m_target: int,
                  reorth: bool = False) -> KrylovDecomposition:
     """Run m_target Krylov steps (fewer on happy breakdown).
 
@@ -356,7 +344,7 @@ def krylov_build(op: LinearOperator, w, m_target: int, mode: str | None = None,
         raise ValueError("m_target must be at least 1")
     if m_target > op.dim:
         raise ValueError("m_target exceeds operator dimension")
-    process = KrylovProcess(op, w, m_target, mode=mode, reorth=reorth)
+    process = KrylovProcess(op, w, m_target, reorth=reorth)
     for _ in range(m_target):
         process.step()
         if process.breakdown:

@@ -197,23 +197,18 @@ def build_transport(spec: TransportProblemSpec) -> SecondOrderIVP:
     return SecondOrderIVP(op, u0, v0, None, spec.t_final)
 
 
-def reference_solution(ivp: SecondOrderIVP, method: str,
-                       wave_spec: WaveProblemSpec | None = None):
-    """Ground-truth (y, y') at t_final by one of three routes.
+def reference_solution(ivp: SecondOrderIVP, method: str):
+    """Ground-truth (y, y') at t_final by one of two routes.
 
     ``dense`` works on the assembled A (``eigh`` when A is symmetric, the
     action of the exponential of the first-order block otherwise; see
-    :func:`smallfun.exact_ivp_solution`), ``spectral`` uses the sine
-    eigenbasis (wave problems only), ``tight-tolerance`` runs the sequential
-    RT solver at tol 1e-12 with m_max 60 (cases too large for the others;
-    not independent of that solver).
+    :func:`smallfun.exact_ivp_solution`), ``tight-tolerance`` runs the
+    sequential RT solver at tol 1e-12 with m_max 60 (cases too large for
+    ``dense``; not independent of that solver).  A wave problem's sine
+    eigenbasis is :func:`spectral_reference_wave3d`.
     """
     if method == "dense":
         return smallfun.exact_ivp_solution(ivp, ivp.t_final)
-    if method == "spectral":
-        if wave_spec is None:
-            raise ValueError("spectral reference needs the wave problem spec")
-        return spectral_reference_wave3d(wave_spec, ivp.t_final)
     if method == "tight-tolerance":
         report = rt_sequential(ivp, SolverConfig(tol=1e-12, m_max=60))
         return report.y, report.v_out

@@ -17,12 +17,13 @@ test suite.
 
 Small matrices are evaluated in an eigenbasis H = X diag(lam) X^-1 where
 that is accurate, so that f(sH) e1 is one weighted sum over the m
-eigenvalues for each scale s.  Symmetric (tridiagonal) H uses its
-orthogonal eigenvectors.  Nonsymmetric H uses the eigenvectors from
-``np.linalg.eig`` and X^-1 when kappa_1(X) <= :data:`EIGENBASIS_KAPPA_MAX`
-(1e3): the eigenbasis evaluation has a relative error of about kappa(X) u
-(Higham, Functions of Matrices, SIAM 2008, sec. 4.5), so the bound keeps it
-near 1e-13.  The projected matrices of the transport problem have
+eigenvalues for each scale s.  The caller states which case holds
+(:meth:`SpectralCache.from_dense` takes ``symmetric`` as a required
+keyword).  Symmetric (tridiagonal) H uses its orthogonal eigenvectors.
+Nonsymmetric H uses the eigenvectors from ``np.linalg.eig`` and X^-1 when
+kappa_1(X) <= :data:`EIGENBASIS_KAPPA_MAX` (1e3): the eigenbasis evaluation
+has a relative error of about kappa(X) u (Higham, Functions of Matrices,
+SIAM 2008, sec. 4.5), so the bound keeps it near 1e-13.  The projected matrices of the transport problem have
 kappa_1(X) of at most about 50.  The eigenbasis is cached, so that many
 evaluation times reuse it.  Any other H, defective or near it, is kept as
 it is, and each f(sH) is read from the exponential of an augmented block
@@ -263,17 +264,16 @@ class SpectralCache:
         return cls(lam=lam, q=q, beta=beta)
 
     @classmethod
-    def from_dense(cls, h_mat, beta=1.0, symmetric=None):
-        """Factor a dense H: ``eigh`` when symmetric (detected when
-        ``symmetric`` is None), else the eigenbasis of ``np.linalg.eig``
-        when its kappa_1(X) is at most :data:`EIGENBASIS_KAPPA_MAX`, else
-        keep H for :func:`_fun_by_expm`.  Non-finite entries raise
-        ``ValueError``, since ``expm`` would return NaN without an error."""
+    def from_dense(cls, h_mat, beta=1.0, *, symmetric: bool):
+        """Factor a dense H: ``eigh`` when the caller states that H is
+        symmetric (the required keyword ``symmetric``), else the eigenbasis
+        of ``np.linalg.eig`` when its kappa_1(X) is at most
+        :data:`EIGENBASIS_KAPPA_MAX`, else keep H for :func:`_fun_by_expm`.
+        Non-finite entries raise ``ValueError``, since ``expm`` would return
+        NaN without an error."""
         h_mat = np.asarray(h_mat, dtype=float)
         if not np.isfinite(h_mat).all():
             raise ValueError("matrix entries must be finite")
-        if symmetric is None:
-            symmetric = _looks_symmetric(h_mat)
         if symmetric:
             lam, q = np.linalg.eigh(h_mat)
             return cls(lam=lam, q=q, beta=beta)
@@ -320,21 +320,11 @@ class SpectralCache:
                                      for x in scales])
 
 
-def matfun_action(h_mat, kind: ScalarFunKind, scale: float, b,
-                  cache: SpectralCache | None = None, symmetric=None):
-    """f(scale*H) @ b for a small matrix H, where f is the selected function.
-
-    See :meth:`SpectralCache.from_dense` for the choice between the
-    eigenbasis and the augmented-block exponential.
-    """
-    if cache is None:
-        cache = SpectralCache.from_dense(h_mat, beta=1.0, symmetric=symmetric)
-    return cache.apply_fun(kind, scale, b)
-
-
 #: kind -> (position term, velocity term) of the projected IVP solution; a
 #: term (prefactor, fun, scale) is prefactor(t) fun(scale(t) H) beta e1.
-#: PHI is first order and has no velocity term.
+#: The IVPs are u'' = -H u + beta e1 (PSI) and u'' = -H u, u'(0) = beta e1
+#: (SIGMA), from rest otherwise; PHI's is the first-order u' = -H u + beta e1,
+#: u(0) = 0, which has no velocity term.
 BRANCH_TERMS = {
     ScalarFunKind.PSI: (
         (lambda t: 0.5 * t * t, ScalarFunKind.PSI, np.square),
@@ -356,34 +346,7 @@ def branch_coefficients(cache: SpectralCache, kind: ScalarFunKind, ts) -> np.nda
                      for prefactor, fun, scale in BRANCH_TERMS[kind]], axis=1)
 
 
-def projected_solution(h_mat, kind: ScalarFunKind, beta: float, t: float,
-                       cache: SpectralCache | None = None):
-    """Solution u(t) of the projected IVP for the selected function kind.
-
-    PSI:   u'' = -H u + beta e1, u(0) = u'(0) = 0      ->  u(t) = t^2/2 psi(t^2 H) beta e1
-    SIGMA: u'' = -H u, u(0) = 0, u'(0) = beta e1       ->  u(t) = t sigma(t^2 H) beta e1
-    PHI:   u'  = -H u + beta e1, u(0) = 0              ->  u(t) = t phi(-t H) beta e1
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if kind not in BRANCH_TERMS:
-        raise ValueError(f"no projected IVP for kind {kind}")
-    if cache is None:
-        cache = SpectralCache.from_dense(h_mat, beta=beta)
-    return branch_coefficients(cache, kind, t)[0, 0]
-
-
-def projected_velocity(h_mat, kind: ScalarFunKind, beta: float, t: float,
-                       cache: SpectralCache | None = None):
-    """u'(t) for the second-order projected IVPs (PSI and SIGMA kinds)."""
-    if len(BRANCH_TERMS.get(kind, ())) < 2:
-        raise ValueError(f"no velocity formula for kind {kind}")
-    if cache is None:
-        cache = SpectralCache.from_dense(h_mat, beta=beta)
-    return branch_coefficients(cache, kind, t)[0, 1]
-
-
-def exact_ivp_solution(ivp, t: float, cap: int = 4096):
+def exact_ivp_solution(ivp, t: float):
     """Ground-truth (y(t), y'(t)) of y'' = -A y + g from the assembled A.
 
     A symmetric A is factored by ``eigh``, and
@@ -405,7 +368,7 @@ def exact_ivp_solution(ivp, t: float, cap: int = 4096):
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    a_mat = linop.assemble_dense(ivp.op, cap=cap)
+    a_mat = linop.assemble_dense(ivp.op)
     if ivp.op.is_symmetric or _looks_symmetric(a_mat):
         w = ivp.g - a_mat @ ivp.u
         cache = SpectralCache.from_dense(a_mat, beta=1.0, symmetric=True)

@@ -45,9 +45,9 @@ from trigkrylov.problems import (
 from trigkrylov.smallfun import (
     ScalarFunKind,
     SpectralCache,
+    branch_coefficients,
     cos_sqrt,
     exact_ivp_solution,
-    projected_solution,
     psi,
     sigma,
 )
@@ -167,7 +167,7 @@ def test_criterion_1_residual_identity_suite():
             e1[0] = beta
             t = 0.8
             for kind in kinds:
-                u = projected_solution(None, kind, d.beta, t, cache)
+                u = branch_coefficients(cache, kind, t)[0, 0]
                 if kind == ScalarFunKind.PHI:
                     deriv = -d.H_m @ u + e1
                     explicit = -mat @ (d.V_m @ u) + w - d.V_m @ deriv

@@ -147,8 +147,7 @@ def test_solve_matrix_market(tmp_path, capsys):
 
 
 def test_bench_schema_and_determinism(tmp_path):
-    args = ["bench", "--suite", "table2", "--scale", "0.4", "--no-timing",
-            "--seed", "1"]
+    args = ["bench", "--suite", "table2", "--scale", "0.4", "--no-timing"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     csv_a = (tmp_path / "a" / "table2.csv").read_bytes()
@@ -280,3 +279,28 @@ def test_config_unknown_key(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "--config", str(cfg), "--problem", "isotropic10",
               "--out", str(tmp_path)])
+
+
+def test_config_value_is_converted_by_its_flag(tmp_path):
+    # --t has no default to take a type from
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = isotropic8\nt = 0.5\nout = {tmp_path / 'o'}\n")
+    assert main(["solve", "--config", str(cfg)]) == 0
+    ends = [float(row["t_end"]) for row in _rows(tmp_path / "o" / "residual_log.csv")]
+    assert max(ends) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_abbreviated_flag_overrides_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = isotropic8\ntol = 1e-4\nout = {tmp_path / 'o'}\n")
+    assert main(["solve", "--config", str(cfg), "--to", "1e-3"]) == 0
+    assert float(_rows(tmp_path / "o" / "summary.csv")[0]["tol"]) == 1e-3
+
+
+def test_bench_rejects_a_flag_it_does_not_read(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", "table2", "--tol", "1e-8", "--max-seconds", "0",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "table2.csv").exists()

@@ -318,6 +318,15 @@ def test_two_pass_breakdown_in_invariant_subspace():
     assert report.matvecs <= 16  # three-dimensional invariant subspaces
 
 
+def test_two_pass_spends_one_product_on_the_psi_start():
+    # g - A u once, then m steps in pass one and m - 1 in pass two per branch
+    report = two_pass_lanczos(build_wave3d(isotropic_wave_spec(10)),
+                              SolverConfig(tol=1e-6))
+    last_m = {entry.phase: entry.m for entry in report.residual_log}
+    assert report.matvecs == 1 + sum(2 * m - 1 for m in last_m.values())
+    assert report.matvecs == 119
+
+
 def test_two_pass_iteration_cap_error():
     rng = np.random.default_rng(14)
     n = 500
@@ -363,6 +372,25 @@ def test_gautschi_frees_its_start_up_bases():
     # the stepping loop holds one 31-row basis; the two start-up bases of
     # 26 rows each, if kept alive, would push the peak past 120
     assert peak / (8 * ivp.op.dim) <= 80
+
+
+def test_gautschi_step_after_three_failed_start_up_checks_divides_t_final(monkeypatch):
+    # On horizons t_final/k every coarse check fails and every search
+    # shrinks the step by 3%, so all three start-up checks fail and the
+    # step count must follow the third shrink.
+    ivp = build_wave3d(isotropic_wave_spec(8))
+
+    def divides_t_final(t):
+        k = ivp.t_final / t
+        return abs(k - round(k)) <= 1e-9
+
+    check, search = integ.coarse_residual_check, integ.find_largest_admissible_step
+    monkeypatch.setattr(integ, "coarse_residual_check", lambda curve, t, tol: (
+        not divides_t_final(t) and check(curve, t, tol)))
+    monkeypatch.setattr(integ, "find_largest_admissible_step", lambda curve, t, tol: (
+        0.97 * t if divides_t_final(t) else search(curve, t, tol)))
+    report = gautschi(ivp, SolverConfig(tol=1e-6))
+    assert sum(report.step_sizes) == pytest.approx(ivp.t_final, rel=1e-12)
 
 
 def _repair_heavy_instance(rng):

@@ -17,12 +17,10 @@ from trigkrylov.smallfun import (
     PADE_THRESHOLD,
     ScalarFunKind,
     SpectralCache,
+    branch_coefficients,
     cos_sqrt,
     exact_ivp_solution,
-    matfun_action,
     phi,
-    projected_solution,
-    projected_velocity,
     psi,
     scalar_fun,
     sigma,
@@ -162,12 +160,13 @@ def test_scalar_fun_dispatch():
 
 
 def test_matfun_action_trivial_cases():
+    zero = SpectralCache.from_dense(np.zeros((1, 1)), symmetric=True)
     np.testing.assert_allclose(
-        matfun_action(np.zeros((1, 1)), ScalarFunKind.PSI, 1.0, np.array([1.0])),
-        [1.0],
+        zero.apply_fun(ScalarFunKind.PSI, 1.0, np.array([1.0])), [1.0],
     )
     h = np.diag([np.pi**2, 4 * np.pi**2])
-    out = matfun_action(h, ScalarFunKind.SIGMA, 1.0, np.array([1.0, 1.0]))
+    cache = SpectralCache.from_dense(h, symmetric=True)
+    out = cache.apply_fun(ScalarFunKind.SIGMA, 1.0, np.array([1.0, 1.0]))
     np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-14)
 
 
@@ -182,7 +181,7 @@ def test_matfun_action_symmetric_vs_eig_oracle(kind):
           ScalarFunKind.PHI: phi, ScalarFunKind.COS: cos_sqrt}[kind]
     scale = 0.7
     ref = q @ (fn(scale * lam) * (q.T @ b))
-    out = matfun_action(h, kind, scale, b)
+    out = SpectralCache.from_dense(h, symmetric=True).apply_fun(kind, scale, b)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.linalg.norm(ref) + 1e-15)
 
 
@@ -201,7 +200,7 @@ def test_matfun_action_schur_path_vs_diagonalizable_oracle(monkeypatch, kind):
     b = rng.standard_normal(9)
     fn = {ScalarFunKind.PSI: psi, ScalarFunKind.SIGMA: sigma, ScalarFunKind.PHI: phi}[kind]
     ref = (v @ np.diag(fn(1.3 * lam)) @ np.linalg.inv(v)) @ b
-    out = matfun_action(h, kind, 1.3, b, symmetric=False)
+    out = SpectralCache.from_dense(h, symmetric=False).apply_fun(kind, 1.3, b)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9 * np.linalg.norm(ref))
     _force_fallback(monkeypatch)
     fallback = SpectralCache.from_dense(h, symmetric=False)
@@ -395,30 +394,29 @@ def test_fun_e1_scale_array_matches_per_scale_calls(symmetric, kind):
 
 def test_projected_solution_zero_time():
     h = np.array([[2.0, 0.3], [0.3, 1.0]])
+    cache = SpectralCache.from_dense(h, beta=2.0, symmetric=True)
     for kind in (ScalarFunKind.PSI, ScalarFunKind.SIGMA, ScalarFunKind.PHI):
-        np.testing.assert_allclose(projected_solution(h, kind, 2.0, 0.0), [0.0, 0.0])
+        np.testing.assert_allclose(branch_coefficients(cache, kind, 0.0)[0, 0], [0.0, 0.0])
 
 
 def test_projected_solution_scalar_closed_forms():
     lam, beta, t = 3.7, 1.0, 1.3
-    h = np.array([[lam]])
-    u_psi = projected_solution(h, ScalarFunKind.PSI, beta, t)
+    cache = SpectralCache.from_dense(np.array([[lam]]), beta=beta, symmetric=True)
+    u_psi = branch_coefficients(cache, ScalarFunKind.PSI, t)[0, 0]
     assert u_psi[0] == pytest.approx((1 - np.cos(t * np.sqrt(lam))) / lam, rel=1e-13)
-    u_sig = projected_solution(h, ScalarFunKind.SIGMA, beta, t)
+    u_sig = branch_coefficients(cache, ScalarFunKind.SIGMA, t)[0, 0]
     assert u_sig[0] == pytest.approx(np.sin(t * np.sqrt(lam)) / np.sqrt(lam), rel=1e-13)
-    u_phi = projected_solution(h, ScalarFunKind.PHI, beta, t)
+    u_phi = branch_coefficients(cache, ScalarFunKind.PHI, t)[0, 0]
     assert u_phi[0] == pytest.approx((1 - np.exp(-t * lam)) / lam, rel=1e-13)
 
 
 def test_projected_velocity_scalar_closed_forms():
     lam, t = 2.2, 0.9
-    h = np.array([[lam]])
-    v_psi = projected_velocity(h, ScalarFunKind.PSI, 1.0, t)
+    cache = SpectralCache.from_dense(np.array([[lam]]), beta=1.0, symmetric=True)
+    v_psi = branch_coefficients(cache, ScalarFunKind.PSI, t)[0, 1]
     assert v_psi[0] == pytest.approx(t * sigma(t * t * lam), rel=1e-13)
-    v_sig = projected_velocity(h, ScalarFunKind.SIGMA, 1.0, t)
+    v_sig = branch_coefficients(cache, ScalarFunKind.SIGMA, t)[0, 1]
     assert v_sig[0] == pytest.approx(np.cos(t * np.sqrt(lam)), rel=1e-13)
-    with pytest.raises(ValueError):
-        projected_velocity(h, ScalarFunKind.PHI, 1.0, t)
 
 
 def _random_spd_ivp(rng, n=10, t_final=1.7):
