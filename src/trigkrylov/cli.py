@@ -355,7 +355,8 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="write 0 for cpu_seconds (byte-reproducible CSV)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The command-line parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="trigkrylov",
         description="Krylov solvers for y'' = -A y + g via trigonometric "
@@ -402,29 +403,43 @@ def build_parser() -> argparse.ArgumentParser:
                           help="random seed of the synthetic problem")
     _add_common(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
-    return parser
+    return parser, sub.choices
+
+
+def _config_flags(sub_parser: argparse.ArgumentParser, path) -> list[str]:
+    """The entries of the config file at ``path`` as flags of ``sub_parser``.
+
+    They go in between the subcommand and the command line's own flags, so
+    argparse converts them and an explicit flag, which comes later, wins.
+    A true store_true key becomes the bare flag.
+    """
+    actions = {a.dest: a for a in sub_parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    flags = []
+    for key, val in load_config_file(path).items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise SystemExit(f"unknown config key {key!r}")
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            if val.lower() in ("1", "true", "yes"):
+                flags.append(flag)
+        else:
+            flags.append(f"{flag}={val}")
+    return flags
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, subcommands = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
+    # --config is read before the full parse, so that the file can also
+    # supply a flag its subcommand requires
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv[1:])[0].config
+    if config and argv[0] in subcommands:
+        argv = argv[:1] + _config_flags(subcommands[argv[0]], config) + argv[1:]
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        # the file's entries go in as flags between the subcommand and the
-        # command line's own flags, so argparse converts them and an
-        # explicit flag, which comes later, wins
-        file_args = []
-        for key, val in load_config_file(args.config).items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise SystemExit(f"unknown config key {key!r}")
-            flag = "--" + attr.replace("_", "-")
-            if isinstance(getattr(args, attr), bool):
-                if val.lower() in ("1", "true", "yes"):
-                    file_args.append(flag)
-            else:
-                file_args.append(f"{flag}={val}")
-        args = parser.parse_args(argv[:1] + file_args + argv[1:])
     return args.func(args)
 
 

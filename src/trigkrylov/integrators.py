@@ -36,10 +36,13 @@ from .krylov import (
 _MAX_CYCLES = 1_000_000
 
 #: Fractions of the psi-chosen step, in descending order, at which
-#: :func:`rt_sequential` keeps the psi updates before dropping the basis; a
-#: step that the sigma branch shortens to one of these is served without
-#: rebuilding psi.
-PSI_STEP_RUNGS = (0.99, 0.98, 0.97, 0.96)
+#: :func:`rt_sequential` keeps the psi updates (2 n-vectors per rung) before
+#: dropping the basis; a step that the sigma branch shortens to one of
+#: these is served without rebuilding psi.  Fine rungs near 1 catch the
+#: sigma fronts a few percent short of psi's (transport, most anisotropic
+#: cycles); coarse rungs down to 0.6 catch the 0.6-0.8 ratios of the
+#: anisotropic 10^3 cycles.  A sigma step below 0.6 still rebuilds psi.
+PSI_STEP_RUNGS = (0.99, 0.98, 0.97, 0.96, 0.9, 0.8, 0.7, 0.6)
 
 ResidualLogEntry = namedtuple(
     "ResidualLogEntry", ["phase", "cycle", "m", "t_start", "t_end", "residual"]
@@ -143,10 +146,15 @@ def _grow_admissible(op, branches, horizon, threshold, m_cap):
     Convergence is checked after every step on the six coarse samples; a
     branch that breaks down stops growing and its residual vanishes.  On
     failure at the dimension cap the largest admissible step is located on
-    the fine grid.  Returns (decomps, curves, curve, delta, converged), one
-    decomposition and residual curve per branch and ``curve`` their sum.
+    the fine grid.  A cap that reaches the dimension of ``op`` turns on
+    reorthogonalization: without it the basis of a small stiff operator
+    loses orthogonality long before an invariant subspace is found, and
+    the residual never certifies a useful step.  Returns (decomps, curves,
+    curve, delta, converged), one decomposition and residual curve per
+    branch and ``curve`` their sum.
     """
-    procs = [KrylovProcess(op, start, m_cap) for start, _ in branches]
+    procs = [KrylovProcess(op, start, m_cap, reorth=m_cap >= op.dim)
+             for start, _ in branches]
     for _ in range(procs[0].m_max):
         for proc in procs:
             if not proc.breakdown:
@@ -280,9 +288,11 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     sub-interval of [0, delta]).  The sigma branch then validates delta on
     [0, delta].  If it needs a smaller step, the largest rung at or below
     the sigma step is taken at no extra matvecs.  Only a sigma step below
-    the last rung costs a rebuild of the psi branch, logged as a
-    ``"rebuild"`` entry of dimension m.  Either way the rejection counts as
-    a repair event.
+    the last rung (0.6 of psi's step) costs a rebuild of the psi branch,
+    logged as a ``"rebuild"`` entry of dimension m.  Either way the
+    rejection counts as a repair event.  Memory: one basis at a time plus
+    the position and velocity updates of each rung, 2 n-vectors per rung
+    and 2 for delta itself.
     """
     op = ivp.op
     m_cap = min(cfg.m_max, op.dim)

@@ -115,6 +115,11 @@ class SparseCSR(LinearOperator):
         super().__init__(csr.shape[0], is_symmetric)
         self._csr = csr
 
+    @property
+    def csr(self):
+        """The stored matrix (scipy CSR, float64); callers must not modify it."""
+        return self._csr
+
     def _matvec(self, x, out):
         csr = self._csr
         out.fill(0.0)

@@ -211,9 +211,9 @@ def _fun_by_expm(z, kind: ScalarFunKind):
 
 
 def _looks_symmetric(h_mat) -> bool:
-    """Symmetric to 1e-13 of ||H||_inf."""
-    scale = np.linalg.norm(h_mat, np.inf) or 1.0
-    return bool(np.all(np.abs(h_mat - h_mat.T) <= 1e-13 * scale))
+    """Symmetric to 1e-13 of ||H||_inf; H is an array or a scipy sparse matrix."""
+    scale = float(abs(h_mat).sum(axis=1).max()) or 1.0
+    return bool(abs(h_mat - h_mat.T).max() <= 1e-13 * scale)
 
 
 class SpectralCache:
@@ -349,7 +349,9 @@ def branch_coefficients(cache: SpectralCache, kind: ScalarFunKind, ts) -> np.nda
 def exact_ivp_solution(ivp, t: float):
     """Ground-truth (y(t), y'(t)) of y'' = -A y + g from the assembled A.
 
-    A symmetric A is factored by ``eigh``, and
+    A :class:`~trigkrylov.linop.SparseCSR` operator gives its matrix as it
+    is stored; any other operator is assembled densely (n matvecs).  A
+    symmetric A is factored densely by ``eigh``, and
 
         y(t)  = u + t^2/2 psi(t^2 A)(g - A u) + t sigma(t^2 A) v
         y'(t) = t sigma(t^2 A)(g - A u) + cos(t sqrt(A)) v.
@@ -368,8 +370,11 @@ def exact_ivp_solution(ivp, t: float):
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    a_mat = linop.assemble_dense(ivp.op)
+    sparse = isinstance(ivp.op, linop.SparseCSR)
+    a_mat = ivp.op.csr if sparse else linop.assemble_dense(ivp.op)
     if ivp.op.is_symmetric or _looks_symmetric(a_mat):
+        if sparse:
+            a_mat = a_mat.toarray()
         w = ivp.g - a_mat @ ivp.u
         cache = SpectralCache.from_dense(a_mat, beta=1.0, symmetric=True)
         t2 = t * t
@@ -382,7 +387,8 @@ def exact_ivp_solution(ivp, t: float):
     import scipy.sparse.linalg
 
     n = a_mat.shape[0]
-    s = 2.0 ** max(0, round(0.5 * np.log2(max(np.linalg.norm(a_mat, 1), 1.0))))
+    norm_1 = float(abs(a_mat).sum(axis=0).max())  # ||A||_1, dense or sparse
+    s = 2.0 ** max(0, round(0.5 * np.log2(max(norm_1, 1.0))))
     block = scipy.sparse.bmat([
         [None, s * scipy.sparse.eye(n), None],
         [scipy.sparse.csr_matrix(a_mat / -s), None, scipy.sparse.csr_matrix(ivp.g[:, None])],

@@ -77,6 +77,23 @@ SOLVER_ORDER = ("rt-sim", "rt-seq", "gautschi", "two-pass")
 #: Matvecs, steps and rel_err of every fixture cell, as last accepted.
 GOLDEN_CELLS = Path(__file__).with_name("golden_cells.json")
 
+#: Tolerance factor of a fixture cell per (family, solver), 1 where absent:
+#: Table 3 runs gautschi 10x tighter and two-pass 10x looser, Table 5 runs
+#: first-order 10x looser.  ``tools/ulp_spread.py`` reads it too.
+TOL_ADJUST = {("anisotropic", "gautschi"): 0.1, ("anisotropic", "two-pass"): 10.0,
+              ("transport", "first-order"): 10.0}
+
+
+def fixture_problem(family, grid):
+    """(ivp, reference y at t = 1) of a fixture family on one grid."""
+    if family == "transport":
+        ivp = build_transport(TransportProblemSpec(grid))
+        return ivp, reference_solution(ivp, "dense")[0]
+    spec_fn = {"isotropic": isotropic_wave_spec,
+               "anisotropic": anisotropic_wave_spec}[family]
+    spec = spec_fn(grid)
+    return build_wave3d(spec), spectral_reference_wave3d(spec, 1.0)[0]
+
 
 def _report(number, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -95,13 +112,19 @@ def cell_steps():
 
 
 @pytest.fixture(scope="module")
+def rt_seq_logs():
+    """"anisotropic/<grid>/<tol>/rt-seq" -> (matvecs, steps, repair events,
+    residual log) of each anisotropic rt-seq run, filled by
+    ``anisotropic_cells``."""
+    return {}
+
+
+@pytest.fixture(scope="module")
 def isotropic_cells(cell_steps):
     """Solve every Table-2 cell once; criteria 5 and 8 share the results."""
     out = {}
     for grid in (10, 20):
-        spec = isotropic_wave_spec(grid)
-        ivp = build_wave3d(spec)
-        yref, _ = spectral_reference_wave3d(spec, 1.0)
+        ivp, yref = fixture_problem("isotropic", grid)
         for tol in (1e-4, 1e-6):
             for solver in SOLVER_ORDER:
                 rep = solve(ivp, SolverConfig(tol=tol), solver)
@@ -111,18 +134,20 @@ def isotropic_cells(cell_steps):
 
 
 @pytest.fixture(scope="module")
-def anisotropic_cells(cell_steps):
+def anisotropic_cells(cell_steps, rt_seq_logs):
     out = {}
     for grid in (10, 20):
-        spec = anisotropic_wave_spec(grid)
-        ivp = build_wave3d(spec)
-        yref, _ = spectral_reference_wave3d(spec, 1.0)
+        ivp, yref = fixture_problem("anisotropic", grid)
         for tol in (1e-4, 1e-6):
             for solver in SOLVER_ORDER:
-                adj = {"gautschi": 0.1, "two-pass": 10.0}.get(solver, 1.0)
+                adj = TOL_ADJUST.get(("anisotropic", solver), 1.0)
                 rep = solve(ivp, SolverConfig(tol=tol * adj), solver)
                 out[(grid, tol, solver)] = (rep.matvecs, _rel(rep.y, yref))
-                cell_steps[f"anisotropic/{grid}/{tol:g}/{solver}"] = rep.steps
+                key = f"anisotropic/{grid}/{tol:g}/{solver}"
+                cell_steps[key] = rep.steps
+                if solver == "rt-seq":
+                    rt_seq_logs[key] = (rep.matvecs, rep.steps, rep.repair_events,
+                                        rep.residual_log)
     return out
 
 
@@ -130,11 +155,10 @@ def anisotropic_cells(cell_steps):
 def transport_cells(cell_steps):
     out = {}
     for grid in (128, 256, 512):
-        ivp = build_transport(TransportProblemSpec(grid))
-        yref, _ = reference_solution(ivp, "dense")
+        ivp, yref = fixture_problem("transport", grid)
         for tol in (1e-4, 1e-6):
-            for solver, adj in (("rt-seq", 1.0), ("gautschi", 1.0),
-                                ("first-order", 10.0)):
+            for solver in ("rt-seq", "gautschi", "first-order"):
+                adj = TOL_ADJUST.get(("transport", solver), 1.0)
                 rep = solve(ivp, SolverConfig(tol=tol * adj), solver)
                 out[(grid, tol, solver)] = (rep.matvecs, _rel(rep.y, yref),
                                             tol * adj)
@@ -419,6 +443,17 @@ def test_criterion_7_transport_matvec_ranking(transport_cells):
         "a sigma step below the last PSI_STEP_RUNGS rung costs m matvecs "
         "(see the 'rebuild' entries of the residual log)."
     )
+
+
+def test_sequential_ladder_serves_every_anisotropic20_repair(anisotropic_cells,
+                                                            rt_seq_logs):
+    # the wave3d-aniso benchmark cell: with rungs only at 0.99-0.96, four
+    # sigma steps of 0.61-0.95 of psi's each rebuilt psi (120 matvecs)
+    matvecs, steps, repairs, log = rt_seq_logs["anisotropic/20/1e-06/rt-seq"]
+    assert repairs >= 1
+    assert not [e for e in log if e.phase == "rebuild"]
+    # one g - A y per cycle plus one matvec per Krylov step of each entry
+    assert matvecs == steps + sum(e.m for e in log)
 
 
 def test_fixture_cells_match_the_golden_counts(isotropic_cells, anisotropic_cells,

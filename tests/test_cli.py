@@ -297,6 +297,16 @@ def test_abbreviated_flag_overrides_config(tmp_path):
     assert float(_rows(tmp_path / "o" / "summary.csv")[0]["tol"]) == 1e-3
 
 
+def test_config_supplies_a_required_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"suite = table2\nmax-seconds = 0\nout = {tmp_path}\n")
+    assert main(["bench", "--config", str(cfg)]) == 0
+    assert (tmp_path / "table2.csv").exists()
+    # an explicit flag still wins over the file
+    assert main(["bench", "--config", str(cfg), "--suite", "table3"]) == 0
+    assert (tmp_path / "table3.csv").exists()
+
+
 def test_bench_rejects_a_flag_it_does_not_read(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--suite", "table2", "--tol", "1e-8", "--max-seconds", "0",

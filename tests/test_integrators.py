@@ -491,6 +491,43 @@ def test_sequential_rebuild_fallback_without_rungs(monkeypatch):
     assert _rel_err(report.y, y_ref) <= 1.5e-4
 
 
+def test_sequential_peak_is_one_basis_plus_the_rungs():
+    ivp = build_wave3d(isotropic_wave_spec(40))
+    cfg = SolverConfig(tol=1e-6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        report = rt_sequential(ivp, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert report.repair_events >= 1  # the ladder is used, not only formed
+    basis = cfg.m_max + 1
+    ladder = 2 * (1 + len(integ.PSI_STEP_RUNGS))  # position and velocity per step
+    # y, vel, g - A y, the operator's 2-vector workspace, the process's
+    # scratch vector, the sigma updates and the summed velocity
+    constant = 9
+    assert peak / (8 * ivp.op.dim) <= basis + ladder + constant
+
+
+@pytest.mark.parametrize("name", ["rt-seq", "gautschi"])
+def test_small_stiff_spd_reorthogonalizes_at_full_dimension(name):
+    # m_cap = 30 >= n: without reorthogonalization the Lanczos basis loses
+    # orthogonality, and these solves took 8180 (rt-seq) and 7505
+    # (gautschi) matvecs to miss tol by 8x and 110x
+    rng = np.random.default_rng(1)
+    n = 19
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    op = DenseOperator((q * (1e4 * np.abs(rng.standard_normal(n)))) @ q.T,
+                       is_symmetric=True)
+    ivp = SecondOrderIVP(op, *rng.standard_normal((3, n)), 100.0)
+    report = solve(ivp, SolverConfig(tol=1e-6), name)
+    y_ref, _ = exact_ivp_solution(ivp, 100.0)
+    assert report.matvecs <= 2 * n + 2
+    assert _rel_err(report.y, y_ref) <= 1e-10
+
+
 @pytest.mark.parametrize("kind", [ScalarFunKind.PSI, ScalarFunKind.SIGMA,
                                   ScalarFunKind.PHI])
 def test_branch_updates_batch_the_parlett_evaluations(kind):

@@ -621,6 +621,45 @@ def test_exact_ivp_nonsymmetric_edge_cases():
     assert np.linalg.norm(yp) <= 1e-12 * np.linalg.norm(u)
 
 
+def test_exact_ivp_reads_a_sparse_operator_directly(monkeypatch):
+    # the CLI's dense-reference cap: assembling A here took 4096 matvecs,
+    # 2.3 s and a 384 MiB peak
+    from trigkrylov import linop
+    import tracemalloc
+
+    monkeypatch.setattr(linop, "assemble_dense", _raise)
+    ivp = build_transport(TransportProblemSpec(4096))
+    exact_ivp_solution(build_transport(TransportProblemSpec(16)), 1.0)  # warm imports
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        y, yp = exact_ivp_solution(ivp, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert ivp.op.matvec_count == 0
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(yp)) and np.linalg.norm(y) > 0
+    # the block has 2n + 1 rows and about 5n nonzeros; A alone is 128 MiB dense
+    assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_exact_ivp_sparse_path_matches_the_assembled_operator(symmetric):
+    from trigkrylov.linop import SparseCSR
+
+    ivp = build_transport(TransportProblemSpec(512))
+    csr = ivp.op.csr
+    if symmetric:  # detected from the entries, not from the flag
+        csr = (csr + csr.T) / 2
+    sparse_op = SparseCSR(csr, is_symmetric=False)
+    dense_op = DenseOperator(csr.toarray(), is_symmetric=False)
+    y_ref, yp_ref = exact_ivp_solution(SecondOrderIVP(dense_op, ivp.u, ivp.v, ivp.g), 1.0)
+    y, yp = exact_ivp_solution(SecondOrderIVP(sparse_op, ivp.u, ivp.v, ivp.g), 1.0)
+    assert sparse_op.matvec_count == 0
+    assert np.linalg.norm(y - y_ref) <= 1e-13 * np.linalg.norm(y_ref)
+    assert np.linalg.norm(yp - yp_ref) <= 1e-13 * np.linalg.norm(yp_ref)
+
+
 def _dense_actions(a_mat, t, w):
     lam, q = np.linalg.eigh(a_mat)
     def act(fvals):
