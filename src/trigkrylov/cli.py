@@ -8,7 +8,6 @@ time column with --no-timing for byte-level comparisons).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import re
 import sys
@@ -189,11 +188,8 @@ _SUITES = {
 }
 
 
-def _bench_cell(ivp_factory, yref, suite, family, grid, t_final, solver, tol,
+def _bench_cell(ivp, yref, suite, family, grid, t_final, solver, tol,
                 tol_used, mmax, no_timing):
-    # each cell owns its operator instance, so matvec deltas stay exact
-    # under concurrent execution
-    ivp = ivp_factory()
     t0 = time.perf_counter()
     report = run_solver(ivp, SolverConfig(tol=tol_used, m_max=mmax), solver)
     cpu = 0.0 if no_timing else time.perf_counter() - t0
@@ -228,25 +224,14 @@ def cmd_bench(args) -> int:
             (solver, tol, tol * suite["adjust"].get(solver, 1.0))
             for tol in suite["tols"] for solver in suite["solvers"]
         ]
-        ivp_factory = lambda name=name: build_preset(name, args.scale)[0]
-
-        def run(cell):
-            # a cell that starts after the wall budget is spent is skipped
+        for solver, tol, tol_used in cells:
+            # a cell that would start after the wall budget is spent is skipped
             if over_budget():
-                return None
-            solver, tol, tol_used = cell
-            return _bench_cell(ivp_factory, yref, args.suite, suite["family"],
-                               eff_grid, suite["t"], solver, tol, tol_used,
-                               args.mmax, args.no_timing)
-
-        if args.jobs > 1:
-            with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-                results = list(pool.map(run, cells))
-        else:
-            results = [run(cell) for cell in cells]
-        done = [row for row in results if row is not None]
-        truncated = len(done) < len(cells)
-        rows.extend(done)
+                truncated = True
+                break
+            rows.append(_bench_cell(ivp, yref, args.suite, suite["family"],
+                                    eff_grid, suite["t"], solver, tol, tol_used,
+                                    args.mmax, args.no_timing))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BENCH_HEADER)
@@ -383,8 +368,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite")
     p_bench.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p_bench.add_argument("--jobs", type=int, default=1,
-                         help="concurrent bench cells")
     p_bench.add_argument("--max-seconds", type=float, default=None,
                          help="wall budget; remaining cells are truncated")
     _add_solver_flags(p_bench)

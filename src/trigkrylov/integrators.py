@@ -149,9 +149,10 @@ def _grow_admissible(op, branches, horizon, threshold, m_cap):
     the fine grid.  A cap that reaches the dimension of ``op`` turns on
     reorthogonalization: without it the basis of a small stiff operator
     loses orthogonality long before an invariant subspace is found, and
-    the residual never certifies a useful step.  Returns (decomps, curves,
-    curve, delta, converged), one decomposition and residual curve per
-    branch and ``curve`` their sum.
+    the residual never certifies a useful step.  Returns (curves, curve,
+    delta, converged): one :class:`ResidualCurve` per branch, which is the
+    branch's handle (its decomposition, spectral cache and kind), and
+    ``curve`` their sum.
     """
     procs = [KrylovProcess(op, start, m_cap, reorth=m_cap >= op.dim)
              for start, _ in branches]
@@ -159,16 +160,16 @@ def _grow_admissible(op, branches, horizon, threshold, m_cap):
         for proc in procs:
             if not proc.breakdown:
                 proc.step()
-        decomps = [proc.snapshot() for proc in procs]
-        curves = [ResidualCurve(d, kind) for d, (_, kind) in zip(decomps, branches)]
+        curves = [ResidualCurve(proc.snapshot(), kind)
+                  for proc, (_, kind) in zip(procs, branches)]
         curve = curves[0] if len(curves) == 1 else CombinedResidualCurve(*curves)
         if all(proc.breakdown for proc in procs) or (
             coarse_residual_check(curve, horizon, threshold)
             and confirm_admissible(curve, horizon, threshold)
         ):
-            return decomps, curves, curve, horizon, True
+            return curves, curve, horizon, True
     delta = find_largest_admissible_step(curve, horizon, threshold)
-    return decomps, curves, curve, delta, False
+    return curves, curve, delta, False
 
 
 def _peak(curve, delta) -> float:
@@ -176,16 +177,17 @@ def _peak(curve, delta) -> float:
     return float(np.max(curve.values(delta * COARSE_FRACTIONS)))
 
 
-def _branch_updates(decomp, cache, kind, steps):
-    """The branch's (position, velocity) updates at each of ``steps``, shape
-    (k, terms, n), from the terms of ``BRANCH_TERMS[kind]``.
+def _branch_updates(curve, steps):
+    """The (position, velocity) updates of ``curve``'s branch at each of
+    ``steps``, shape (k, terms, n), from the terms of
+    ``BRANCH_TERMS[curve.kind]``.
 
     The basis view is read once and combined with all coefficient vectors
     in a single GEMM.
     """
-    coeffs = branch_coefficients(cache, kind, steps)
+    coeffs = branch_coefficients(curve.cache, curve.kind, steps)
     k, terms, m = coeffs.shape
-    return (coeffs.reshape(k * terms, m) @ decomp.V_m.T).reshape(k, terms, -1)
+    return (coeffs.reshape(k * terms, m) @ curve.decomposition.V_m.T).reshape(k, terms, -1)
 
 
 def _add_updates(y, updates):
@@ -268,12 +270,12 @@ def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             (cyc.gt, cyc.beta_psi, ScalarFunKind.PSI),
             (cyc.vel, cyc.beta_sigma, ScalarFunKind.SIGMA),
         ) if beta > 0]
-        decomps, curves, combined, delta, _ = _grow_admissible(
+        curves, combined, delta, _ = _grow_admissible(
             ivp.op, branches, cyc.t_rem, cfg.tol * (cyc.beta_psi + cyc.beta_sigma), m_cap
         )
-        entry = ("cycle", max(d.m for d in decomps), delta, _peak(combined, delta))
-        updates = [_branch_updates(d, c.cache, c.kind, [delta])[0]
-                   for d, c in zip(decomps, curves)]
+        entry = ("cycle", max(c.decomposition.m for c in curves), delta,
+                 _peak(combined, delta))
+        updates = [_branch_updates(c, [delta])[0] for c in curves]
         return (delta, *_add_updates(cyc.y, updates), [entry], False)
 
     return _restart(ivp, "rt-sim", advance)
@@ -302,18 +304,18 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         delta = cyc.t_rem
         updates, entries, repaired = [], [], False
         if cyc.beta_psi > 0:
-            (d_psi,), (c_psi,), _, delta, _ = _grow_admissible(
+            (c_psi,), _, delta, _ = _grow_admissible(
                 op, [(cyc.gt, ScalarFunKind.PSI)], cyc.t_rem, th_psi, m_cap
             )
-            m_psi = d_psi.m
+            m_psi = c_psi.decomposition.m
             steps = [delta * f for f in (1.0, *PSI_STEP_RUNGS)]
-            ladder = _branch_updates(d_psi, c_psi.cache, ScalarFunKind.PSI, steps)
+            ladder = _branch_updates(c_psi, steps)
             updates.append(ladder[0])
             entries.append(("psi", m_psi, delta, _peak(c_psi, delta)))
-            del d_psi, c_psi  # basis dropped; the ladder serves a shorter step
+            del c_psi  # basis dropped; the ladder serves a shorter step
 
         if cyc.beta_sigma > 0:
-            (d_sigma,), (c_sigma,), _, delta_sigma, _ = _grow_admissible(
+            (c_sigma,), _, delta_sigma, _ = _grow_admissible(
                 op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, th_sigma, m_cap
             )
             if delta_sigma < delta and cyc.beta_psi == 0:
@@ -329,29 +331,27 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
                     updates[0] = ladder[fit[0]]
                 else:
                     delta = delta_sigma
-                    d_re = krylov_build(op, cyc.gt, m_psi)
-                    updates[0] = _branch_updates(
-                        d_re, d_re.spectral_cache(), ScalarFunKind.PSI, [delta]
-                    )[0]
-                    entries.append(("rebuild", d_re.m, delta, float("nan")))
-            updates.append(_branch_updates(
-                d_sigma, c_sigma.cache, ScalarFunKind.SIGMA, [delta]
-            )[0])
-            entries.append(("sigma", d_sigma.m, delta, _peak(c_sigma, delta)))
+                    c_re = ResidualCurve(krylov_build(op, cyc.gt, m_psi), ScalarFunKind.PSI)
+                    updates[0] = _branch_updates(c_re, [delta])[0]
+                    entries.append(("rebuild", c_re.decomposition.m, delta, float("nan")))
+            updates.append(_branch_updates(c_sigma, [delta])[0])
+            entries.append(("sigma", c_sigma.decomposition.m, delta,
+                            _peak(c_sigma, delta)))
         return (delta, *_add_updates(cyc.y, updates), entries, repaired)
 
     return _restart(ivp, "rt-seq", advance)
 
 
-def _repair_psi_action(op, d_step, cache, w, delta, delta_tilde, cfg):
+def _repair_psi_action(op, curve, w, delta, delta_tilde, cfg):
     """Step repair: reconstruct x = delta/2 psi(delta^2 A) w by bridging.
 
-    The Krylov run certified the residual only up to delta_tilde < delta, so
-    the exact state of zeta'' = -A zeta + w (zero initial data) is formed at
-    delta_tilde from the available basis and propagated over the remaining
-    delta - delta_tilde with the sequential RT solver; x = zeta(delta)/delta.
+    The psi branch ``curve`` on w certified the residual only up to
+    delta_tilde < delta, so the exact state of zeta'' = -A zeta + w (zero
+    initial data) is formed at delta_tilde from its basis and propagated
+    over the remaining delta - delta_tilde with the sequential RT solver;
+    x = zeta(delta)/delta.
     """
-    y0b, v0b = _branch_updates(d_step, cache, ScalarFunKind.PSI, [delta_tilde])[0]
+    y0b, v0b = _branch_updates(curve, [delta_tilde])[0]
     bridge = SecondOrderIVP(op, u=y0b, v=v0b, g=w, t_final=delta - delta_tilde)
     report = rt_sequential(bridge, cfg)
     return report.y / delta, report.steps
@@ -378,18 +378,18 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     repair_events = 0
 
     beta_sigma = _norm(ivp.v)
-    d_sigma = c_sigma = None
+    c_sigma = None
     delta = t_total
     if beta_sigma > 0:
-        (d_sigma,), (c_sigma,), _, delta, _ = _grow_admissible(
+        (c_sigma,), _, delta, _ = _grow_admissible(
             op, [(ivp.v, ScalarFunKind.SIGMA)], t_total, cfg.tol * beta_sigma, m_tilde
         )
 
     w0 = ivp.g - op.apply(ivp.u)
     beta_psi = _norm(w0)
-    d_psi = c_psi = None
+    c_psi = None
     if beta_psi > 0:
-        (d_psi,), (c_psi,), _, delta_psi, _ = _grow_admissible(
+        (c_psi,), _, delta_psi, _ = _grow_admissible(
             op, [(w0, ScalarFunKind.PSI)], delta, cfg.tol * beta_psi, m_tilde
         )
         # the live sigma basis serves the shorter step as it is
@@ -423,16 +423,16 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             break
         delta = shrunk
 
-    def rate(d, curve):
+    def rate(curve):
         """sigma(delta^2 A) v or delta/2 psi(delta^2 A) w: the branch's
         position update at delta, divided by delta."""
-        if d is None:
+        if curve is None:
             return np.zeros(op.dim)
-        return _branch_updates(d, curve.cache, curve.kind, [delta])[0, 0] / delta
+        return _branch_updates(curve, [delta])[0, 0] / delta
 
-    v_k, x = rate(d_sigma, c_sigma), rate(d_psi, c_psi)
+    v_k, x = rate(c_sigma), rate(c_psi)
     # the start-up bases are read only by rate(); free them before stepping
-    del d_sigma, c_sigma, d_psi, c_psi, checks
+    del c_sigma, c_psi, checks
     step_sizes: list[float] = []
     for k in range(steps):
         v_half = v_k + x
@@ -447,19 +447,16 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             v_k = v_half
             x = np.zeros(op.dim)
             continue
-        (d_step,), (c_step,), _, delta_tilde, converged = _grow_admissible(
+        (c_step,), _, delta_tilde, converged = _grow_admissible(
             op, [(w, ScalarFunKind.PSI)], delta, cfg.tol * beta, m_cap
         )
-        log.append(ResidualLogEntry(
-            "step", k, d_step.m, k * delta, (k + 1) * delta, _peak(c_step, delta)
-        ))
+        log.append(ResidualLogEntry("step", k, c_step.decomposition.m, k * delta,
+                                    (k + 1) * delta, _peak(c_step, delta)))
         if converged or delta_tilde >= delta * (1.0 - 1e-12):
-            x = rate(d_step, c_step)
+            x = rate(c_step)
         else:
             repair_events += 1
-            x, bridge_steps = _repair_psi_action(
-                op, d_step, c_step.cache, w, delta, delta_tilde, cfg
-            )
+            x, bridge_steps = _repair_psi_action(op, c_step, w, delta, delta_tilde, cfg)
             log.append(ResidualLogEntry(
                 "bridge", k, bridge_steps, delta_tilde, delta, float("nan")
             ))
@@ -477,10 +474,13 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     Pass one runs the three-term recurrence for both starting vectors,
     keeping only the tridiagonal coefficients and checking the residual
     stopping criterion every ``two_pass_check_interval`` iterations against
-    the per-branch tolerance split.  Pass two regenerates the basis vectors
-    and accumulates the solution and velocity as running sums, so memory
-    use is independent of the iteration count at the price of roughly
-    doubling the matvecs.
+    the per-branch tolerance split; a non-finite residual (a t_final whose
+    projected functions overflow) stops it with ``RuntimeError``.  Pass two
+    replays the same process from the same start, so it regenerates pass
+    one's basis bit for bit, and accumulates the solution and velocity as
+    running sums with the coefficients of pass one's converged curve, so
+    memory use is independent of the iteration count at the price of
+    roughly doubling the matvecs.
     """
     op = ivp.op
     if not op.is_symmetric:
@@ -496,54 +496,51 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     th_psi, th_sigma = _tolerance_split(cfg.tol, beta_psi, beta_sigma)
 
     def pass_one(start, kind, threshold, label):
+        """The branch's converged residual curve, from a three-term run."""
         proc = KrylovProcess(op, start, cap, mode="lanczos3")
         while True:
             proc.step()
             if proc.breakdown:
-                return proc.snapshot()
+                return ResidualCurve(proc.snapshot(), kind)
             if proc.m % cfg.two_pass_check_interval and proc.m != cap:
                 continue  # not a check iteration
-            decomp = proc.snapshot()
-            curve = ResidualCurve(decomp, kind)
+            curve = ResidualCurve(proc.snapshot(), kind)
             res = _peak(curve, t_final)
             log.append(ResidualLogEntry(label, 0, proc.m, 0.0, t_final, res))
+            if not math.isfinite(res):
+                raise RuntimeError(
+                    f"two-pass Lanczos residual is not finite at m = {proc.m}: "
+                    f"t_final = {t_final:g} overflows the projected functions"
+                )
             if res <= threshold and confirm_admissible(curve, t_final, threshold):
-                return decomp
+                return curve
             if proc.m >= cap:
                 raise RuntimeError(
                     f"two-pass Lanczos did not converge within {cap} iterations; "
                     f"last residual {res:.3e} vs threshold {threshold:.3e}"
                 )
 
-    def pass_two(start_unit, decomp, kind):
-        """Replay the recurrence from ``start_unit`` (a vector this pass may
-        overwrite) and accumulate the branch's updates in place."""
-        pos_coeff, vel_coeff = branch_coefficients(
-            decomp.spectral_cache(), kind, t_final
-        )[0]
-        diag, off = decomp.tridiagonal()
-        y_acc = pos_coeff[0] * start_unit
-        v_acc = vel_coeff[0] * start_unit
-        v_prev, v_cur, w = np.zeros_like(start_unit), start_unit, np.empty_like(start_unit)
-        tmp = np.empty_like(start_unit)  # each product is formed here first
-        for i in range(decomp.m - 1):
-            op.apply(v_cur, out=w)
-            w -= np.multiply(v_cur, diag[i], out=tmp)
-            if i > 0:
-                w -= np.multiply(v_prev, off[i - 1], out=tmp)
-            w /= off[i]
-            v_prev, v_cur, w = v_cur, w, v_prev
-            y_acc += np.multiply(v_cur, pos_coeff[i + 1], out=tmp)
-            v_acc += np.multiply(v_cur, vel_coeff[i + 1], out=tmp)
+    def pass_two(start, curve):
+        """Replay pass one's process from ``start`` and accumulate the
+        branch's updates with the coefficients of its converged ``curve``."""
+        pos_coeff, vel_coeff = branch_coefficients(curve.cache, curve.kind, t_final)[0]
+        proc = KrylovProcess(op, start, curve.decomposition.m, mode="lanczos3")
+        y_acc = pos_coeff[0] * proc.newest
+        v_acc = vel_coeff[0] * proc.newest
+        tmp = np.empty_like(y_acc)  # each product is formed here first
+        for i in range(1, curve.decomposition.m):
+            proc.step()
+            y_acc += np.multiply(proc.newest, pos_coeff[i], out=tmp)
+            v_acc += np.multiply(proc.newest, vel_coeff[i], out=tmp)
         return y_acc, v_acc
 
     updates = []
     if beta_psi > 0:
-        d_psi = pass_one(w0, ScalarFunKind.PSI, th_psi, "psi")
-        updates.append(pass_two(w0 / beta_psi, d_psi, ScalarFunKind.PSI))
+        updates.append(pass_two(w0, pass_one(w0, ScalarFunKind.PSI, th_psi, "psi")))
     if beta_sigma > 0:
-        d_sigma = pass_one(ivp.v, ScalarFunKind.SIGMA, th_sigma, "sigma")
-        updates.append(pass_two(ivp.v / beta_sigma, d_sigma, ScalarFunKind.SIGMA))
+        updates.append(pass_two(
+            ivp.v, pass_one(ivp.v, ScalarFunKind.SIGMA, th_sigma, "sigma")
+        ))
     y, vel = _add_updates(ivp.u.copy(), updates)
     return SolveReport(
         y=y, v_out=vel, matvecs=op.matvec_count - count0, steps=1,
@@ -568,11 +565,11 @@ def rt_first_order_block(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     def advance(cyc):
         # g_hat - B w for w = (y, vel) and g_hat = (0, g), as B w = (-vel, A y)
         r = np.concatenate([cyc.vel, cyc.gt])
-        (d,), (curve,), _, delta, _ = _grow_admissible(
+        (curve,), _, delta, _ = _grow_admissible(
             block, [(r, ScalarFunKind.PHI)], cyc.t_rem, cfg.tol * _norm(r), m_cap
         )
-        entry = ("phi", d.m, delta, _peak(curve, delta))
-        update = _branch_updates(d, curve.cache, ScalarFunKind.PHI, [delta])[0, 0]
+        entry = ("phi", curve.decomposition.m, delta, _peak(curve, delta))
+        update = _branch_updates(curve, [delta])[0, 0]
         y = np.add(cyc.y, update[:n], out=cyc.y)
         vel = np.add(cyc.vel, update[n:], out=cyc.vel)
         return delta, y, vel, [entry], False

@@ -20,10 +20,15 @@ vector.  A step applies A straight into the next row (``apply(x, out=)``),
 orthogonalizes that row in place, forming each ``coeff * v`` in the scratch
 vector so the bits equal those of ``w - coeff * v``, and normalizes it in
 place, so no step allocates an n-vector.  :meth:`KrylovProcess.step` past
-the cap raises ``RuntimeError``.  A :class:`KrylovDecomposition` snapshot
-reads the basis as a view of the store (``V_m`` and ``V`` are transposed
-row slices), never a copy.  Rows are only ever appended, so an earlier
-snapshot stays valid while the process goes on.
+the cap raises ``RuntimeError``.  :attr:`KrylovProcess.newest` reads the
+newest basis vector in every mode; two-pass Lanczos replays its first
+pass's three-term process through it, bit for bit.  A
+:class:`KrylovDecomposition` snapshot reads the basis as a view of the
+store (``V_m`` and ``V`` are transposed row slices), never a copy.  Rows
+are only ever appended, so an earlier snapshot stays valid while the
+process goes on.  A solver passes each branch around as its
+:class:`ResidualCurve`, which holds the snapshot, its spectral cache and
+the branch kind.
 """
 from __future__ import annotations
 
@@ -110,8 +115,19 @@ class KrylovProcess:
         else:
             self._step_lanczos()
         self.m += 1
-        if self.breakdown and self._store is not None:
-            self._store[self.m] = 0.0  # V's last column is zero after breakdown
+        if self.breakdown:
+            self._newest()[:] = 0.0  # V's last column is zero after breakdown
+
+    def _newest(self) -> np.ndarray:
+        return self._window[1] if self._store is None else self._store[self.m]
+
+    @property
+    def newest(self) -> np.ndarray:
+        """Read-only view of v_{m+1}, the newest basis vector (zero after
+        breakdown); the three-term mode reuses it a few steps later."""
+        view = self._newest().view()
+        view.flags.writeable = False
+        return view
 
     def _subtract(self, w, coeff, v):
         """w -= coeff * v in place; the product is formed in the scratch
@@ -166,8 +182,8 @@ class KrylovProcess:
             self.breakdown = True
         else:
             w /= h_next
-            if self.mode == "lanczos3":
-                self._window = [v_cur, w, v_prev]
+        if self.mode == "lanczos3":
+            self._window = [v_cur, w, v_prev]
 
     def snapshot(self) -> "KrylovDecomposition":
         return KrylovDecomposition(self)
@@ -220,11 +236,6 @@ class KrylovDecomposition:
                 h += np.diag(off, 1) + np.diag(off, -1)
             self._h_square = h
         return self._h_square
-
-    def tridiagonal(self):
-        if self._tridiag is None:
-            raise ValueError("not a Lanczos decomposition")
-        return self._tridiag
 
     def spectral_cache(self) -> SpectralCache:
         """Factor the projected matrix: a Lanczos snapshot by its

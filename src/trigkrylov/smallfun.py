@@ -340,10 +340,15 @@ BRANCH_TERMS = {
 
 def branch_coefficients(cache: SpectralCache, kind: ScalarFunKind, ts) -> np.ndarray:
     """Coefficient vectors of every term of ``kind`` at each time, shape
-    (len(ts), terms, m), with one :meth:`SpectralCache.fun_e1` call per term."""
+    (len(ts), terms, m), with one :meth:`SpectralCache.fun_e1` call per term.
+    A time so large that t^2 H overflows raises ``RuntimeError``."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return np.stack([prefactor(ts)[:, None] * cache.fun_e1(fun, scale(ts))
-                     for prefactor, fun, scale in BRANCH_TERMS[kind]], axis=1)
+    coeffs = np.stack([prefactor(ts)[:, None] * cache.fun_e1(fun, scale(ts))
+                       for prefactor, fun, scale in BRANCH_TERMS[kind]], axis=1)
+    if not np.all(np.isfinite(coeffs)):
+        raise RuntimeError(f"{kind.name.lower()} coefficients are not finite at "
+                           f"t = {ts.max():g}: the time span overflows")
+    return coeffs
 
 
 def exact_ivp_solution(ivp, t: float):

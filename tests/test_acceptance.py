@@ -525,8 +525,8 @@ def test_criterion_8_substituted_properties(isotropic_cells):
     events = []
     orig = integ._repair_psi_action
 
-    def spy(op, d_step, cache, w_vec, delta, delta_tilde, cfg):
-        x, steps = orig(op, d_step, cache, w_vec, delta, delta_tilde, cfg)
+    def spy(op, curve, w_vec, delta, delta_tilde, cfg):
+        x, steps = orig(op, curve, w_vec, delta, delta_tilde, cfg)
         events.append((w_vec.copy(), delta, x.copy()))
         return x, steps
 

@@ -167,13 +167,6 @@ def test_bench_truncation_marker(tmp_path):
     assert rc == 0
     rows = _rows(tmp_path / "table2.csv", csv.reader)
     assert rows[-1][0] == "TRUNCATED"
-
-
-def test_bench_truncation_marker_with_jobs(tmp_path):
-    rc = main(["bench", "--suite", "table2", "--scale", "0.4", "--jobs", "2",
-               "--max-seconds", "0.0", "--out", str(tmp_path)])
-    assert rc == 0
-    rows = list(csv.reader((tmp_path / "table2.csv").read_text().splitlines()))
     assert rows[0] == BENCH_HEADER
     assert rows[-1] == ["TRUNCATED"] + [""] * (len(BENCH_HEADER) - 1)
     assert len(rows) < 1 + 4 * 2 * 4

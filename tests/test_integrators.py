@@ -16,7 +16,7 @@ from trigkrylov.integrators import (
     solve,
     two_pass_lanczos,
 )
-from trigkrylov.krylov import krylov_build
+from trigkrylov.krylov import ResidualCurve, krylov_build
 from trigkrylov.linop import DenseOperator
 from trigkrylov.problems import build_wave3d, isotropic_wave_spec
 from trigkrylov.smallfun import (
@@ -238,10 +238,11 @@ def test_stopping_soundness_per_cycle():
         gt = ivp.g - mat @ y
         bp, bs = np.linalg.norm(gt), np.linalg.norm(vel)
         thp, ths = integ._tolerance_split(tol, bp, bs)
-        (d_psi,), (c_psi,), _, delta, _ = integ._grow_admissible(
+        (c_psi,), _, delta, _ = integ._grow_admissible(
             op, [(gt, ScalarFunKind.PSI)], t_rem, thp, 10)
-        (d_sig,), (c_sig,), _, delta_s, _ = integ._grow_admissible(
+        (c_sig,), _, delta_s, _ = integ._grow_admissible(
             op, [(vel, ScalarFunKind.SIGMA)], delta, ths, 10)
+        d_psi, d_sig = c_psi.decomposition, c_sig.decomposition
         delta = min(delta, delta_s)
         # true residual of the cycle approximation at the accepted endpoint
         caches = (c_psi.cache, c_sig.cache)
@@ -327,6 +328,46 @@ def test_two_pass_spends_one_product_on_the_psi_start():
     assert report.matvecs == 119
 
 
+def test_two_pass_factors_each_tridiagonal_once_per_check(monkeypatch):
+    # pass two takes its coefficients from pass one's converged curve, so
+    # the only factorizations are the residual checks of pass one
+    calls = []
+    from_tridiagonal = SpectralCache.from_tridiagonal.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(1)
+        return from_tridiagonal(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralCache, "from_tridiagonal", classmethod(counting))
+    for ivp in (build_wave3d(isotropic_wave_spec(10)),
+                _random_spd_ivp(np.random.default_rng(12), n=60)):
+        calls.clear()
+        report = two_pass_lanczos(ivp, SolverConfig(tol=1e-8))
+        assert len(calls) == len(report.residual_log)
+
+
+def _huge_time_ivp(t_final):
+    # the Krylov space is invariant at m = n = 12, so the whole interval is
+    # admissible and t^2 overflows in the projected functions
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((12, 12))
+    op = DenseOperator(a @ a.T / 12 + np.eye(12), is_symmetric=True)
+    return SecondOrderIVP(op, rng.standard_normal(12), rng.standard_normal(12),
+                          rng.standard_normal(12), t_final)
+
+
+@pytest.mark.parametrize("t_final", [1e160, 1e300])
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_overflowing_final_time_raises_instead_of_a_non_finite_y(name, t_final):
+    ivp = _huge_time_ivp(t_final)
+    cfg = SolverConfig(tol=1e-6)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError):
+        solve(ivp, cfg, name)
+    if name == "two-pass":
+        # stopped at the first (non-finite) residual check
+        assert ivp.op.matvec_count <= 1 + cfg.two_pass_check_interval
+
+
 def test_two_pass_iteration_cap_error():
     rng = np.random.default_rng(14)
     n = 500
@@ -410,8 +451,8 @@ def test_gautschi_repair_path_equivalence():
     events = []
     orig = integ._repair_psi_action
 
-    def spy(op, d_step, cache, w, delta, delta_tilde, cfg):
-        x, steps = orig(op, d_step, cache, w, delta, delta_tilde, cfg)
+    def spy(op, curve, w, delta, delta_tilde, cfg):
+        x, steps = orig(op, curve, w, delta, delta_tilde, cfg)
         events.append((w.copy(), delta, x.copy()))
         return x, steps
 
@@ -539,11 +580,11 @@ def test_branch_updates_batch_the_parlett_evaluations(kind):
     n = 64
     op = DenseOperator(3.0 * np.eye(n) + np.eye(n, k=1) + 1e-3 * np.eye(n, k=-1),
                        is_symmetric=False)
-    d = krylov_build(op, np.eye(n)[0], 10)
-    cache = d.spectral_cache()
+    curve = ResidualCurve(krylov_build(op, np.eye(n)[0], 10), kind)
+    d, cache = curve.decomposition, curve.cache
     assert not cache.symmetric and cache.h_mat is not None
     steps = [0.05 * f for f in (1.0, 0.99, 0.98, 0.97, 0.96)]
-    updates = integ._branch_updates(d, cache, kind, steps)
+    updates = integ._branch_updates(curve, steps)
     terms = smallfun.BRANCH_TERMS[kind]
     assert updates.shape == (len(steps), len(terms), n)
     for i, s in enumerate(steps):

@@ -342,6 +342,26 @@ def test_basis_views_of_the_store_survive_extension(symmetric):
     assert np.array_equal(late.H_m[:4, :4], h_m)
 
 
+def test_newest_reads_the_basis_in_every_mode():
+    # the three-term mode keeps three vectors, but its newest one has the
+    # bits of the stored-basis Lanczos row of the same step
+    rng = np.random.default_rng(7)
+    op = _spd_operator(rng, 20)
+    w = rng.standard_normal(20)
+    stored = KrylovProcess(op, w, 8, mode="lanczos")
+    window = KrylovProcess(op, w, 8, mode="lanczos3")
+    for m in range(8):
+        assert np.array_equal(stored.newest, stored.snapshot().V[:, m])
+        assert np.array_equal(window.newest, stored.newest)
+        assert not window.newest.flags.writeable
+        stored.step()
+        window.step()
+    for mode in ("arnoldi", "lanczos", "lanczos3"):
+        proc = KrylovProcess(IdentityOperator(4), np.ones(4), 4, mode=mode)
+        proc.step()
+        assert proc.breakdown and not np.any(proc.newest), mode
+
+
 @pytest.mark.parametrize("mode", ["arnoldi", "lanczos", "lanczos3"])
 def test_step_past_cap_raises(mode):
     rng = np.random.default_rng(6)
