@@ -133,7 +133,10 @@ def cmd_solve(args) -> int:
         return 2
     t0 = time.perf_counter()
     try:
-        report = run_solver(ivp, cfg, args.solver)
+        # an overflowing time span is reported as the solver's error, not
+        # after numpy's warnings on the way to it
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_solver(ivp, cfg, args.solver)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

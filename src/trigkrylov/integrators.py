@@ -5,8 +5,9 @@ All solvers integrate y'' = -A y + g, y(0) = u, y'(0) = v up to t_final and
 return a :class:`SolveReport`.  The three residual-time (RT) restarting
 solvers share one driver, :func:`_restart`, and differ only in their cycle
 (rt-sim: both branches in lockstep, rt-seq: psi then sigma, first-order:
-one Arnoldi branch on the block form); they and Gautschi grow every basis
-with :func:`_grow_admissible`.  Residual thresholds are relative to the
+one Arnoldi branch on the block form); two-pass Lanczos is a single cycle
+of it.  The RT solvers and Gautschi grow every basis with
+:func:`_grow_admissible`.  Residual thresholds are relative to the
 norm of the starting vector of the corresponding Krylov branch; for
 split-branch solvers the per-branch tolerances are rebalanced from each
 restart cycle's inflow data so their sum meets the combined budget
@@ -149,10 +150,10 @@ def _grow_admissible(op, branches, horizon, threshold, m_cap):
     the fine grid.  A cap that reaches the dimension of ``op`` turns on
     reorthogonalization: without it the basis of a small stiff operator
     loses orthogonality long before an invariant subspace is found, and
-    the residual never certifies a useful step.  Returns (curves, curve,
-    delta, converged): one :class:`ResidualCurve` per branch, which is the
-    branch's handle (its decomposition, spectral cache and kind), and
-    ``curve`` their sum.
+    the residual never certifies a useful step.  Returns (curves, delta):
+    one :class:`ResidualCurve` per branch, which is the branch's handle
+    (its decomposition, spectral cache and kind), and the step, which is
+    ``horizon`` once the residual is admissible on all of it.
     """
     procs = [KrylovProcess(op, start, m_cap, reorth=m_cap >= op.dim)
              for start, _ in branches]
@@ -167,9 +168,8 @@ def _grow_admissible(op, branches, horizon, threshold, m_cap):
             coarse_residual_check(curve, horizon, threshold)
             and confirm_admissible(curve, horizon, threshold)
         ):
-            return curves, curve, horizon, True
-    delta = find_largest_admissible_step(curve, horizon, threshold)
-    return curves, curve, delta, False
+            return curves, horizon
+    return curves, find_largest_admissible_step(curve, horizon, threshold)
 
 
 def _peak(curve, delta) -> float:
@@ -270,11 +270,11 @@ def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             (cyc.gt, cyc.beta_psi, ScalarFunKind.PSI),
             (cyc.vel, cyc.beta_sigma, ScalarFunKind.SIGMA),
         ) if beta > 0]
-        curves, combined, delta, _ = _grow_admissible(
+        curves, delta = _grow_admissible(
             ivp.op, branches, cyc.t_rem, cfg.tol * (cyc.beta_psi + cyc.beta_sigma), m_cap
         )
         entry = ("cycle", max(c.decomposition.m for c in curves), delta,
-                 _peak(combined, delta))
+                 _peak(CombinedResidualCurve(*curves), delta))
         updates = [_branch_updates(c, [delta])[0] for c in curves]
         return (delta, *_add_updates(cyc.y, updates), [entry], False)
 
@@ -304,7 +304,7 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         delta = cyc.t_rem
         updates, entries, repaired = [], [], False
         if cyc.beta_psi > 0:
-            (c_psi,), _, delta, _ = _grow_admissible(
+            (c_psi,), delta = _grow_admissible(
                 op, [(cyc.gt, ScalarFunKind.PSI)], cyc.t_rem, th_psi, m_cap
             )
             m_psi = c_psi.decomposition.m
@@ -315,7 +315,7 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             del c_psi  # basis dropped; the ladder serves a shorter step
 
         if cyc.beta_sigma > 0:
-            (c_sigma,), _, delta_sigma, _ = _grow_admissible(
+            (c_sigma,), delta_sigma = _grow_admissible(
                 op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, th_sigma, m_cap
             )
             if delta_sigma < delta and cyc.beta_psi == 0:
@@ -381,7 +381,7 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     c_sigma = None
     delta = t_total
     if beta_sigma > 0:
-        (c_sigma,), _, delta, _ = _grow_admissible(
+        (c_sigma,), delta = _grow_admissible(
             op, [(ivp.v, ScalarFunKind.SIGMA)], t_total, cfg.tol * beta_sigma, m_tilde
         )
 
@@ -389,7 +389,7 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     beta_psi = _norm(w0)
     c_psi = None
     if beta_psi > 0:
-        (c_psi,), _, delta_psi, _ = _grow_admissible(
+        (c_psi,), delta_psi = _grow_admissible(
             op, [(w0, ScalarFunKind.PSI)], delta, cfg.tol * beta_psi, m_tilde
         )
         # the live sigma basis serves the shorter step as it is
@@ -447,12 +447,12 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             v_k = v_half
             x = np.zeros(op.dim)
             continue
-        (c_step,), _, delta_tilde, converged = _grow_admissible(
+        (c_step,), delta_tilde = _grow_admissible(
             op, [(w, ScalarFunKind.PSI)], delta, cfg.tol * beta, m_cap
         )
         log.append(ResidualLogEntry("step", k, c_step.decomposition.m, k * delta,
                                     (k + 1) * delta, _peak(c_step, delta)))
-        if converged or delta_tilde >= delta * (1.0 - 1e-12):
+        if delta_tilde >= delta * (1.0 - 1e-12):
             x = rate(c_step)
         else:
             repair_events += 1
@@ -471,31 +471,25 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
 def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     """Low-memory symmetric solver: three-term Lanczos, then a replay pass.
 
-    Pass one runs the three-term recurrence for both starting vectors,
-    keeping only the tridiagonal coefficients and checking the residual
-    stopping criterion every ``two_pass_check_interval`` iterations against
-    the per-branch tolerance split; a non-finite residual (a t_final whose
-    projected functions overflow) stops it with ``RuntimeError``.  Pass two
-    replays the same process from the same start, so it regenerates pass
-    one's basis bit for bit, and accumulates the solution and velocity as
-    running sums with the coefficients of pass one's converged curve, so
-    memory use is independent of the iteration count at the price of
-    roughly doubling the matvecs.
+    One :func:`_restart` cycle whose step is all of t_final.  Pass one runs
+    the three-term recurrence for each live branch, keeping only the
+    tridiagonal coefficients and checking the residual stopping criterion
+    every ``two_pass_check_interval`` iterations against the per-branch
+    tolerance split; a non-finite residual (a t_final whose projected
+    functions overflow) stops it with ``RuntimeError``.  Pass two replays
+    the same process from the same start, so it regenerates pass one's
+    basis bit for bit, and accumulates the solution and velocity as running
+    sums with the coefficients of pass one's converged curve, so memory use
+    is independent of the iteration count at the price of roughly doubling
+    the matvecs.
     """
     op = ivp.op
     if not op.is_symmetric:
         raise ValueError("operator not symmetric")
-    count0 = op.matvec_count
     t_final = ivp.t_final
-    log: list[ResidualLogEntry] = []
     cap = 200 * cfg.m_max
 
-    w0 = ivp.g - op.apply(ivp.u)
-    beta_psi = _norm(w0)
-    beta_sigma = _norm(ivp.v)
-    th_psi, th_sigma = _tolerance_split(cfg.tol, beta_psi, beta_sigma)
-
-    def pass_one(start, kind, threshold, label):
+    def pass_one(start, kind, threshold, entries):
         """The branch's converged residual curve, from a three-term run."""
         proc = KrylovProcess(op, start, cap, mode="lanczos3")
         while True:
@@ -506,7 +500,7 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
                 continue  # not a check iteration
             curve = ResidualCurve(proc.snapshot(), kind)
             res = _peak(curve, t_final)
-            log.append(ResidualLogEntry(label, 0, proc.m, 0.0, t_final, res))
+            entries.append((kind.value, proc.m, t_final, res))
             if not math.isfinite(res):
                 raise RuntimeError(
                     f"two-pass Lanczos residual is not finite at m = {proc.m}: "
@@ -534,18 +528,18 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             v_acc += np.multiply(proc.newest, vel_coeff[i], out=tmp)
         return y_acc, v_acc
 
-    updates = []
-    if beta_psi > 0:
-        updates.append(pass_two(w0, pass_one(w0, ScalarFunKind.PSI, th_psi, "psi")))
-    if beta_sigma > 0:
-        updates.append(pass_two(
-            ivp.v, pass_one(ivp.v, ScalarFunKind.SIGMA, th_sigma, "sigma")
-        ))
-    y, vel = _add_updates(ivp.u.copy(), updates)
-    return SolveReport(
-        y=y, v_out=vel, matvecs=op.matvec_count - count0, steps=1,
-        step_sizes=[t_final], residual_log=log, solver="two-pass",
-    )
+    def advance(cyc):
+        th_psi, th_sigma = _tolerance_split(cfg.tol, cyc.beta_psi, cyc.beta_sigma)
+        updates, entries = [], []
+        for start, beta, threshold, kind in (
+            (cyc.gt, cyc.beta_psi, th_psi, ScalarFunKind.PSI),
+            (cyc.vel, cyc.beta_sigma, th_sigma, ScalarFunKind.SIGMA),
+        ):
+            if beta > 0:
+                updates.append(pass_two(start, pass_one(start, kind, threshold, entries)))
+        return (cyc.t_rem, *_add_updates(cyc.y, updates), entries, False)
+
+    return _restart(ivp, "two-pass", advance)
 
 
 def rt_first_order_block(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
@@ -565,7 +559,7 @@ def rt_first_order_block(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     def advance(cyc):
         # g_hat - B w for w = (y, vel) and g_hat = (0, g), as B w = (-vel, A y)
         r = np.concatenate([cyc.vel, cyc.gt])
-        (curve,), _, delta, _ = _grow_admissible(
+        (curve,), delta = _grow_admissible(
             block, [(r, ScalarFunKind.PHI)], cyc.t_rem, cfg.tol * _norm(r), m_cap
         )
         entry = ("phi", curve.decomposition.m, delta, _peak(curve, delta))

@@ -316,17 +316,24 @@ def find_largest_admissible_step(curve, t: float, tol: float) -> float:
     :data:`DEFAULT_KMAX_HALVINGS` times, until the residual at the first
     sample is admissible, then the fine grid is scanned until the
     first violation.  A tie (residual == tol) counts as admissible and a NaN
-    sample (an overflowed evaluation) as a violation.
+    sample (an overflowed evaluation) as a violation.  A residual that is
+    not finite even at the smallest step raises ``RuntimeError`` naming the
+    overflow, one that is finite there but above tol
+    :class:`StepSearchStagnation`.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     dt = None
     for k in range(DEFAULT_KMAX_HALVINGS + 1):
         cand = t / (2**k * 100.0)
-        if curve.value(cand) <= tol:
+        res = curve.value(cand)
+        if res <= tol:
             dt = cand
             break
     if dt is None:
+        if not np.isfinite(res):
+            raise RuntimeError(f"residual is not finite even at t = {cand:g}: "
+                               "the time span overflows")
         raise StepSearchStagnation(
             "stagnation: residual not small even for tiny steps"
         )

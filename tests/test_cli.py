@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +132,19 @@ def test_solve_catches_solver_runtime_error(tmp_path, capsys, monkeypatch):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: stagnation: residual not small even for tiny steps\n"
+
+
+def test_solve_overflowing_time_writes_only_its_error(tmp_path):
+    # in a fresh process, as numpy prints each floating-point warning once
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "trigkrylov.cli", "solve", "--problem", "isotropic10",
+         "--t", "1e300", "--reference", "none", "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "overflow" in out.stderr
+    assert out.stderr.count("\n") == 1
 
 
 def test_solve_matrix_market(tmp_path, capsys):
