@@ -2,11 +2,12 @@
 two-pass Lanczos and a first-order block baseline.
 
 All solvers integrate y'' = -A y + g, y(0) = u, y'(0) = v up to t_final and
-return a :class:`SolveReport`.  The three residual-time (RT) restarting
-solvers share one driver, :func:`_restart`, and differ only in their cycle
-(rt-sim: both branches in lockstep, rt-seq: psi then sigma, first-order:
-one Arnoldi branch on the block form); two-pass Lanczos is a single cycle
-of it.  The RT solvers and Gautschi grow every basis with
+return a :class:`SolveReport`.  All five share one driver, :func:`_restart`,
+which keeps the state, the accounting and the residual log, and differ
+only in their cycle: rt-sim grows both branches in lockstep, rt-seq psi
+then sigma, first-order one Arnoldi branch on the block form; a Gautschi
+cycle is one time step of the cosine scheme, and two-pass Lanczos is a
+single cycle.  The RT solvers and Gautschi grow every basis with
 :func:`_grow_admissible`.  Residual thresholds are relative to the
 norm of the starting vector of the corresponding Krylov branch; for
 split-branch solvers the per-branch tolerances are rebalanced from each
@@ -44,6 +45,10 @@ _MAX_CYCLES = 1_000_000
 #: cycles); coarse rungs down to 0.6 catch the 0.6-0.8 ratios of the
 #: anisotropic 10^3 cycles.  A sigma step below 0.6 still rebuilds psi.
 PSI_STEP_RUNGS = (0.99, 0.98, 0.97, 0.96, 0.9, 0.8, 0.7, 0.6)
+
+#: Iterations between the residual checks of :func:`two_pass_lanczos`'s
+#: first pass.
+TWO_PASS_CHECK_INTERVAL = 10
 
 ResidualLogEntry = namedtuple(
     "ResidualLogEntry", ["phase", "cycle", "m", "t_start", "t_end", "residual"]
@@ -89,7 +94,6 @@ class SolverConfig:
     tol: float
     m_max: int = 30
     alpha: float = 0.85
-    two_pass_check_interval: int = 10
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -98,8 +102,6 @@ class SolverConfig:
             raise ValueError("m_max must be at least 2")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.two_pass_check_interval < 1:
-            raise ValueError("check interval must be positive")
 
 
 @dataclass
@@ -147,7 +149,8 @@ def _grow_admissible(op, branches, horizon, threshold, m_cap):
     Convergence is checked after every step on the six coarse samples; a
     branch that breaks down stops growing and its residual vanishes.  On
     failure at the dimension cap the largest admissible step is located on
-    the fine grid.  A cap that reaches the dimension of ``op`` turns on
+    the fine grid.  Each process stops at the dimension of ``op`` if
+    ``m_cap`` exceeds it, and a cap that reaches it turns on
     reorthogonalization: without it the basis of a small stiff operator
     loses orthogonality long before an invariant subspace is found, and
     the residual never certifies a useful step.  Returns (curves, delta):
@@ -210,14 +213,15 @@ _Cycle = namedtuple("_Cycle", ["y", "vel", "gt", "beta_psi", "beta_sigma", "t_re
 
 
 def _restart(ivp: SecondOrderIVP, solver: str, advance) -> SolveReport:
-    """Residual-time restarting, the loop rt-sim, rt-seq and first-order share.
+    """The restart loop every solver runs; ``solver`` names the report.
 
     Each cycle spends one matvec on gt = g - A y and stops at a stationary
     point (gt and the velocity both zero).  Otherwise ``advance(cycle)``
-    grows the solver's Krylov bases, takes the largest admissible step
-    delta <= t_rem and returns ``(delta, y, vel, entries, repaired)``: the
-    state at t + delta, the cycle's residual-log entries as ``(phase, m,
-    step, residual)`` over [t, t + step], and whether it repaired a step.
+    grows the solver's Krylov bases, takes an admissible step delta <= t_rem
+    (up to round-off for a fixed step) and returns ``(delta, y, vel,
+    entries, repaired)``: the state at t + delta, the cycle's residual-log
+    entries as ``(phase, m, step, residual)`` over [t, t + step], and
+    whether it repaired a step.
     The cycle's y and vel are the loop's own vectors, which ``advance`` may
     update in place, and gt is formed in the buffer of the product A y.
     """
@@ -263,7 +267,7 @@ def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     tol * (||g - A y|| + ||v||).  Both bases are held simultaneously, so each
     is capped at m_max/2.
     """
-    m_cap = min(max(1, cfg.m_max // 2), ivp.op.dim)
+    m_cap = cfg.m_max // 2
 
     def advance(cyc):
         branches = [(start, kind) for start, beta, kind in (
@@ -297,7 +301,6 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     and 2 for delta itself.
     """
     op = ivp.op
-    m_cap = min(cfg.m_max, op.dim)
 
     def advance(cyc):
         th_psi, th_sigma = _tolerance_split(cfg.tol, cyc.beta_psi, cyc.beta_sigma)
@@ -305,7 +308,7 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         updates, entries, repaired = [], [], False
         if cyc.beta_psi > 0:
             (c_psi,), delta = _grow_admissible(
-                op, [(cyc.gt, ScalarFunKind.PSI)], cyc.t_rem, th_psi, m_cap
+                op, [(cyc.gt, ScalarFunKind.PSI)], cyc.t_rem, th_psi, cfg.m_max
             )
             m_psi = c_psi.decomposition.m
             steps = [delta * f for f in (1.0, *PSI_STEP_RUNGS)]
@@ -316,7 +319,7 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
 
         if cyc.beta_sigma > 0:
             (c_sigma,), delta_sigma = _grow_admissible(
-                op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, th_sigma, m_cap
+                op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, th_sigma, cfg.m_max
             )
             if delta_sigma < delta and cyc.beta_psi == 0:
                 delta = delta_sigma
@@ -360,68 +363,19 @@ def _repair_psi_action(op, curve, w, delta, delta_tilde, cfg):
 def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     """Gautschi cosine scheme with residual-based step size selection.
 
-    The fixed step delta is chosen from the residual of an initial sigma run
-    on v (dimension floor(alpha*m_max)), validated by an initial psi run on
-    g - A u, then adjusted to divide t_final exactly.  Each time step costs
-    one fresh psi-branch Krylov run; if a step's residual exceeds the
-    tolerance, the step is repaired by bridging the interval with the
-    sequential RT solver.  The returned velocity is the averaged velocity
-    over the final step, not y'(t_final).
+    Each time step is one :func:`_restart` cycle.  Cycle 0 chooses the
+    fixed step delta from the residual of a sigma run on v (dimension
+    floor(alpha*m_max)), validates it with a psi run on g - A u, adjusts it
+    to divide t_final exactly and takes the first step with both runs'
+    rates.  Every later cycle runs one psi branch on the driver's g - A y;
+    if its residual certifies less than delta, the step is repaired by
+    bridging the interval with the sequential RT solver.  A cycle's
+    velocity is the averaged velocity (y_{k+1} - y_k)/delta, so the
+    returned velocity is that of the final step, not y'(t_final).
     """
     op = ivp.op
-    count0 = op.matvec_count
-    t_total = ivp.t_final
-    y = ivp.u.copy()
-    m_tilde = min(max(1, math.floor(cfg.alpha * cfg.m_max)), op.dim)
-    m_cap = min(cfg.m_max, op.dim)
-    log: list[ResidualLogEntry] = []
-    repair_events = 0
-
-    beta_sigma = _norm(ivp.v)
-    c_sigma = None
-    delta = t_total
-    if beta_sigma > 0:
-        (c_sigma,), delta = _grow_admissible(
-            op, [(ivp.v, ScalarFunKind.SIGMA)], t_total, cfg.tol * beta_sigma, m_tilde
-        )
-
-    w0 = ivp.g - op.apply(ivp.u)
-    beta_psi = _norm(w0)
-    c_psi = None
-    if beta_psi > 0:
-        (c_psi,), delta_psi = _grow_admissible(
-            op, [(w0, ScalarFunKind.PSI)], delta, cfg.tol * beta_psi, m_tilde
-        )
-        # the live sigma basis serves the shorter step as it is
-        delta = min(delta, delta_psi)
-
-    if beta_psi + beta_sigma == 0.0:
-        return SolveReport(
-            y=y, v_out=ivp.v.copy(), matvecs=op.matvec_count - count0, steps=0,
-            solver="gautschi", velocity_is_averaged=True,
-        )
-
-    # Adjust delta to hit t_final exactly; shrinking keeps residuals
-    # admissible on the fine grid, but re-verify the coarse samples since
-    # they move with delta.  At most three checks: a step shrunk by the
-    # third is only rounded down to divide t_final.
-    checks = [(c, cfg.tol * beta) for c, beta in ((c_psi, beta_psi), (c_sigma, beta_sigma))
-              if c is not None]
-    for attempt in range(4):
-        steps = max(1, math.ceil(t_total / delta - 1e-12))
-        if steps > _MAX_CYCLES:
-            raise RuntimeError("Gautschi step count limit exceeded")
-        delta = t_total / steps
-        if attempt == 3 or all(
-            coarse_residual_check(c, delta, th) and confirm_admissible(c, delta, th)
-            for c, th in checks
-        ):
-            break
-        shrunk = min([delta] + [find_largest_admissible_step(c, delta, th)
-                                for c, th in checks])
-        if shrunk >= delta:
-            break
-        delta = shrunk
+    m_tilde = max(1, math.floor(cfg.alpha * cfg.m_max))
+    delta = 0.0  # fixed by the first cycle
 
     def rate(curve):
         """sigma(delta^2 A) v or delta/2 psi(delta^2 A) w: the branch's
@@ -430,42 +384,80 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             return np.zeros(op.dim)
         return _branch_updates(curve, [delta])[0, 0] / delta
 
-    v_k, x = rate(c_sigma), rate(c_psi)
-    # the start-up bases are read only by rate(); free them before stepping
-    del c_sigma, c_psi, checks
-    step_sizes: list[float] = []
-    for k in range(steps):
-        v_half = v_k + x
-        y = y + delta * v_half
-        step_sizes.append(delta)
-        if k == steps - 1:
-            v_k = v_half  # averaged velocity (y_{k+1} - y_k)/delta
-            break
-        w = ivp.g - op.apply(y)
-        beta = _norm(w)
-        if beta == 0.0:
-            v_k = v_half
-            x = np.zeros(op.dim)
-            continue
-        (c_step,), delta_tilde = _grow_admissible(
-            op, [(w, ScalarFunKind.PSI)], delta, cfg.tol * beta, m_cap
+    def start_up(cyc):
+        """Fix delta, a whole fraction of t_final, from a sigma run on the
+        velocity and a psi run on g - A u; the first step's two rates, the
+        runs' log entries and no repair."""
+        nonlocal delta
+        c_sigma = c_psi = None
+        delta = cyc.t_rem
+        if cyc.beta_sigma > 0:
+            (c_sigma,), delta = _grow_admissible(
+                op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, cfg.tol * cyc.beta_sigma, m_tilde
+            )
+        if cyc.beta_psi > 0:
+            (c_psi,), delta_psi = _grow_admissible(
+                op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, m_tilde
+            )
+            # the live sigma basis serves the shorter step as it is
+            delta = min(delta, delta_psi)
+
+        # Adjust delta to hit t_final exactly; shrinking keeps residuals
+        # admissible on the fine grid, but re-verify the coarse samples since
+        # they move with delta.  At most three checks: a step shrunk by the
+        # third is only rounded down to divide t_final.
+        checks = [(c, cfg.tol * beta) for c, beta in
+                  ((c_psi, cyc.beta_psi), (c_sigma, cyc.beta_sigma)) if c is not None]
+        for attempt in range(4):
+            steps = max(1, math.ceil(ivp.t_final / delta - 1e-12))
+            if steps > _MAX_CYCLES:
+                raise RuntimeError("Gautschi step count limit exceeded")
+            delta = ivp.t_final / steps
+            if attempt == 3 or all(
+                coarse_residual_check(c, delta, th) and confirm_admissible(c, delta, th)
+                for c, th in checks
+            ):
+                break
+            shrunk = min([delta] + [find_largest_admissible_step(c, delta, th)
+                                    for c, th in checks])
+            if shrunk >= delta:
+                break
+            delta = shrunk
+        entries = [(c.kind.value, c.decomposition.m, delta, _peak(c, delta))
+                   for c in (c_sigma, c_psi) if c is not None]
+        return rate(c_sigma), rate(c_psi), entries, False
+
+    def psi_rate(cyc):
+        """delta/2 psi(delta^2 A) (g - A y), bridged if the psi residual
+        certifies less than delta; with the log entries and whether the
+        step was repaired.  The basis is dropped on return."""
+        if cyc.beta_psi == 0:
+            return np.zeros(op.dim), [], False
+        (curve,), delta_tilde = _grow_admissible(
+            op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, cfg.m_max
         )
-        log.append(ResidualLogEntry("step", k, c_step.decomposition.m, k * delta,
-                                    (k + 1) * delta, _peak(c_step, delta)))
+        entries = [("step", curve.decomposition.m, delta, _peak(curve, delta))]
         if delta_tilde >= delta * (1.0 - 1e-12):
-            x = rate(c_step)
+            return rate(curve), entries, False
+        x, bridge_steps = _repair_psi_action(op, curve, cyc.gt, delta, delta_tilde, cfg)
+        entries.append(("bridge", bridge_steps, delta, float("nan")))
+        return x, entries, True
+
+    def advance(cyc):
+        if delta == 0.0:
+            v_k, x, entries, repaired = start_up(cyc)
         else:
-            repair_events += 1
-            x, bridge_steps = _repair_psi_action(op, c_step, w, delta, delta_tilde, cfg)
-            log.append(ResidualLogEntry(
-                "bridge", k, bridge_steps, delta_tilde, delta, float("nan")
-            ))
-        v_k = v_half + x
-    return SolveReport(
-        y=y, v_out=v_k, matvecs=op.matvec_count - count0, steps=steps,
-        step_sizes=step_sizes, residual_log=log, repair_events=repair_events,
-        solver="gautschi", velocity_is_averaged=True,
-    )
+            x, entries, repaired = psi_rate(cyc)
+            v_k = cyc.vel + x
+        v_half = v_k + x
+        y = np.add(cyc.y, delta * v_half, out=cyc.y)
+        # the last step ends the solve even if the sum of steps rounds short
+        step = max(delta, cyc.t_rem) if cyc.t_rem < 1.5 * delta else delta
+        return step, y, v_half, entries, repaired
+
+    report = _restart(ivp, "gautschi", advance)
+    report.velocity_is_averaged = True
+    return report
 
 
 def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
@@ -474,7 +466,7 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     One :func:`_restart` cycle whose step is all of t_final.  Pass one runs
     the three-term recurrence for each live branch, keeping only the
     tridiagonal coefficients and checking the residual stopping criterion
-    every ``two_pass_check_interval`` iterations against the per-branch
+    every ``TWO_PASS_CHECK_INTERVAL`` iterations against the per-branch
     tolerance split; a non-finite residual (a t_final whose projected
     functions overflow) stops it with ``RuntimeError``.  Pass two replays
     the same process from the same start, so it regenerates pass one's
@@ -496,7 +488,7 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             proc.step()
             if proc.breakdown:
                 return ResidualCurve(proc.snapshot(), kind)
-            if proc.m % cfg.two_pass_check_interval and proc.m != cap:
+            if proc.m % TWO_PASS_CHECK_INTERVAL and proc.m != cap:
                 continue  # not a check iteration
             curve = ResidualCurve(proc.snapshot(), kind)
             res = _peak(curve, t_final)
@@ -554,7 +546,7 @@ def rt_first_order_block(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     """
     block = BlockFirstOrderOperator(ivp.op)
     n = ivp.op.dim
-    m_cap = min(max(1, cfg.m_max // 2), block.dim)
+    m_cap = cfg.m_max // 2
 
     def advance(cyc):
         # g_hat - B w for w = (y, vel) and g_hat = (0, g), as B w = (-vel, A y)

@@ -211,8 +211,9 @@ def test_criterion_1_residual_identity_suite():
     _report(1, True, f"{elapsed:.1f}s")
 
 
-def test_criterion_2_exactness_suite():
+def test_criterion_2_exactness_suite(monkeypatch):
     t0 = time.perf_counter()
+    monkeypatch.setattr(integ, "TWO_PASS_CHECK_INTERVAL", 1)
     rng = np.random.default_rng(1002)
     n = 18
     a = rng.standard_normal((n, n))
@@ -223,7 +224,7 @@ def test_criterion_2_exactness_suite():
     y_ref, _ = exact_ivp_solution(ivp, 2.0)
     # m = n Krylov solutions are exact
     for solver in ("rt-sim", "rt-seq", "gautschi", "two-pass"):
-        cfg = SolverConfig(tol=1e-9, m_max=2 * n, two_pass_check_interval=1)
+        cfg = SolverConfig(tol=1e-9, m_max=2 * n)
         rep = solve(ivp, cfg, solver)
         assert _rel(rep.y, y_ref) <= 1e-10, solver
     cfg_block = SolverConfig(tol=1e-9, m_max=4 * n)

@@ -272,7 +272,8 @@ def test_two_pass_requires_symmetric():
         two_pass_lanczos(ivp, SolverConfig(tol=1e-6))
 
 
-def test_two_pass_matches_full_storage_lanczos():
+def test_two_pass_matches_full_storage_lanczos(monkeypatch):
+    monkeypatch.setattr(integ, "TWO_PASS_CHECK_INTERVAL", 10)
     rng = np.random.default_rng(12)
     n = 60
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -280,8 +281,7 @@ def test_two_pass_matches_full_storage_lanczos():
     op = DenseOperator((q * lam) @ q.T, is_symmetric=True)
     ivp = SecondOrderIVP(op, rng.standard_normal(n), rng.standard_normal(n),
                          rng.standard_normal(n), 1.0)
-    cfg = SolverConfig(tol=1e-8, two_pass_check_interval=10)
-    report = two_pass_lanczos(ivp, cfg)
+    report = two_pass_lanczos(ivp, SolverConfig(tol=1e-8))
     # reference: full-storage Lanczos with the same per-branch dimensions
     ms = {}
     for entry in report.residual_log:
@@ -304,7 +304,8 @@ def test_two_pass_matches_full_storage_lanczos():
     assert np.linalg.norm(report.v_out - v_ref) <= 1e-12 * max(np.linalg.norm(v_ref), 1)
 
 
-def test_two_pass_breakdown_in_invariant_subspace():
+def test_two_pass_breakdown_in_invariant_subspace(monkeypatch):
+    monkeypatch.setattr(integ, "TWO_PASS_CHECK_INTERVAL", 1)
     rng = np.random.default_rng(13)
     n = 30
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -313,7 +314,7 @@ def test_two_pass_breakdown_in_invariant_subspace():
     u = q[:, :3] @ np.array([1.0, -2.0, 0.5])
     v = q[:, :3] @ np.array([0.3, 0.0, 1.0])
     ivp = SecondOrderIVP(op, u, v, None, 1.5)
-    report = two_pass_lanczos(ivp, SolverConfig(tol=1e-10, two_pass_check_interval=1))
+    report = two_pass_lanczos(ivp, SolverConfig(tol=1e-10))
     y_ref, _ = exact_ivp_solution(ivp, 1.5)
     assert _rel_err(report.y, y_ref) <= 1e-10
     assert report.matvecs <= 16  # three-dimensional invariant subspaces
@@ -358,17 +359,19 @@ def _huge_time_ivp(t_final):
 
 @pytest.mark.parametrize("t_final", [1e160, 1e300])
 @pytest.mark.parametrize("name", sorted(SOLVERS))
-def test_overflowing_final_time_raises_instead_of_a_non_finite_y(name, t_final):
+def test_overflowing_final_time_raises_instead_of_a_non_finite_y(monkeypatch, name,
+                                                                 t_final):
+    monkeypatch.setattr(integ, "TWO_PASS_CHECK_INTERVAL", 10)
     ivp = _huge_time_ivp(t_final)
-    cfg = SolverConfig(tol=1e-6)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="overflow"):
-        solve(ivp, cfg, name)
+        solve(ivp, SolverConfig(tol=1e-6), name)
     if name == "two-pass":
         # stopped at the first (non-finite) residual check
-        assert ivp.op.matvec_count <= 1 + cfg.two_pass_check_interval
+        assert ivp.op.matvec_count <= 1 + integ.TWO_PASS_CHECK_INTERVAL
 
 
-def test_two_pass_iteration_cap_error():
+def test_two_pass_iteration_cap_error(monkeypatch):
+    monkeypatch.setattr(integ, "TWO_PASS_CHECK_INTERVAL", 4)
     rng = np.random.default_rng(14)
     n = 500
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -376,7 +379,7 @@ def test_two_pass_iteration_cap_error():
     op = DenseOperator((q * lam) @ q.T, is_symmetric=True)
     ivp = SecondOrderIVP(op, rng.standard_normal(n), rng.standard_normal(n),
                          None, 10.0)
-    cfg = SolverConfig(tol=1e-14, m_max=2, two_pass_check_interval=4)
+    cfg = SolverConfig(tol=1e-14, m_max=2)
     with pytest.raises(RuntimeError, match="did not converge within 400 iterations"):
         two_pass_lanczos(ivp, cfg)
 
@@ -413,6 +416,26 @@ def test_gautschi_frees_its_start_up_bases():
     # the stepping loop holds one 31-row basis; the two start-up bases of
     # 26 rows each, if kept alive, would push the peak past 120
     assert peak / (8 * ivp.op.dim) <= 80
+
+
+def test_gautschi_stepping_holds_one_psi_basis():
+    # with v = 0 the start-up builds one 26-row psi basis, so the peak is
+    # set by the steps: one 31-row basis at a time, plus y, the velocity,
+    # g - A y, the operator's workspace, the process's scratch vector and
+    # the step's rates and velocities
+    ivp = build_wave3d(isotropic_wave_spec(40))
+    ivp = SecondOrderIVP(ivp.op, ivp.u, np.zeros(ivp.op.dim), ivp.g, ivp.t_final)
+    cfg = SolverConfig(tol=1e-6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        report = gautschi(ivp, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert report.steps > 1
+    assert peak / (8 * ivp.op.dim) <= (cfg.m_max + 1) + 12
 
 
 def test_gautschi_step_after_three_failed_start_up_checks_divides_t_final(monkeypatch):
@@ -476,8 +499,9 @@ def test_gautschi_repair_path_equivalence():
 
 def _matvecs_from_log(report):
     # one g - A y per cycle (first-order: the block residual g_hat - B w,
-    # also one matvec) plus one matvec per Krylov step of each entry
-    return report.steps + sum(e.m for e in report.residual_log)
+    # also one matvec) plus one matvec per Krylov step of each entry; a
+    # Gautschi bridge entry counts the bridge's steps, not its matvecs
+    return report.steps + sum(e.m for e in report.residual_log if e.phase != "bridge")
 
 
 def _multi_cycle_ivp():
@@ -490,8 +514,9 @@ def _multi_cycle_ivp():
                           rng.standard_normal(n), 1.7)
 
 
-def test_first_order_matvecs_match_the_residual_log():
-    report = rt_first_order_block(_multi_cycle_ivp(), SolverConfig(tol=1e-6, m_max=10))
+@pytest.mark.parametrize("name", ["first-order", "gautschi"])
+def test_matvecs_match_the_residual_log(name):
+    report = solve(_multi_cycle_ivp(), SolverConfig(tol=1e-6, m_max=10), name)
     assert report.steps > 1
     assert report.matvecs == _matvecs_from_log(report)
 
@@ -637,7 +662,7 @@ def test_zero_forcing_branch_skipped():
     op = DenseOperator(mat, is_symmetric=True)
     u = rng.standard_normal(n)
     ivp = SecondOrderIVP(op, u, rng.standard_normal(n), mat @ u, 1.0)
-    for name in ("rt-sim", "rt-seq", "two-pass"):
+    for name in ("rt-sim", "rt-seq", "two-pass", "gautschi", "first-order"):
         report = solve(ivp, SolverConfig(tol=1e-9, m_max=16), name)
         y_ref, _ = exact_ivp_solution(ivp, 1.0)
         assert _rel_err(report.y, y_ref) <= 1e-7, name
