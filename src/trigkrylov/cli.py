@@ -127,7 +127,7 @@ def cmd_solve(args) -> int:
             g = read_vector(args.g_file) if args.g_file else None
             ivp = SecondOrderIVP(op, u, v, g, args.t if args.t is not None else 1.0)
             label = Path(args.matrix).name
-        cfg = SolverConfig(tol=args.tol, m_max=args.mmax, alpha=args.alpha)
+        cfg = SolverConfig(tol=args.tol, m_max=args.mmax)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -362,8 +362,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_solve.add_argument("--solver", choices=sorted(SOLVERS), default="rt-seq")
     p_solve.add_argument("--reference", choices=("auto", "none"), default="auto")
     p_solve.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
-    p_solve.add_argument("--alpha", type=float, default=0.85,
-                         help="Gautschi safety factor")
     p_solve.add_argument("--t", type=float, default=None, help="final time override")
     _add_solver_flags(p_solve)
     _add_common(p_solve)

@@ -46,6 +46,11 @@ _MAX_CYCLES = 1_000_000
 #: anisotropic 10^3 cycles.  A sigma step below 0.6 still rebuilds psi.
 PSI_STEP_RUNGS = (0.99, 0.98, 0.97, 0.96, 0.9, 0.8, 0.7, 0.6)
 
+#: Safety factor of Gautschi's start-up: its sigma and psi runs are capped
+#: at floor(GAUTSCHI_ALPHA * m_max) so that the later psi runs, capped at
+#: m_max, have room to certify the fixed step.
+GAUTSCHI_ALPHA = 0.85
+
 #: Iterations between the residual checks of :func:`two_pass_lanczos`'s
 #: first pass.
 TWO_PASS_CHECK_INTERVAL = 10
@@ -86,22 +91,18 @@ class SolverConfig:
 
     ``m_max`` caps the Krylov dimension per restart cycle; the simultaneous
     solver halves it per branch because two bases share the memory budget,
-    and two-pass Lanczos stops after 200 * m_max iterations.  ``alpha`` is
-    the Gautschi safety factor applied to the initial step-size-selecting
-    Krylov runs.
+    Gautschi's start-up runs take ``GAUTSCHI_ALPHA`` of it, and two-pass
+    Lanczos stops after 200 * m_max iterations.
     """
 
     tol: float
     m_max: int = 30
-    alpha: float = 0.85
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.m_max < 2:
             raise ValueError("m_max must be at least 2")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
 
 
 @dataclass
@@ -265,7 +266,7 @@ def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     (starting vector v) are extended together; the combined residual bound
     ||r(s)|| <= ||r_psi(s)|| + ||r_sigma(s)|| is tested against
     tol * (||g - A y|| + ||v||).  Both bases are held simultaneously, so each
-    is capped at m_max/2.
+    is capped at m_max/2.  Each live branch logs its own entry.
     """
     m_cap = cfg.m_max // 2
 
@@ -277,10 +278,10 @@ def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         curves, delta = _grow_admissible(
             ivp.op, branches, cyc.t_rem, cfg.tol * (cyc.beta_psi + cyc.beta_sigma), m_cap
         )
-        entry = ("cycle", max(c.decomposition.m for c in curves), delta,
-                 _peak(CombinedResidualCurve(*curves), delta))
+        entries = [(c.kind.value, c.decomposition.m, delta, _peak(c, delta))
+                   for c in curves]
         updates = [_branch_updates(c, [delta])[0] for c in curves]
-        return (delta, *_add_updates(cyc.y, updates), [entry], False)
+        return (delta, *_add_updates(cyc.y, updates), entries, False)
 
     return _restart(ivp, "rt-sim", advance)
 
@@ -352,29 +353,31 @@ def _repair_psi_action(op, curve, w, delta, delta_tilde, cfg):
     delta_tilde < delta, so the exact state of zeta'' = -A zeta + w (zero
     initial data) is formed at delta_tilde from its basis and propagated
     over the remaining delta - delta_tilde with the sequential RT solver;
-    x = zeta(delta)/delta.
+    x = zeta(delta)/delta.  Returns x and the matvecs of that bridge solve.
     """
     y0b, v0b = _branch_updates(curve, [delta_tilde])[0]
     bridge = SecondOrderIVP(op, u=y0b, v=v0b, g=w, t_final=delta - delta_tilde)
     report = rt_sequential(bridge, cfg)
-    return report.y / delta, report.steps
+    return report.y / delta, report.matvecs
 
 
 def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     """Gautschi cosine scheme with residual-based step size selection.
 
     Each time step is one :func:`_restart` cycle.  Cycle 0 chooses the
-    fixed step delta from the residual of a sigma run on v (dimension
-    floor(alpha*m_max)), validates it with a psi run on g - A u, adjusts it
-    to divide t_final exactly and takes the first step with both runs'
-    rates.  Every later cycle runs one psi branch on the driver's g - A y;
-    if its residual certifies less than delta, the step is repaired by
-    bridging the interval with the sequential RT solver.  A cycle's
-    velocity is the averaged velocity (y_{k+1} - y_k)/delta, so the
-    returned velocity is that of the final step, not y'(t_final).
+    fixed step delta from the residual of a sigma run on v, shortens it to
+    what a psi run on g - A u certifies (both runs of dimension at most
+    floor(GAUTSCHI_ALPHA * m_max)), rounds it down to
+    t_final / ceil(t_final / delta) with no further check, and takes the
+    first step with both runs' rates.  Every later cycle runs one psi
+    branch on the driver's g - A y; if its residual certifies less than
+    delta, the step is repaired by bridging the interval with the
+    sequential RT solver.  A cycle's velocity is the averaged velocity
+    (y_{k+1} - y_k)/delta, so the returned velocity is that of the final
+    step, not y'(t_final).
     """
     op = ivp.op
-    m_tilde = max(1, math.floor(cfg.alpha * cfg.m_max))
+    m_tilde = math.floor(GAUTSCHI_ALPHA * cfg.m_max)
     delta = 0.0  # fixed by the first cycle
 
     def rate(curve):
@@ -402,27 +405,15 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             # the live sigma basis serves the shorter step as it is
             delta = min(delta, delta_psi)
 
-        # Adjust delta to hit t_final exactly; shrinking keeps residuals
-        # admissible on the fine grid, but re-verify the coarse samples since
-        # they move with delta.  At most three checks: a step shrunk by the
-        # third is only rounded down to divide t_final.
-        checks = [(c, cfg.tol * beta) for c, beta in
-                  ((c_psi, cyc.beta_psi), (c_sigma, cyc.beta_sigma)) if c is not None]
-        for attempt in range(4):
-            steps = max(1, math.ceil(ivp.t_final / delta - 1e-12))
-            if steps > _MAX_CYCLES:
-                raise RuntimeError("Gautschi step count limit exceeded")
-            delta = ivp.t_final / steps
-            if attempt == 3 or all(
-                coarse_residual_check(c, delta, th) and confirm_admissible(c, delta, th)
-                for c, th in checks
-            ):
-                break
-            shrunk = min([delta] + [find_largest_admissible_step(c, delta, th)
-                                    for c, th in checks])
-            if shrunk >= delta:
-                break
-            delta = shrunk
+        # Round down to a whole fraction of t_final, with no further check:
+        # the residuals are admissible on every sub-interval of the
+        # certified step.  The 1e-12 keeps a quotient a round-off above an
+        # integer from adding a step; the step then exceeds the certified
+        # one by at most 1e-12 relative.
+        steps = math.ceil(ivp.t_final / delta - 1e-12)
+        if steps > _MAX_CYCLES:
+            raise RuntimeError("Gautschi step count limit exceeded")
+        delta = ivp.t_final / steps
         entries = [(c.kind.value, c.decomposition.m, delta, _peak(c, delta))
                    for c in (c_sigma, c_psi) if c is not None]
         return rate(c_sigma), rate(c_psi), entries, False
@@ -439,8 +430,8 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         entries = [("step", curve.decomposition.m, delta, _peak(curve, delta))]
         if delta_tilde >= delta * (1.0 - 1e-12):
             return rate(curve), entries, False
-        x, bridge_steps = _repair_psi_action(op, curve, cyc.gt, delta, delta_tilde, cfg)
-        entries.append(("bridge", bridge_steps, delta, float("nan")))
+        x, bridge_matvecs = _repair_psi_action(op, curve, cyc.gt, delta, delta_tilde, cfg)
+        entries.append(("bridge", bridge_matvecs, delta, float("nan")))
         return x, entries, True
 
     def advance(cyc):

@@ -14,19 +14,20 @@ their updates from.
 A :class:`KrylovProcess` is created with its step cap ``m_max`` and owns one
 preallocated basis store of ``min(m_max, dim) + 1`` rows, one row per basis
 vector; an Arnoldi process also owns one (m_max + 1) x m_max Hessenberg
-array.  The three-term mode stores no basis: it rotates three preallocated
-vectors and is not capped at ``dim``.  Every process also owns one scratch
-vector.  A step applies A straight into the next row (``apply(x, out=)``),
-orthogonalizes that row in place, forming each ``coeff * v`` in the scratch
-vector so the bits equal those of ``w - coeff * v``, and normalizes it in
-place, so no step allocates an n-vector.  :meth:`KrylovProcess.step` past
-the cap raises ``RuntimeError``.  :attr:`KrylovProcess.newest` reads the
-newest basis vector in every mode; two-pass Lanczos replays its first
-pass's three-term process through it, bit for bit.  A
-:class:`KrylovDecomposition` snapshot reads the basis as a view of the
-store (``V_m`` and ``V`` are transposed row slices), never a copy.  Rows
-are only ever appended, so an earlier snapshot stays valid while the
-process goes on.  A solver passes each branch around as its
+array.  The three-term mode keeps a store of three rows as a ring, row
+``i % 3`` holding v_{i+1}, so it keeps no basis and is not capped at
+``dim``.  Every process also owns one scratch vector.  A step applies A
+straight into the next row (``apply(x, out=)``), orthogonalizes that row in
+place, forming each ``coeff * v`` in the scratch vector so the bits equal
+those of ``w - coeff * v``, and normalizes it in place, so no step
+allocates an n-vector.  :meth:`KrylovProcess.step` past the cap raises
+``RuntimeError``.  :attr:`KrylovProcess.newest` reads the newest basis
+vector in every mode; two-pass Lanczos replays its first pass's three-term
+process through it, bit for bit.  A :class:`KrylovDecomposition` snapshot
+reads the basis as a view of the store (``V_m`` and ``V`` are transposed
+row slices), never a copy.  Rows are only ever appended, so an earlier
+snapshot stays valid while the process goes on; a three-term snapshot
+holds no basis.  A solver passes each branch around as its
 :class:`ResidualCurve`, which holds the snapshot, its spectral cache and
 the branch kind.
 """
@@ -54,7 +55,7 @@ class KrylovProcess:
     """Incremental Arnoldi/Lanczos factorization A V_m = V_{m+1} H_m.
 
     ``mode`` is one of ``"arnoldi"``, ``"lanczos"`` (basis stored) or
-    ``"lanczos3"`` (three-term recurrence, only a sliding window of basis
+    ``"lanczos3"`` (three-term recurrence, only a ring of three basis
     vectors kept).  One call to :meth:`step` consumes exactly one matvec;
     at most ``min(m_max, dim)`` steps are taken with a stored basis and at
     most ``m_max`` in three-term mode.
@@ -87,14 +88,11 @@ class KrylovProcess:
         self.breakdown = False
         self._norm_est = 0.0
         self._scratch = np.empty(op.dim)
-        if mode == "lanczos3":
-            self._store = None
-            # previous, current and next basis vector, rotated every step
-            self._window = [np.zeros(op.dim), np.empty(op.dim), np.empty(op.dim)]
-            np.divide(w, beta, out=self._window[1])
-        else:
-            self._store = np.empty((self.m_max + 1, op.dim))
-            np.divide(w, beta, out=self._store[0])
+        # row i % rows holds v_{i+1}: one row per basis vector, or a ring
+        # of three in three-term mode
+        rows = 3 if mode == "lanczos3" else self.m_max + 1
+        self._store = np.empty((rows, op.dim))
+        np.divide(w, beta, out=self._store[0])
         if mode == "arnoldi":
             self._h = np.zeros((self.m_max + 1, self.m_max))
         else:
@@ -119,7 +117,7 @@ class KrylovProcess:
             self._newest()[:] = 0.0  # V's last column is zero after breakdown
 
     def _newest(self) -> np.ndarray:
-        return self._window[1] if self._store is None else self._store[self.m]
+        return self._store[self.m % len(self._store)]
 
     @property
     def newest(self) -> np.ndarray:
@@ -156,10 +154,8 @@ class KrylovProcess:
 
     def _step_lanczos(self):
         m, store = self.m, self._store
-        if self.mode == "lanczos3":
-            v_prev, v_cur, w = self._window
-        else:
-            v_prev, v_cur, w = (store[m - 1] if m > 0 else None), store[m], store[m + 1]
+        rows = len(store)
+        v_prev, v_cur, w = store[(m - 1) % rows], store[m % rows], store[(m + 1) % rows]
         self.op.apply(v_cur, out=w)
         if m > 0:
             self._subtract(w, self.offdiags[-1], v_prev)
@@ -182,8 +178,6 @@ class KrylovProcess:
             self.breakdown = True
         else:
             w /= h_next
-        if self.mode == "lanczos3":
-            self._window = [v_cur, w, v_prev]
 
     def snapshot(self) -> "KrylovDecomposition":
         return KrylovDecomposition(self)
@@ -194,7 +188,8 @@ class KrylovDecomposition:
 
     Coefficient data is copied at snapshot time, so the snapshot stays valid
     even if the process is extended afterwards.  The basis is a view of the
-    process's store, whose rows are only ever appended.
+    process's store, whose rows are only ever appended; a three-term
+    snapshot holds no basis, since its ring is overwritten.
     """
 
     def __init__(self, process: KrylovProcess):
@@ -203,7 +198,7 @@ class KrylovDecomposition:
         self.m = process.m
         self.h_next = process.h_next
         self.breakdown = process.breakdown
-        self._store = process._store
+        self._store = None if process.mode == "lanczos3" else process._store
         if process.mode == "arnoldi":
             self._h_square = process._h[: self.m, : self.m].copy()
             self._tridiag = None

@@ -83,6 +83,15 @@ def test_solve_invalid_solver_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_solve_has_no_alpha_flag(tmp_path, capsys):
+    # Gautschi's safety factor is the constant integrators.GAUTSCHI_ALPHA
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "isotropic10", "--alpha", "0.5",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
 def test_solve_two_pass_on_transport_fails(tmp_path, capsys):
     rc = main(["solve", "--problem", "transport128", "--solver", "two-pass",
                "--out", str(tmp_path)])

@@ -46,8 +46,6 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=1e-6, m_max=1)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=1e-6, alpha=1.0)
 
 
 def test_ivp_validation():
@@ -438,23 +436,45 @@ def test_gautschi_stepping_holds_one_psi_basis():
     assert peak / (8 * ivp.op.dim) <= (cfg.m_max + 1) + 12
 
 
-def test_gautschi_step_after_three_failed_start_up_checks_divides_t_final(monkeypatch):
-    # On horizons t_final/k every coarse check fails and every search
-    # shrinks the step by 3%, so all three start-up checks fail and the
-    # step count must follow the third shrink.
-    ivp = build_wave3d(isotropic_wave_spec(8))
+def test_gautschi_start_up_rounds_its_certified_step_to_divide_t_final(monkeypatch):
+    # Both branches live, psi shortens sigma's step, and the step they
+    # certify does not divide t_final: cycle 0 rounds it down to a whole
+    # fraction of t_final and checks no residual outside its two runs.
+    ivp, _ = _repair_heavy_instance(np.random.default_rng(42))
+    grow, certified, stray = integ._grow_admissible, [], []
+    inside = False
 
-    def divides_t_final(t):
-        k = ivp.t_final / t
-        return abs(k - round(k)) <= 1e-9
+    def grow_spy(*args):
+        nonlocal inside
+        inside = True
+        try:
+            curves, delta = grow(*args)
+        finally:
+            inside = False
+        certified.append(delta)
+        return curves, delta
 
-    check, search = integ.coarse_residual_check, integ.find_largest_admissible_step
-    monkeypatch.setattr(integ, "coarse_residual_check", lambda curve, t, tol: (
-        not divides_t_final(t) and check(curve, t, tol)))
-    monkeypatch.setattr(integ, "find_largest_admissible_step", lambda curve, t, tol: (
-        0.97 * t if divides_t_final(t) else search(curve, t, tol)))
-    report = gautschi(ivp, SolverConfig(tol=1e-6))
-    assert sum(report.step_sizes) == pytest.approx(ivp.t_final, rel=1e-12)
+    def check_spy(name):
+        check = getattr(integ, name)
+
+        def spy(*args):
+            if not inside and len(certified) <= 2:
+                stray.append(name)
+            return check(*args)
+        return spy
+
+    monkeypatch.setattr(integ, "_grow_admissible", grow_spy)
+    for name in ("coarse_residual_check", "confirm_admissible",
+                 "find_largest_admissible_step"):
+        monkeypatch.setattr(integ, name, check_spy(name))
+    report = gautschi(ivp, SolverConfig(tol=1e-8, m_max=8))
+    step = min(certified[:2])  # the sigma run, then the psi run
+    quotient = ivp.t_final / step
+    assert abs(quotient - round(quotient)) > 1e-3
+    assert not stray
+    assert report.step_sizes[0] <= step * (1 + 1e-12)
+    k = ivp.t_final / report.step_sizes[0]
+    assert abs(k - round(k)) <= 1e-9
 
 
 def _repair_heavy_instance(rng):
@@ -500,8 +520,8 @@ def test_gautschi_repair_path_equivalence():
 def _matvecs_from_log(report):
     # one g - A y per cycle (first-order: the block residual g_hat - B w,
     # also one matvec) plus one matvec per Krylov step of each entry; a
-    # Gautschi bridge entry counts the bridge's steps, not its matvecs
-    return report.steps + sum(e.m for e in report.residual_log if e.phase != "bridge")
+    # Gautschi bridge entry's m is the matvecs of its rt-seq solve
+    return report.steps + sum(e.m for e in report.residual_log)
 
 
 def _multi_cycle_ivp():
@@ -514,9 +534,14 @@ def _multi_cycle_ivp():
                           rng.standard_normal(n), 1.7)
 
 
-@pytest.mark.parametrize("name", ["first-order", "gautschi"])
-def test_matvecs_match_the_residual_log(name):
-    report = solve(_multi_cycle_ivp(), SolverConfig(tol=1e-6, m_max=10), name)
+@pytest.mark.parametrize("name, instance, cfg", [
+    *[pytest.param(name, _multi_cycle_ivp, SolverConfig(tol=1e-6, m_max=10), id=name)
+      for name in ("rt-sim", "rt-seq", "gautschi", "first-order")],
+    pytest.param("gautschi", lambda: _repair_heavy_instance(np.random.default_rng(42))[0],
+                 SolverConfig(tol=1e-8, m_max=8), id="gautschi-bridged"),
+])
+def test_matvecs_match_the_residual_log(name, instance, cfg):
+    report = solve(instance(), cfg, name)
     assert report.steps > 1
     assert report.matvecs == _matvecs_from_log(report)
 

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -360,6 +361,23 @@ def test_newest_reads_the_basis_in_every_mode():
         proc = KrylovProcess(IdentityOperator(4), np.ones(4), 4, mode=mode)
         proc.step()
         assert proc.breakdown and not np.any(proc.newest), mode
+
+
+def test_three_term_snapshot_releases_the_ring():
+    # two-pass keeps pass one's converged curve through pass two, which
+    # runs a process of its own; the snapshot must not keep pass one's
+    # three vectors alive
+    rng = np.random.default_rng(8)
+    proc = KrylovProcess(_spd_operator(rng, 20), rng.standard_normal(20), 8,
+                         mode="lanczos3")
+    for _ in range(5):
+        proc.step()
+    ring = weakref.ref(proc._store)
+    snap = proc.snapshot()
+    del proc
+    gc.collect()
+    assert ring() is None
+    assert snap.m == 5
 
 
 @pytest.mark.parametrize("mode", ["arnoldi", "lanczos", "lanczos3"])

@@ -1,0 +1,41 @@
+"""The bit-identity tools under ``tools/`` import internals of the acceptance
+fixtures and the benchmark workloads; these tests keep them runnable.  Each
+tool is loaded from its file, since ``tools`` is not a package."""
+import importlib.util
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+_CELL = "isotropic/10/0.0001/rt-seq"
+
+
+@pytest.fixture
+def load_tool(monkeypatch):
+    # each tool prepends its source directories to sys.path on import
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            f"tools_{name}", _ROOT / "tools" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    return load
+
+
+def test_cell_digest_prints_the_golden_matvecs(load_tool, capsys):
+    assert load_tool("cell_digest").main([_CELL]) == 0
+    head, sizes = capsys.readouterr().out.splitlines()
+    assert head.startswith(f"{_CELL}: ") and sizes.startswith("  step sizes: ")
+    golden = json.loads((_ROOT / "tests" / "golden_cells.json").read_text())[_CELL]
+    assert int(re.search(r"matvecs (\d+)", head).group(1)) == golden["matvecs"]
+
+
+def test_ulp_spread_prints_one_line_per_cell(load_tool, capsys):
+    assert load_tool("ulp_spread").main([_CELL]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"{_CELL}: as is ")
