@@ -52,7 +52,7 @@ PSI_STEP_RUNGS = (0.99, 0.98, 0.97, 0.96, 0.9, 0.8, 0.7, 0.6)
 GAUTSCHI_ALPHA = 0.85
 
 #: Iterations between the residual checks of :func:`two_pass_lanczos`'s
-#: first pass.
+#: first pass; only the accepting check is logged, as its branch's entry.
 TWO_PASS_CHECK_INTERVAL = 10
 
 ResidualLogEntry = namedtuple(
@@ -81,8 +81,8 @@ class SecondOrderIVP:
                 raise ValueError(f"{name} has shape {vec.shape}, need ({self.op.dim},)")
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"{name} has non-finite entries")
-        if not self.t_final > 0:
-            raise ValueError("t_final must be positive")
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ValueError("t_final must be finite and positive")
 
 
 @dataclass
@@ -109,7 +109,9 @@ class SolverConfig:
 class SolveReport:
     """Solution plus accounting for one solver run.
 
-    ``matvecs`` always equals the operator counter delta over the solve.
+    ``matvecs`` always equals the operator counter delta over the solve, and
+    ``steps + sum(e.m for e in residual_log)``: one g - A y per cycle, m per
+    Krylov run, and the m matvecs of a rebuild, bridge or replay entry.
     For the Gautschi scheme ``v_out`` is an averaged velocity over the last
     step, not y'(t); ``velocity_is_averaged`` marks this.
     """
@@ -462,9 +464,9 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     functions overflow) stops it with ``RuntimeError``.  Pass two replays
     the same process from the same start, so it regenerates pass one's
     basis bit for bit, and accumulates the solution and velocity as running
-    sums with the coefficients of pass one's converged curve, so memory use
-    is independent of the iteration count at the price of roughly doubling
-    the matvecs.
+    sums with the coefficients of pass one's converged curve: O(1) vectors
+    for about twice the matvecs.  A live branch logs pass one's m and its
+    accepting residual (0.0 at breakdown), then a ``"replay"`` entry of m - 1.
     """
     op = ivp.op
     if not op.is_symmetric:
@@ -472,25 +474,24 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     t_final = ivp.t_final
     cap = 200 * cfg.m_max
 
-    def pass_one(start, kind, threshold, entries):
-        """The branch's converged residual curve, from a three-term run."""
+    def pass_one(start, kind, threshold):
+        """The branch's converged curve and its accepting check's residual."""
         proc = KrylovProcess(op, start, cap, mode="lanczos3")
         while True:
             proc.step()
             if proc.breakdown:
-                return ResidualCurve(proc.snapshot(), kind)
+                return ResidualCurve(proc.snapshot(), kind), 0.0
             if proc.m % TWO_PASS_CHECK_INTERVAL and proc.m != cap:
                 continue  # not a check iteration
             curve = ResidualCurve(proc.snapshot(), kind)
             res = _peak(curve, t_final)
-            entries.append((kind.value, proc.m, t_final, res))
             if not math.isfinite(res):
                 raise RuntimeError(
                     f"two-pass Lanczos residual is not finite at m = {proc.m}: "
                     f"t_final = {t_final:g} overflows the projected functions"
                 )
             if res <= threshold and confirm_admissible(curve, t_final, threshold):
-                return curve
+                return curve, res
             if proc.m >= cap:
                 raise RuntimeError(
                     f"two-pass Lanczos did not converge within {cap} iterations; "
@@ -519,7 +520,10 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             (cyc.vel, cyc.beta_sigma, th_sigma, ScalarFunKind.SIGMA),
         ):
             if beta > 0:
-                updates.append(pass_two(start, pass_one(start, kind, threshold, entries)))
+                curve, res = pass_one(start, kind, threshold)
+                updates.append(pass_two(start, curve))
+                m = curve.decomposition.m
+                entries += [(kind.value, m, t_final, res), ("replay", m - 1, t_final, math.nan)]
         return (cyc.t_rem, *_add_updates(cyc.y, updates), entries, False)
 
     return _restart(ivp, "two-pass", advance)

@@ -167,9 +167,7 @@ def build_transport(spec: TransportProblemSpec) -> SecondOrderIVP:
     """Nonsymmetric operator A = c^2 L - 2 c alpha D - alpha^2 I (L SPD stencil).
 
     The symmetric part is c^2 L - alpha^2 I >= -alpha^2 I, so a mild
-    indefiniteness of at most alpha^2 is inherent to the construction; the
-    guard below only rejects operators broken beyond that bound (e.g. a
-    sign error in the stencil).
+    indefiniteness of at most alpha^2 is inherent to the construction.
     """
     n = spec.nx
     h = 1.0 / (n + 1)
@@ -179,12 +177,6 @@ def build_transport(spec: TransportProblemSpec) -> SecondOrderIVP:
     lower = np.full(n - 1, -c * c / h**2 + c * alpha / h)
     a_mat = scipy.sparse.diags([lower, main, upper], [-1, 0, 1], format="csr")
     op = linop.SparseCSR(a_mat, is_symmetric=False)
-
-    lam_min_sym = c * c * (2.0 / h**2) * (1.0 - np.cos(np.pi * h)) - alpha * alpha
-    norm_est = c * c * 4.0 / h**2 + 2.0 * c * alpha / h + alpha * alpha
-    if lam_min_sym < -(alpha * alpha * (1.0 + 1e-8) + 1e-10 * norm_est):
-        raise ValueError("transport operator symmetric part indefinite beyond "
-                         "the alpha^2 shift; check the stencil")
 
     x = h * np.arange(1, n + 1)
     u0 = np.exp(-500.0 * (x - 0.5) ** 2)

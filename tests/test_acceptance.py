@@ -79,7 +79,7 @@ GOLDEN_CELLS = Path(__file__).with_name("golden_cells.json")
 
 #: Tolerance factor of a fixture cell per (family, solver), 1 where absent:
 #: Table 3 runs gautschi 10x tighter and two-pass 10x looser, Table 5 runs
-#: first-order 10x looser.  ``tools/ulp_spread.py`` reads it too.
+#: first-order 10x looser.  ``tools/cell_digest.py`` reads it too.
 TOL_ADJUST = {("anisotropic", "gautschi"): 0.1, ("anisotropic", "two-pass"): 10.0,
               ("transport", "first-order"): 10.0}
 
@@ -112,6 +112,17 @@ def cell_steps():
 
 
 @pytest.fixture(scope="module")
+def log_gaps():
+    """"<family>/<grid>/<tol>/<solver>" -> matvecs - steps - sum of m over
+    the residual log of each fixture run, filled by the cell fixtures."""
+    return {}
+
+
+def _log_gap(rep):
+    return rep.matvecs - rep.steps - sum(e.m for e in rep.residual_log)
+
+
+@pytest.fixture(scope="module")
 def rt_seq_logs():
     """"anisotropic/<grid>/<tol>/rt-seq" -> (matvecs, steps, repair events,
     residual log) of each anisotropic rt-seq run, filled by
@@ -120,7 +131,7 @@ def rt_seq_logs():
 
 
 @pytest.fixture(scope="module")
-def isotropic_cells(cell_steps):
+def isotropic_cells(cell_steps, log_gaps):
     """Solve every Table-2 cell once; criteria 5 and 8 share the results."""
     out = {}
     for grid in (10, 20):
@@ -129,12 +140,14 @@ def isotropic_cells(cell_steps):
             for solver in SOLVER_ORDER:
                 rep = solve(ivp, SolverConfig(tol=tol), solver)
                 out[(grid, tol, solver)] = (rep.matvecs, _rel(rep.y, yref))
-                cell_steps[f"isotropic/{grid}/{tol:g}/{solver}"] = rep.steps
+                key = f"isotropic/{grid}/{tol:g}/{solver}"
+                cell_steps[key] = rep.steps
+                log_gaps[key] = _log_gap(rep)
     return out
 
 
 @pytest.fixture(scope="module")
-def anisotropic_cells(cell_steps, rt_seq_logs):
+def anisotropic_cells(cell_steps, log_gaps, rt_seq_logs):
     out = {}
     for grid in (10, 20):
         ivp, yref = fixture_problem("anisotropic", grid)
@@ -145,6 +158,7 @@ def anisotropic_cells(cell_steps, rt_seq_logs):
                 out[(grid, tol, solver)] = (rep.matvecs, _rel(rep.y, yref))
                 key = f"anisotropic/{grid}/{tol:g}/{solver}"
                 cell_steps[key] = rep.steps
+                log_gaps[key] = _log_gap(rep)
                 if solver == "rt-seq":
                     rt_seq_logs[key] = (rep.matvecs, rep.steps, rep.repair_events,
                                         rep.residual_log)
@@ -152,7 +166,7 @@ def anisotropic_cells(cell_steps, rt_seq_logs):
 
 
 @pytest.fixture(scope="module")
-def transport_cells(cell_steps):
+def transport_cells(cell_steps, log_gaps):
     out = {}
     for grid in (128, 256, 512):
         ivp, yref = fixture_problem("transport", grid)
@@ -162,7 +176,9 @@ def transport_cells(cell_steps):
                 rep = solve(ivp, SolverConfig(tol=tol * adj), solver)
                 out[(grid, tol, solver)] = (rep.matvecs, _rel(rep.y, yref),
                                             tol * adj)
-                cell_steps[f"transport/{grid}/{tol:g}/{solver}"] = rep.steps
+                key = f"transport/{grid}/{tol:g}/{solver}"
+                cell_steps[key] = rep.steps
+                log_gaps[key] = _log_gap(rep)
     return out
 
 
@@ -491,6 +507,14 @@ def test_fixture_cells_match_the_golden_counts(isotropic_cells, anisotropic_cell
     _report("gate", not failures,
             f"{len(moved)} of {len(current)} cells moved, failures={failures}")
     assert not failures, json.dumps(moved, indent=1)
+
+
+def test_residual_log_accounts_for_every_fixture_matvec(isotropic_cells,
+                                                       anisotropic_cells,
+                                                       transport_cells, log_gaps):
+    # matvecs = steps + sum of m over the residual log, for all five solvers
+    assert len(log_gaps) == 50
+    assert {key: gap for key, gap in log_gaps.items() if gap} == {}
 
 
 def test_criterion_8_substituted_properties(isotropic_cells):

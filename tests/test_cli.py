@@ -104,8 +104,9 @@ def test_solve_requires_one_source(tmp_path, capsys):
     assert rc == 2
 
 
-def test_solve_t_zero_exits_2(tmp_path, capsys):
-    rc = main(["solve", "--problem", "isotropic10", "--t", "0",
+@pytest.mark.parametrize("t_final", ["0", "inf", "nan"])
+def test_solve_t_zero_exits_2(tmp_path, capsys, t_final):
+    rc = main(["solve", "--problem", "isotropic10", "--t", t_final,
                "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err

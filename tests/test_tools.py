@@ -35,7 +35,12 @@ def test_cell_digest_prints_the_golden_matvecs(load_tool, capsys):
     assert int(re.search(r"matvecs (\d+)", head).group(1)) == golden["matvecs"]
 
 
-def test_ulp_spread_prints_one_line_per_cell(load_tool, capsys):
-    assert load_tool("ulp_spread").main([_CELL]) == 0
-    (line,) = capsys.readouterr().out.splitlines()
-    assert line.startswith(f"{_CELL}: as is ")
+def test_ulp_spread_prints_one_line_per_cell(load_tool, capsys, monkeypatch):
+    tool = load_tool("ulp_spread")
+    monkeypatch.setattr(tool, "COPIES", 1)
+    cells = [_CELL, "transport-nonsym/first-order"]  # a fixture and a benchmark cell
+    assert tool.main(cells) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": as is ")[0] for line in lines] == cells
+    assert tool.main(["transport-nonsym/two-pass"]) == 2
+    assert "unknown cells: transport-nonsym/two-pass" in capsys.readouterr().err

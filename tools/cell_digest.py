@@ -13,11 +13,12 @@ repair events and the SHA-1 of y, v_out and the residual log, then a line
 with its step sizes in ``float.hex``.  Equal lines mean equal counts, equal
 step sequences and bit-identical outputs.
 
-Fixture problems and tolerances come from the acceptance fixtures
-(``TOL_ADJUST`` and ``fixture_problem`` in ``tests/test_acceptance.py``),
-benchmark ones from the workload table; the benchmark's wave3d-large cells
-(n = 262,144) take most of the time.  The script is not part of the test
-suite.
+Fixture problems, references and tolerances come from the acceptance
+fixtures (``TOL_ADJUST`` and ``fixture_problem`` in
+``tests/test_acceptance.py``), benchmark ones from the workload table;
+``tools/ulp_spread.py`` takes its cells from :func:`cells` too.  The
+benchmark's wave3d-large cells (n = 262,144) take most of the time.  The
+script is not part of the test suite.
 """
 from __future__ import annotations
 
@@ -52,24 +53,28 @@ def digest(name: str, ivp, tol: float, solver: str) -> str:
 
 
 def cells():
-    """(name, problem factory, tolerance, solver) of every cell, fixture
-    cells first; cells on one problem share its factory."""
+    """(name, problem factory, reference, tolerance, solver) of every cell,
+    fixture cells first; cells on one problem share its factory, and
+    ``reference(ivp)`` gives the problem's y at t_final."""
     problems = {}
     for key in json.loads(GOLDEN_CELLS.read_text()):
         family, grid, tol, solver = key.split("/")
-        factory = problems.setdefault(
-            (family, grid), lambda f=family, g=int(grid): fixture_problem(f, g)[0])
-        yield key, factory, float(tol) * TOL_ADJUST.get((family, solver), 1.0), solver
+        factory, reference = problems.setdefault((family, grid), (
+            lambda f=family, g=int(grid): fixture_problem(f, g)[0],
+            lambda ivp, f=family, g=int(grid): fixture_problem(f, g)[1]))
+        yield (key, factory, reference,
+               float(tol) * TOL_ADJUST.get((family, solver), 1.0), solver)
     for workload in WORKLOADS.values():
         for cell in workload.cells:
-            yield f"{workload.name}/{cell.solver}", workload.build, cell.tol_used, cell.solver
+            yield (f"{workload.name}/{cell.solver}", workload.build, workload.reference,
+                   cell.tol_used, cell.solver)
 
 
 def main(argv=None) -> int:
     wanted = set(sys.argv[1:] if argv is None else argv)
     known = set()
     built = {}
-    for name, factory, tol, solver in cells():
+    for name, factory, _, tol, solver in cells():
         known.add(name)
         if wanted and name not in wanted:
             continue

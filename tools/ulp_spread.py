@@ -1,9 +1,11 @@
-"""Round-off spread of fixture cells: rerun each with 1-ulp changes to u and v.
+"""Round-off spread of cells: rerun each with 1-ulp changes to u and v.
 
-Run from the root of a source checkout, naming cells as the keys of
-``tests/golden_cells.json`` (``<family>/<grid>/<tol>/<solver>``):
+Run from the root of a source checkout, naming cells as
+``tools/cell_digest.py`` does: the keys of ``tests/golden_cells.json``
+(``<family>/<grid>/<tol>/<solver>``) and the benchmark cells
+(``<workload>/<solver>``):
 
-    python3 tools/ulp_spread.py anisotropic/10/1e-06/rt-seq transport/512/1e-06/rt-seq
+    python3 tools/ulp_spread.py anisotropic/10/1e-06/rt-seq transport-nonsym/rt-seq
 
 Each cell is solved once as it stands and then with 8 copies of its
 initial data, copy k drawn from ``default_rng(k)``: every entry of u and v
@@ -14,10 +16,10 @@ their largest rel_err.  rel_err is measured against the unperturbed
 problem's reference (the sine eigenbasis for waves, the block exponential
 for transport), which differs from a copy's own by about 1e-16.
 
-Problems, references and tolerance adjustments are read from the
-acceptance fixtures (``TOL_ADJUST`` and ``fixture_problem`` in
-``tests/test_acceptance.py``), so a cell here is the golden cell of the same
-name.  The script is not part of the test suite.
+Problems, references and tolerances are those of
+``cell_digest.cells()``, so a cell here is the digested cell of the same
+name; an unknown name exits with status 2.  The script is not part of the
+test suite.
 """
 from __future__ import annotations
 
@@ -27,15 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_acceptance import TOL_ADJUST, fixture_problem  # noqa: E402
+from cell_digest import cells  # noqa: E402
 from trigkrylov.integrators import SecondOrderIVP, SolverConfig, solve  # noqa: E402
 
 ULP = 2.0 ** -52
 COPIES = 8
-FAMILIES = ("isotropic", "anisotropic", "transport")
 
 
 def _perturbed(vec: np.ndarray, rng) -> np.ndarray:
@@ -48,15 +48,10 @@ def _run(ivp, cfg, solver, y_ref):
     return rep.matvecs, rep.steps, rel
 
 
-def spread(cell: str) -> str:
-    parts = cell.split("/")
-    if len(parts) != 4:
-        raise SystemExit(f"cell {cell!r} is not <family>/<grid>/<tol>/<solver>")
-    family, grid, tol, solver = parts
-    if family not in FAMILIES:
-        raise SystemExit(f"unknown family {family!r}; choose from {FAMILIES}")
-    ivp, y_ref = fixture_problem(family, int(grid))
-    cfg = SolverConfig(tol=float(tol) * TOL_ADJUST.get((family, solver), 1.0))
+def spread(cell: str, factory, reference, tol: float, solver: str) -> str:
+    ivp = factory()
+    y_ref = reference(ivp)
+    cfg = SolverConfig(tol=tol)
     mv0, steps0, rel0 = _run(ivp, cfg, solver, y_ref)
     runs = []
     for k in range(COPIES):
@@ -76,10 +71,16 @@ def spread(cell: str) -> str:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("cells", nargs="+", help="<family>/<grid>/<tol>/<solver>")
+    p.add_argument("cells", nargs="+",
+                   help="<family>/<grid>/<tol>/<solver> or <workload>/<solver>")
     args = p.parse_args(argv)
+    table = {name: rest for name, *rest in cells()}
+    unknown = [cell for cell in args.cells if cell not in table]
+    if unknown:
+        print(f"unknown cells: {', '.join(unknown)}", file=sys.stderr)
+        return 2
     for cell in args.cells:
-        print(spread(cell), flush=True)
+        print(spread(cell, *table[cell]), flush=True)
     return 0
 
 
