@@ -8,11 +8,13 @@ only in their cycle: rt-sim grows both branches in lockstep, rt-seq psi
 then sigma, first-order one Arnoldi branch on the block form; a Gautschi
 cycle is one time step of the cosine scheme, and two-pass Lanczos is a
 single cycle.  The RT solvers and Gautschi grow every basis with
-:func:`_grow_admissible`.  Residual thresholds are relative to the
-norm of the starting vector of the corresponding Krylov branch; for
-split-branch solvers the per-branch tolerances are rebalanced from each
-restart cycle's inflow data so their sum meets the combined budget
-tol * (||g - A y|| + ||v||).
+:func:`_grow_admissible`, which checks the residual after every Krylov
+step, except while the horizon is more than ``GATE`` times the previous
+cycle's step: then only at the dimension cap or at breakdown.  Residual
+thresholds are relative to the norm of the starting vector of the
+corresponding Krylov branch; for split-branch solvers the per-branch
+tolerances are rebalanced from each restart cycle's inflow data so their
+sum meets the combined budget tol * (||g - A y|| + ||v||).
 """
 from __future__ import annotations
 
@@ -54,6 +56,12 @@ GAUTSCHI_ALPHA = 0.85
 #: Iterations between the residual checks of :func:`two_pass_lanczos`'s
 #: first pass; only the accepting check is logged, as its branch's entry.
 TWO_PASS_CHECK_INTERVAL = 10
+
+#: :func:`_grow_admissible` skips its per-step residual check while the
+#: horizon exceeds GATE times the solve's previous step: such a check
+#: almost never passes below the dimension cap.  A skipped check can only
+#: delay acceptance to the cap, so a wrong gate costs matvecs, not accuracy.
+GATE = 4.0
 
 ResidualLogEntry = namedtuple(
     "ResidualLogEntry", ["phase", "cycle", "m", "t_start", "t_end", "residual"]
@@ -145,32 +153,39 @@ def _tolerance_split(tol, beta_psi, beta_sigma):
     return 0.0, tol * beta_sigma
 
 
-def _grow_admissible(op, branches, horizon, threshold, m_cap):
+def _grow_admissible(op, branches, horizon, threshold, m_cap, prev_step=math.inf):
     """Extend one Krylov process per ``(start, kind)`` branch, in lockstep,
     until the summed residual is admissible on [0, horizon].
 
-    Convergence is checked after every step on the six coarse samples; a
-    branch that breaks down stops growing and its residual vanishes.  On
-    failure at the dimension cap the largest admissible step is located on
-    the fine grid.  Each process stops at the dimension of ``op`` if
-    ``m_cap`` exceeds it, and a cap that reaches it turns on
-    reorthogonalization: without it the basis of a small stiff operator
-    loses orthogonality long before an invariant subspace is found, and
-    the residual never certifies a useful step.  Returns (curves, delta):
-    one :class:`ResidualCurve` per branch, which is the branch's handle
-    (its decomposition, spectral cache and kind), and the step, which is
-    ``horizon`` once the residual is admissible on all of it.
+    While ``horizon > GATE * prev_step`` (``prev_step`` is the solve's
+    previous step) the residual is checked only at the dimension cap or once
+    every branch has broken down; otherwise after every step, on the six
+    coarse samples.  A branch that breaks down stops growing and its
+    residual vanishes.  On failure at the dimension cap the largest
+    admissible step is located on the fine grid.  Each process stops at the
+    dimension of ``op`` if ``m_cap`` exceeds it, and a cap that reaches it
+    turns on reorthogonalization: without it the basis of a small stiff
+    operator loses orthogonality long before an invariant subspace is
+    found, and the residual never certifies a useful step.  Returns
+    (curves, delta): one :class:`ResidualCurve` per branch, which is the
+    branch's handle (its decomposition, spectral cache and kind), and the
+    step, which is ``horizon`` once the residual is admissible on all of it.
     """
     procs = [KrylovProcess(op, start, m_cap, reorth=m_cap >= op.dim)
              for start, _ in branches]
-    for _ in range(procs[0].m_max):
+    m_last = procs[0].m_max
+    gated = horizon > GATE * prev_step
+    for m in range(1, m_last + 1):
         for proc in procs:
             if not proc.breakdown:
                 proc.step()
+        broken = all(proc.breakdown for proc in procs)
+        if gated and m < m_last and not broken:
+            continue  # such a check almost never passes; the cap decides
         curves = [ResidualCurve(proc.snapshot(), kind)
                   for proc, (_, kind) in zip(procs, branches)]
         curve = curves[0] if len(curves) == 1 else CombinedResidualCurve(*curves)
-        if all(proc.breakdown for proc in procs) or (
+        if broken or (
             coarse_residual_check(curve, horizon, threshold)
             and confirm_admissible(curve, horizon, threshold)
         ):
@@ -211,8 +226,11 @@ def _add_updates(y, updates):
 
 
 #: What :func:`_restart` hands a cycle: the state (y, vel), gt = g - A y,
-#: the branch norms ||gt|| and ||vel|| (not both zero) and the time left.
-_Cycle = namedtuple("_Cycle", ["y", "vel", "gt", "beta_psi", "beta_sigma", "t_rem"])
+#: the branch norms ||gt|| and ||vel|| (not both zero), the time left and
+#: the previous cycle's step (inf in cycle 0), which gates the checks of
+#: :func:`_grow_admissible`.
+_Cycle = namedtuple("_Cycle", ["y", "vel", "gt", "beta_psi", "beta_sigma", "t_rem",
+                               "prev_step"])
 
 
 def _restart(ivp: SecondOrderIVP, solver: str, advance) -> SolveReport:
@@ -247,7 +265,8 @@ def _restart(ivp: SecondOrderIVP, solver: str, advance) -> SolveReport:
         if beta_psi + beta_sigma == 0.0:
             break  # stationary point: y'' = 0 with zero velocity
         delta, y, vel, entries, repaired = advance(
-            _Cycle(y, vel, gt, beta_psi, beta_sigma, ivp.t_final - t_done)
+            _Cycle(y, vel, gt, beta_psi, beta_sigma, ivp.t_final - t_done,
+                   step_sizes[-1] if step_sizes else math.inf)
         )
         log.extend(ResidualLogEntry(phase, cycle, m, t_done, t_done + step, res)
                    for phase, m, step, res in entries)
@@ -278,7 +297,8 @@ def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
             (cyc.vel, cyc.beta_sigma, ScalarFunKind.SIGMA),
         ) if beta > 0]
         curves, delta = _grow_admissible(
-            ivp.op, branches, cyc.t_rem, cfg.tol * (cyc.beta_psi + cyc.beta_sigma), m_cap
+            ivp.op, branches, cyc.t_rem, cfg.tol * (cyc.beta_psi + cyc.beta_sigma), m_cap,
+            cyc.prev_step,
         )
         entries = [(c.kind.value, c.decomposition.m, delta, _peak(c, delta))
                    for c in curves]
@@ -311,7 +331,8 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         updates, entries, repaired = [], [], False
         if cyc.beta_psi > 0:
             (c_psi,), delta = _grow_admissible(
-                op, [(cyc.gt, ScalarFunKind.PSI)], cyc.t_rem, th_psi, cfg.m_max
+                op, [(cyc.gt, ScalarFunKind.PSI)], cyc.t_rem, th_psi, cfg.m_max,
+                cyc.prev_step,
             )
             m_psi = c_psi.decomposition.m
             steps = [delta * f for f in (1.0, *PSI_STEP_RUNGS)]
@@ -322,7 +343,8 @@ def rt_sequential(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
 
         if cyc.beta_sigma > 0:
             (c_sigma,), delta_sigma = _grow_admissible(
-                op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, th_sigma, cfg.m_max
+                op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, th_sigma, cfg.m_max,
+                cyc.prev_step,
             )
             if delta_sigma < delta and cyc.beta_psi == 0:
                 delta = delta_sigma
@@ -398,11 +420,13 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         delta = cyc.t_rem
         if cyc.beta_sigma > 0:
             (c_sigma,), delta = _grow_admissible(
-                op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, cfg.tol * cyc.beta_sigma, m_tilde
+                op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, cfg.tol * cyc.beta_sigma, m_tilde,
+                cyc.prev_step,
             )
         if cyc.beta_psi > 0:
             (c_psi,), delta_psi = _grow_admissible(
-                op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, m_tilde
+                op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, m_tilde,
+                cyc.prev_step,
             )
             # the live sigma basis serves the shorter step as it is
             delta = min(delta, delta_psi)
@@ -427,7 +451,8 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         if cyc.beta_psi == 0:
             return np.zeros(op.dim), [], False
         (curve,), delta_tilde = _grow_admissible(
-            op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, cfg.m_max
+            op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, cfg.m_max,
+            cyc.prev_step,
         )
         entries = [("step", curve.decomposition.m, delta, _peak(curve, delta))]
         if delta_tilde >= delta * (1.0 - 1e-12):
@@ -547,7 +572,8 @@ def rt_first_order_block(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         # g_hat - B w for w = (y, vel) and g_hat = (0, g), as B w = (-vel, A y)
         r = np.concatenate([cyc.vel, cyc.gt])
         (curve,), delta = _grow_admissible(
-            block, [(r, ScalarFunKind.PHI)], cyc.t_rem, cfg.tol * _norm(r), m_cap
+            block, [(r, ScalarFunKind.PHI)], cyc.t_rem, cfg.tol * _norm(r), m_cap,
+            cyc.prev_step,
         )
         entry = ("phi", curve.decomposition.m, delta, _peak(curve, delta))
         update = _branch_updates(curve, [delta])[0, 0]

@@ -253,12 +253,16 @@ class ResidualCurve:
         self.cache = decomposition.spectral_cache()
 
     def values(self, ts) -> np.ndarray:
+        """The residual norms at ``ts``; NaN or inf where the projected
+        function overflows, which every check counts as a violation."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if self.h_next == 0.0:
             return np.zeros(ts.shape)
         prefactor, fun, scale = BRANCH_TERMS[self.kind][0]
-        corner = self.cache.corner_fun_e1(fun, scale(ts))
-        return self.h_next * np.abs(prefactor(ts) * corner)
+        # infinities of different phase sum to NaN in the corner's product
+        with np.errstate(over="ignore", invalid="ignore"):
+            corner = self.cache.corner_fun_e1(fun, scale(ts))
+            return self.h_next * np.abs(prefactor(ts) * corner)
 
     def value(self, t: float) -> float:
         return float(self.values(t)[0])

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from trigkrylov.integrators import (
 )
 from trigkrylov.krylov import ResidualCurve, krylov_build
 from trigkrylov.linop import DenseOperator
-from trigkrylov.problems import build_wave3d, isotropic_wave_spec
+from trigkrylov.problems import anisotropic_wave_spec, build_wave3d, isotropic_wave_spec
 from trigkrylov.smallfun import (
     ScalarFunKind,
     SpectralCache,
@@ -322,9 +323,8 @@ def test_two_pass_breakdown_in_invariant_subspace(monkeypatch):
     assert report.matvecs == _matvecs_from_log(report)
 
 
-def test_two_pass_factors_each_tridiagonal_once_per_check(monkeypatch):
-    # pass two takes its coefficients from pass one's converged curve, so
-    # the only factorizations are the residual checks of pass one
+def _counting_from_tridiagonal(monkeypatch):
+    """Patch SpectralCache.from_tridiagonal to record one entry per call."""
     calls = []
     from_tridiagonal = SpectralCache.from_tridiagonal.__func__
 
@@ -333,6 +333,13 @@ def test_two_pass_factors_each_tridiagonal_once_per_check(monkeypatch):
         return from_tridiagonal(cls, *args, **kwargs)
 
     monkeypatch.setattr(SpectralCache, "from_tridiagonal", classmethod(counting))
+    return calls
+
+
+def test_two_pass_factors_each_tridiagonal_once_per_check(monkeypatch):
+    # pass two takes its coefficients from pass one's converged curve, so
+    # the only factorizations are the residual checks of pass one
+    calls = _counting_from_tridiagonal(monkeypatch)
     for ivp in (build_wave3d(isotropic_wave_spec(10)),
                 _random_spd_ivp(np.random.default_rng(12), n=60)):
         calls.clear()
@@ -340,6 +347,65 @@ def test_two_pass_factors_each_tridiagonal_once_per_check(monkeypatch):
         checks = sum(math.ceil(e.m / integ.TWO_PASS_CHECK_INTERVAL)
                      for e in report.residual_log if e.phase in ("psi", "sigma"))
         assert len(calls) == checks
+
+
+def _hex_log(report):
+    return [(e.phase, e.cycle, e.m, *map(float.hex, (e.t_start, e.t_end, e.residual)))
+            for e in report.residual_log]
+
+
+@pytest.mark.parametrize("name", ["rt-sim", "rt-seq"])
+def test_gate_skips_checks_without_moving_a_bit(monkeypatch, name):
+    # the anisotropic 10^3 cell at 1e-6, without the gate and with it
+    ivp = build_wave3d(anisotropic_wave_spec(10))
+    calls = _counting_from_tridiagonal(monkeypatch)
+    runs = []
+    for gate in (math.inf, integ.GATE):
+        monkeypatch.setattr(integ, "GATE", gate)
+        calls.clear()
+        report = solve(ivp, SolverConfig(tol=1e-6), name)
+        runs.append((report, len(calls)))
+    (plain, plain_factors), (gated, gated_factors) = runs
+    assert gated.matvecs == plain.matvecs
+    assert ([float.hex(s) for s in gated.step_sizes]
+            == [float.hex(s) for s in plain.step_sizes])
+    assert _hex_log(gated) == _hex_log(plain)  # a rebuild's NaN residual too
+    assert gated.y.tobytes() == plain.y.tobytes()
+    assert gated_factors < plain_factors
+
+
+def test_gate_still_checks_when_every_branch_breaks_down(monkeypatch):
+    # both starting vectors lie in a three-dimensional invariant subspace,
+    # and the horizon is far beyond GATE times the previous step: the only
+    # check is the one at breakdown, and it certifies the whole horizon
+    n = 30
+    op = DenseOperator(np.diag(np.linspace(1.0, 50.0, n)), is_symmetric=True)
+    branches = [(np.zeros(n), ScalarFunKind.PSI), (np.zeros(n), ScalarFunKind.SIGMA)]
+    branches[0][0][[2, 11, 27]] = (1.0, -2.0, 0.5)
+    branches[1][0][[2, 11, 27]] = (0.3, 1.0, -1.5)
+    calls = _counting_from_tridiagonal(monkeypatch)
+    curves, delta = integ._grow_admissible(op, branches, 10.0, 1e-8, 20, 1e-3)
+    assert delta == 10.0
+    assert [c.decomposition.m for c in curves] == [3, 3]
+    assert all(c.decomposition.breakdown for c in curves)
+    assert len(calls) == 2  # one snapshot per branch, at breakdown
+
+
+def test_first_order_overflowing_checks_leak_no_numpy_warning():
+    # a check over too long a horizon overflows phi, and the corner's
+    # product sums infinities of different phase into NaN: a violation by
+    # design, not a warning to the caller (rel_err is 3.9e-5 here, 39x tol,
+    # from the per-cycle tolerance)
+    n = 30
+    op = DenseOperator(np.diag(np.logspace(0, 4, n)), is_symmetric=True)
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    ivp = SecondOrderIVP(op, u, v, None, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = rt_first_order_block(ivp, SolverConfig(tol=1e-6))
+    assert (report.matvecs, report.steps) == (3019, 189)
 
 
 def _huge_time_ivp(t_final):
