@@ -9,12 +9,13 @@ writable float64 vector of the operator's dimension that does not overlap
 ``x``, it writes the product there and returns ``out``, so a Krylov step can
 apply A straight into its basis store.  Both forms give the same bits.
 A non-finite entry of x spreads through a full GEMM as inf * 0 = NaN along
-its whole contracted line.  :class:`KroneckerSum3D` multiplies its z and y
-factors only over their band, so along those lines it reaches only the row
-blocks whose band covers the entry (86 instead of 190 non-finite entries
-for one inf at 64^3; the x line, one GEMM, still fills).
-:class:`KroneckerSum3D` keeps its two n-vector intermediates in a
-per-thread workspace, so concurrent applies on distinct vectors stay safe.
+its whole contracted line.  :class:`KroneckerSum3D` multiplies each factor
+only over its band, so along each line it reaches only the blocks whose
+band covers the entry: one inf at grid point (5, 20, 40) of 64^3 gives 30
+non-finite entries, where three full GEMMs give 190 (22 to 46 elsewhere on
+the grid).  When nx is not a multiple of 8 its x line is one full GEMM and
+fills.  :class:`KroneckerSum3D` keeps its intermediates in a per-thread
+workspace, so concurrent applies on distinct vectors stay safe.
 """
 from __future__ import annotations
 
@@ -161,29 +162,25 @@ def centered_difference_1d(n: int) -> np.ndarray:
 _BAND_BLOCK = 8
 
 
-def _band_blocks(fac: np.ndarray, ncols: int) -> list:
-    """Row blocks of the square factor ``fac`` for a product with ``ncols``
-    columns, each with the columns of ``fac`` its band reaches.
+def _tail_columns(ncols: int) -> int:
+    """How many of the ``ncols`` columns of a GEMM OpenBLAS's x86-64 kernels
+    compute by their tail path, whose sums depend on where the inner
+    dimension starts: restructuring a product that has them changes bits."""
+    return ncols % 8
+
+
+def _row_blocks(fac: np.ndarray, lower: int, upper: int) -> list:
+    """Blocks of ``_BAND_BLOCK`` rows of the square factor ``fac``, each with
+    the columns ``[r0 - lower, r1 + upper)`` clipped to the factor.
 
     Returns ``(fac[rows, cols], rows, cols)`` triples, ``rows = slice(r0,
-    r1)`` and ``cols = slice(c0, c1)`` with ``[c0, c1) = [r0 - lower, r1 +
-    upper)`` clipped to the factor, where lower and upper are the bandwidths
-    of the factor's nonzeros; so each block leaves out only exact zeros.  No
-    block has a single row, since numpy hands a one-row product to GEMV,
-    which sums in another order.  The whole factor comes back as one block
-    when the band leaves nothing worth skipping (a dense or a small factor)
-    and when ``ncols`` is not a multiple of 8: OpenBLAS's x86-64 kernels
-    compute the last ``ncols % 8`` columns by a path whose sums depend on
-    where the inner dimension starts.
+    r1)`` and ``cols = slice(c0, c1)``.  No block has a single row unless the
+    factor has (the last block takes it), since numpy hands a one-row
+    product to GEMV, which sums in another order.
     """
     n = fac.shape[0]
-    i, j = np.nonzero(fac)
-    lower = int(np.max(i - j, initial=0))
-    upper = int(np.max(j - i, initial=0))
-    if lower + upper + _BAND_BLOCK >= n or ncols % 8:
-        return [(fac, slice(0, n), slice(0, n))]
     bounds = list(range(0, n, _BAND_BLOCK)) + [n]
-    if bounds[-1] - bounds[-2] == 1:
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     blocks = []
     for r0, r1 in zip(bounds, bounds[1:]):
@@ -192,23 +189,57 @@ def _band_blocks(fac: np.ndarray, ncols: int) -> list:
     return blocks
 
 
+def _band_blocks(fac: np.ndarray, ncols: int) -> list:
+    """Row blocks of the square factor ``fac`` for a product with ``ncols``
+    columns, each with the columns of ``fac`` its band reaches.
+
+    These are the :func:`_row_blocks` for the bandwidths lower and upper of
+    the factor's nonzeros, so each block leaves out only exact zeros.  The
+    whole factor comes back as one block when the band leaves nothing worth
+    skipping (a dense or a small factor) and when the product has tail
+    columns (:func:`_tail_columns`).
+    """
+    n = fac.shape[0]
+    i, j = np.nonzero(fac)
+    lower = int(np.max(i - j, initial=0))
+    upper = int(np.max(j - i, initial=0))
+    if lower + upper + _BAND_BLOCK >= n or _tail_columns(ncols):
+        return [(fac, slice(0, n), slice(0, n))]
+    return _row_blocks(fac, lower, upper)
+
+
 class KroneckerSum3D(LinearOperator):
     """3-D separable operator  kz*Lz (x) I (x) I + I (x) ky*Ly (x) I + I (x) I (x) kx*Lx.
 
     Vectors use x-fastest ordering, i.e. entry (i, j, k) of the grid lives at
     flat index ``i + nx*(j + ny*k)``.  The three factors are small dense
-    (typically tridiagonal) matrices, so each apply is three BLAS
-    contractions, the ``np.dot`` calls ``np.tensordot`` makes, writing into
-    ``out`` and into a workspace of two n-vectors that each calling thread
-    allocates once (a ``threading.local``).
+    (typically tridiagonal) matrices, and each apply is a set of banded BLAS
+    GEMMs (:func:`_band_blocks`): each block of rows of a factor multiplies
+    only the columns its band reaches.  The dropped terms are exact zeros,
+    which for finite x add nothing to an entry's multiply-add chain, so the
+    bits are those of the contractions ``np.tensordot`` makes.
 
-    The z and y contractions are banded GEMM blocks (:func:`_band_blocks`):
-    each block of rows of Lz or Ly multiplies only the columns its band
-    reaches.  The bits equal those of the full GEMM for finite x, because
-    the dropped terms are exact zeros, which add nothing to each entry's
-    multiply-add chain, and every block keeps the full GEMM's column count
-    (ny*nx for z, nz*nx for y) and with it the BLAS column tiling.  The x
-    contraction is one GEMM.
+    When ``nx`` is a multiple of 8, one loop runs over the row blocks of Lz
+    (blocks of 8 whole rows where Lz's band covers it), each a group of p
+    z-planes.  The group's z rows go straight into ``out``.  Its y term (Ly
+    times each plane) and then its x term (the x lines times column blocks
+    of Lx^T) are formed in one workspace of p*ny*nx floats and added into
+    ``out`` while both are still in cache, so the working set stays small
+    enough for L2 at 64^3.  The bits equal those of the whole-vector
+    contractions except on grids of at most 1200 points with nx >= 32 and
+    on a single line (ny = nz = 1), where the whole x GEMM goes to
+    OpenBLAS's small-matrix or GEMV kernels, which sum in another order
+    (measured with OpenBLAS 0.3.31 on an x86-64 SkylakeX core).
+
+    When ``nx`` is not a multiple of 8, every product with nx columns has
+    tail columns (:func:`_tail_columns`) and a plane-by-plane y term
+    changes bits.  The apply then keeps three whole-vector contractions:
+    the z blocks into ``out``, the y blocks on a transposed copy of x (the
+    copy tensordot makes), and one x GEMM, through a workspace of two
+    n-vectors.
+
+    Each calling thread allocates its workspace once (a
+    ``threading.local``).
     """
 
     def __init__(self, lx, ly, lz, kx: float = 1.0, ky: float = 1.0, kz: float = 1.0):
@@ -228,13 +259,28 @@ class KroneckerSum3D(LinearOperator):
         super().__init__(self.nx * self.ny * self.nz, is_symmetric=symmetric)
         self._zblocks = _band_blocks(self.lz, self.ny * self.nx)
         self._yblocks = _band_blocks(self.ly, self.nz * self.nx)
+        if _tail_columns(self.nx):
+            self._xblocks = None
+            self._ws_shape = (2, self.dim)
+        else:
+            if len(self._zblocks) == 1:  # groups of 8 planes, whole rows of Lz
+                self._zblocks = _row_blocks(self.lz, self.nz, self.nz)
+            # contiguous blocks of Lx^T: with a transposed operand OpenBLAS
+            # sends small products to a kernel that sums in another order
+            self._xblocks = [(np.ascontiguousarray(block.T), rows, cols)
+                             for block, rows, cols in _band_blocks(self.lx, self.nx)]
+            planes = max(rows.stop - rows.start for _, rows, _ in self._zblocks)
+            self._ws_shape = (planes * self.ny * self.nx,)
         self._local = threading.local()
 
     def _matvec(self, x, out):
-        nx, ny, nz = self.nx, self.ny, self.nz
         ws = getattr(self._local, "ws", None)
         if ws is None:
-            ws = self._local.ws = np.empty((2, self.dim))
+            ws = self._local.ws = np.empty(self._ws_shape)
+        if self._xblocks is not None:
+            self._apply_planes(x, out, ws)
+            return
+        nx, ny, nz = self.nx, self.ny, self.nz
         # z: lz contracts the slowest axis
         xz, oz = x.reshape(nz, ny * nx), out.reshape(nz, ny * nx)
         for block, rows, cols in self._zblocks:
@@ -254,6 +300,30 @@ class KroneckerSum3D(LinearOperator):
         if self.kx != 1.0:
             ws[0] *= self.kx
         out += ws[0]
+
+    def _apply_planes(self, x, out, ws):
+        nx, ny, nz = self.nx, self.ny, self.nz
+        x3, xz, oz = x.reshape(nz, ny, nx), x.reshape(nz, ny * nx), out.reshape(nz, ny * nx)
+        for block, rows, cols in self._zblocks:
+            o, xs = oz[rows], x3[rows]
+            p = len(xs)
+            w = ws[:p * ny * nx].reshape(p, ny, nx)
+            np.dot(block, xz[cols], out=o)
+            if self.kz != 1.0:
+                o *= self.kz
+            # y: Ly times each plane of the group
+            for lyb, yrows, ycols in self._yblocks:
+                np.matmul(lyb, xs[:, ycols], out=w[:, yrows])
+            if self.ky != 1.0:
+                w *= self.ky
+            o += w.reshape(p, ny * nx)
+            # x: the group's x lines times the column blocks of Lx^T
+            xl, wl = xs.reshape(p * ny, nx), w.reshape(p * ny, nx)
+            for lxt, xrows, xcols in self._xblocks:
+                np.matmul(xl[:, xcols], lxt, out=wl[:, xrows])
+            if self.kx != 1.0:
+                w *= self.kx
+            o += w.reshape(p, ny * nx)
 
 
 class BlockFirstOrderOperator(LinearOperator):

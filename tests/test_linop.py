@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,12 @@ def _kronecker_ops():
     yield build_wave3d(anisotropic_wave_spec(48)).op
     for shape in ((17, 17, 17), (17, 23, 31), (8, 17, 33)):
         yield build_wave3d(WaveProblemSpec(*shape, 1e4, 1e2, 1.0, "anisotropic-sines")).op
+    # plane groups (nx a multiple of 8): odd ny and nz, fewer than 8
+    # planes, a short last group, and two more cubes
+    for shape in ((24, 17, 33), (16, 16, 3), (16, 12, 10)):
+        yield build_wave3d(WaveProblemSpec(*shape, 1e4, 1e2, 1.0, "anisotropic-sines")).op
+    yield build_wave3d(isotropic_wave_spec(40)).op
+    yield build_wave3d(isotropic_wave_spec(56)).op
     # wider and nonsymmetric bands, and a dense factor
     yield KroneckerSum3D(*(_nonsymmetric_1d(n) for n in (16, 24, 40)), kx=0.5, kz=2.0)
     yield KroneckerSum3D(*(_pentadiagonal_1d(n) for n in (8, 27, 41)), ky=2.0)
@@ -281,7 +288,12 @@ def test_apply_rejects_an_out_that_overlaps_x():
 
 
 def test_concurrent_kronecker_applies_equal_serial_ones():
-    op = build_wave3d(anisotropic_wave_spec(20)).op
+    # 20^3 runs the whole-vector apply, 24^3 the plane groups
+    for spec in (anisotropic_wave_spec(20), isotropic_wave_spec(24)):
+        _check_concurrent_applies(build_wave3d(spec).op)
+
+
+def _check_concurrent_applies(op):
     rng = np.random.default_rng(12)
     xs = rng.standard_normal((4, op.dim))
     serial = np.stack([_tensordot_apply(op, x) for x in xs])
@@ -307,6 +319,29 @@ def test_concurrent_kronecker_applies_equal_serial_ones():
     assert op.matvec_count == 4 * 25
     for k in range(4):
         assert all(np.array_equal(outs[k, r], serial[k]) for r in range(25))
+
+
+def test_kronecker_apply_at_64_cubed_allocates_two_plane_groups_at_most():
+    op = build_wave3d(isotropic_wave_spec(64)).op
+    planes = max(rows.stop - rows.start for _, rows, _ in op._zblocks)
+    assert planes == 8
+    x = np.random.default_rng(4).standard_normal(op.dim)
+    out = np.empty(op.dim)
+    peaks = []
+
+    def first_apply():  # a new thread allocates its own workspace
+        tracemalloc.start()
+        try:
+            op.apply(x, out=out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    th = threading.Thread(target=first_apply)
+    th.start()
+    th.join()
+    assert np.array_equal(out, _tensordot_apply(op, x))
+    assert 0 < peaks[0] <= 2 * planes * op.ny * op.nx * 8
 
 
 def test_csr_apply_bits_equal_the_scipy_product():
