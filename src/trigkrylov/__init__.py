@@ -12,7 +12,6 @@ problem generators.
 from .linop import (
     BlockFirstOrderOperator,
     DenseOperator,
-    IdentityOperator,
     KroneckerSum3D,
     LinearOperator,
     SparseCSR,
@@ -50,7 +49,6 @@ from .integrators import (
 )
 from .bounds import (
     BoundInput,
-    bessel_j,
     bound_p3,
     bound_p4,
     bound_prop22,

@@ -16,9 +16,6 @@ import scipy.special
 
 from .smallfun import phi
 
-BESSEL_T_MAX = 100.0
-BESSEL_ORDER_MAX = 400
-
 #: Tail threshold for the adaptive Chebyshev truncation order.
 TAIL_EPS = 1e-16
 
@@ -28,15 +25,6 @@ def bessel_sequence(t: float, n_max: int) -> np.ndarray:
     if t < 0:
         raise ValueError("t must be nonnegative")
     return scipy.special.jv(np.arange(n_max + 1), t)
-
-
-def bessel_j(k: int, t: float) -> float:
-    """Bessel function of the first kind J_k(t) at desk scale."""
-    if not 0 <= t <= BESSEL_T_MAX:
-        raise ValueError(f"t must lie in [0, {BESSEL_T_MAX}]")
-    if not 0 <= k <= BESSEL_ORDER_MAX:
-        raise ValueError(f"order must lie in [0, {BESSEL_ORDER_MAX}]")
-    return float(bessel_sequence(t, k)[k])
 
 
 def adaptive_truncation(t: float) -> int:

@@ -71,37 +71,29 @@ def load_config_file(path) -> dict:
     return out
 
 
+def _scaled(grid: int, scale: float) -> int:
+    return max(4, int(grid * scale))
+
+
 def build_preset(name: str, scale: float = 1.0, t_override: float | None = None):
-    """Build a named problem preset; returns (ivp, wave_spec_or_None, grid)."""
+    """Build a named problem preset of :func:`problems.preset`; returns
+    (ivp, reference), where ``reference(ivp)`` is y at t_final."""
     match = _PRESET_RE.match(name)
     if not match:
         raise ValueError(f"unknown problem preset {name!r}")
     family, n_str, t_str = match.groups()
-    n = max(4, int(int(n_str) * scale))
-    t_final = t_override if t_override is not None else (
-        float(t_str) if t_str else 1.0
-    )
-    if family == "isotropic":
-        spec = pb.isotropic_wave_spec(n, t_final)
-        return pb.build_wave3d(spec), spec, n
-    if family == "anisotropic":
-        spec = pb.anisotropic_wave_spec(n, t_final)
-        return pb.build_wave3d(spec), spec, n
-    spec = pb.TransportProblemSpec(n, t_final=t_final)
-    return pb.build_transport(spec), None, n
+    t_final = t_override if t_override is not None else float(t_str or 1.0)
+    build, reference = pb.preset(family, _scaled(int(n_str), scale), t_final)
+    return build(), reference
 
 
-def _reference_for(ivp, wave_spec):
-    """Ground truth that no solver under test computes, where one exists:
-    the sine eigenbasis for a wave preset at any grid, the dense reference
-    for a nonsymmetric operator up to its assembly cap of 4096; rt-seq at
-    tol 1e-12 only for the rest (large or symmetric matrix files)."""
-    if wave_spec is not None:
-        grid = max(wave_spec.nx, wave_spec.ny, wave_spec.nz)
-        return pb.spectral_reference_wave3d(wave_spec, ivp.t_final, cap=grid)
+def _reference_for(ivp):
+    """y at t_final of a matrix-file problem: the dense reference for a
+    nonsymmetric operator up to n = 4096, else rt-seq at tol 1e-12, which
+    is not independent of the solver under test."""
     if not ivp.op.is_symmetric and ivp.op.dim <= 4096:
-        return pb.reference_solution(ivp, "dense")
-    return pb.reference_solution(ivp, "tight-tolerance")
+        return pb.reference_solution(ivp, "dense")[0]
+    return pb.reference_solution(ivp, "tight-tolerance")[0]
 
 
 def _fmt(x) -> str:
@@ -115,10 +107,9 @@ def cmd_solve(args) -> int:
         print("error: give exactly one problem source (--problem or --matrix)",
               file=sys.stderr)
         return 2
-    wave_spec = None
     try:
         if args.problem:
-            ivp, wave_spec, _ = build_preset(args.problem, args.scale, args.t)
+            ivp, reference = build_preset(args.problem, args.scale, args.t)
             label = args.problem
         else:
             op = read_matrix_market(args.matrix)
@@ -126,6 +117,7 @@ def cmd_solve(args) -> int:
             v = read_vector(args.v_file) if args.v_file else np.zeros(op.dim)
             g = read_vector(args.g_file) if args.g_file else None
             ivp = SecondOrderIVP(op, u, v, g, args.t if args.t is not None else 1.0)
+            reference = _reference_for
             label = Path(args.matrix).name
         cfg = SolverConfig(tol=args.tol, m_max=args.mmax)
     except ValueError as exc:
@@ -144,7 +136,7 @@ def cmd_solve(args) -> int:
 
     rel = ""
     if args.reference == "auto":
-        yref, _ = _reference_for(ivp, wave_spec)
+        yref = reference(ivp)
         rel = repr(float(np.linalg.norm(report.y - yref) / np.linalg.norm(yref)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -171,23 +163,18 @@ def cmd_solve(args) -> int:
 
 _SUITES = {
     "table2": dict(family="isotropic", grids=(10, 20, 40, 80), tols=(1e-4, 1e-6),
-                   t=1.0, solvers=("rt-sim", "rt-seq", "gautschi", "two-pass"),
-                   adjust={"gautschi": 1.0, "two-pass": 1.0}),
+                   t=1.0, solvers=("rt-sim", "rt-seq", "gautschi", "two-pass")),
     "table3": dict(family="anisotropic", grids=(10, 20, 40, 80), tols=(1e-4, 1e-6),
-                   t=1.0, solvers=("rt-sim", "rt-seq", "gautschi", "two-pass"),
-                   adjust={"gautschi": 0.1, "two-pass": 10.0}),
+                   t=1.0, solvers=("rt-sim", "rt-seq", "gautschi", "two-pass")),
     "table4": dict(family="anisotropic", grids=(10, 20, 40, 80),
                    tols=(1e-4, 1e-6, 1e-8), t=10.0,
-                   solvers=("rt-sim", "rt-seq", "gautschi", "two-pass"),
-                   adjust={"gautschi": 0.1, "two-pass": 10.0}),
+                   solvers=("rt-sim", "rt-seq", "gautschi", "two-pass")),
     "table5": dict(family="transport", grids=(128, 256, 512, 1024),
                    tols=(1e-4, 1e-6), t=1.0,
-                   solvers=("rt-sim", "rt-seq", "gautschi", "first-order"),
-                   adjust={"first-order": 10.0}),
+                   solvers=("rt-sim", "rt-seq", "gautschi", "first-order")),
     "fig-tol-sweep": dict(family="isotropic", grids=(40,),
                           tols=tuple(10.0 ** -k for k in range(1, 9)), t=1.0,
-                          solvers=("rt-sim", "rt-seq", "gautschi", "two-pass"),
-                          adjust={}),
+                          solvers=("rt-sim", "rt-seq", "gautschi", "two-pass")),
 }
 
 
@@ -215,16 +202,16 @@ def cmd_bench(args) -> int:
 
     rows = []
     truncated = False
+    family = suite["family"]
     for grid in suite["grids"]:
-        name = f"{suite['family']}{grid}"
-        if suite["t"] != 1.0:
-            name += f"-t{suite['t']:g}"
         if truncated:
             break
-        ivp, wave_spec, eff_grid = build_preset(name, args.scale)
-        yref, _ = _reference_for(ivp, wave_spec)
+        eff_grid = _scaled(grid, args.scale)
+        build, reference = pb.preset(family, eff_grid, suite["t"])
+        ivp = build()
+        yref = reference(ivp)
         cells = [
-            (solver, tol, tol * suite["adjust"].get(solver, 1.0))
+            (solver, tol, pb.tol_used(family, solver, tol))
             for tol in suite["tols"] for solver in suite["solvers"]
         ]
         for solver, tol, tol_used in cells:
@@ -232,7 +219,7 @@ def cmd_bench(args) -> int:
             if over_budget():
                 truncated = True
                 break
-            rows.append(_bench_cell(ivp, yref, args.suite, suite["family"],
+            rows.append(_bench_cell(ivp, yref, args.suite, family,
                                     eff_grid, suite["t"], solver, tol, tol_used,
                                     args.mmax, args.no_timing))
     with open(path, "w", newline="") as fh:
@@ -261,7 +248,7 @@ def _bounds_rows(args):
         regime = "unit-interval"
         label = "synthetic"
     else:
-        ivp, _, _ = build_preset(args.problem, args.scale)
+        ivp, _ = build_preset(args.problem, args.scale)
         op = ivp.op
         w_psi = ivp.g - op.apply(ivp.u)
         w_sigma = ivp.v

@@ -75,14 +75,6 @@ class LinearOperator:
         raise NotImplementedError
 
 
-class IdentityOperator(LinearOperator):
-    def __init__(self, dim: int):
-        super().__init__(dim, is_symmetric=True)
-
-    def _matvec(self, x, out):
-        np.copyto(out, x)
-
-
 class DenseOperator(LinearOperator):
     """Operator backed by an explicit square matrix (test and desk scale)."""
 

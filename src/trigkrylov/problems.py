@@ -1,4 +1,4 @@
-"""Benchmark problem generators and reference solutions.
+"""Benchmark problem generators, reference solutions and the paper's presets.
 
 Two families: a 3-D wave equation semi-discretized by the seven-point
 stencil with homogeneous Dirichlet boundary conditions (isotropic and
@@ -9,6 +9,11 @@ The wave reference evaluates every sine mode with numpy's cos and sinc,
 and the dense reference of a nonsymmetric operator is the action of the
 exponential of its first-order block, so neither shares a function with
 the solvers it checks.
+
+The catalogue of the paper's problems is :func:`preset` (a family on a
+grid, with its reference) and :data:`TOL_ADJUST` with :func:`tol_used`
+(the per-solver tolerance of the paper's tables); the command line, the
+acceptance tests and the tools under ``tools/`` read it.
 """
 from __future__ import annotations
 
@@ -21,8 +26,16 @@ import scipy.sparse
 from . import linop, smallfun
 from .integrators import SecondOrderIVP, SolverConfig, rt_sequential
 
-#: Largest per-dimension grid for the discrete-sine reference (naive DST scale).
+#: Default largest per-dimension grid of :func:`spectral_reference_wave3d`;
+#: a caller that wants a larger grid passes ``cap`` (:func:`preset` passes the
+#: grid, as ``scipy.fft.dstn`` handles any size).
 SPECTRAL_REFERENCE_CAP = 48
+
+#: Tolerance factor per (family, solver), 1 where absent: Tables 3 and 4 run
+#: gautschi 10x tighter and two-pass 10x looser on the anisotropic wave,
+#: Table 5 runs first-order 10x looser on transport.
+TOL_ADJUST = {("anisotropic", "gautschi"): 0.1, ("anisotropic", "two-pass"): 10.0,
+              ("transport", "first-order"): 10.0}
 
 
 @dataclass
@@ -143,24 +156,19 @@ class TransportProblemSpec:
     """1-D transport with decay u_t = -c u_x - alpha u, second-order form.
 
     The second-order recast is u_tt = c^2 u_xx + 2 c alpha u_x + alpha^2 u
-    with initial velocity u0' - alpha u0.  ``velocity="characteristic"``
-    switches the initial velocity to -c u0' - alpha u0 (the time derivative
-    implied by the first-order equation); the default keeps the recast form.
+    with initial velocity u0' - alpha u0, as the paper prints it.
     """
 
     nx: int
     c: float = 0.3
     alpha: float = 1.0
     t_final: float = 1.0
-    velocity: str = "as-printed"
 
     def __post_init__(self):
         if self.nx < 4:
             raise ValueError("need at least 4 interior points")
         if self.c <= 0 or self.alpha <= 0:
             raise ValueError("c and alpha must be positive")
-        if self.velocity not in ("as-printed", "characteristic"):
-            raise ValueError(f"unknown velocity selector {self.velocity!r}")
 
 
 def build_transport(spec: TransportProblemSpec) -> SecondOrderIVP:
@@ -180,12 +188,7 @@ def build_transport(spec: TransportProblemSpec) -> SecondOrderIVP:
 
     x = h * np.arange(1, n + 1)
     u0 = np.exp(-500.0 * (x - 0.5) ** 2)
-    d_mat = linop.centered_difference_1d(n)
-    du0 = d_mat @ u0
-    if spec.velocity == "as-printed":
-        v0 = du0 - alpha * u0
-    else:
-        v0 = -c * du0 - alpha * u0
+    v0 = linop.centered_difference_1d(n) @ u0 - alpha * u0
     return SecondOrderIVP(op, u0, v0, None, spec.t_final)
 
 
@@ -205,3 +208,32 @@ def reference_solution(ivp: SecondOrderIVP, method: str):
         report = rt_sequential(ivp, SolverConfig(tol=1e-12, m_max=60))
         return report.y, report.v_out
     raise ValueError(f"unknown reference method {method!r}")
+
+
+_WAVE_SPECS = {"isotropic": isotropic_wave_spec, "anisotropic": anisotropic_wave_spec}
+
+
+def preset(family: str, grid: int, t_final: float = 1.0):
+    """(build, reference) of one of the paper's problems on ``grid``.
+
+    ``family`` is ``isotropic``, ``anisotropic`` or ``transport``.
+    ``build()`` assembles the IVP, and ``reference(ivp)`` gives its
+    y(t_final) by a route that no solver under test takes, at every grid:
+    the sine eigenbasis for a wave, the block exponential (``"dense"``, on
+    the stored ``SparseCSR`` matrix, so no assembly cap) for transport.
+    """
+    if family == "transport":
+        spec = TransportProblemSpec(grid, t_final=t_final)
+        return (lambda: build_transport(spec),
+                lambda ivp: reference_solution(ivp, "dense")[0])
+    if family not in _WAVE_SPECS:
+        raise ValueError(f"unknown problem family {family!r}")
+    spec = _WAVE_SPECS[family](grid, t_final)
+    return (lambda: build_wave3d(spec),
+            lambda ivp: spectral_reference_wave3d(spec, ivp.t_final, cap=grid)[0])
+
+
+def tol_used(family: str, solver: str, tol: float) -> float:
+    """The tolerance the paper's tables hand ``solver`` on ``family`` for the
+    nominal ``tol``."""
+    return tol * TOL_ADJUST.get((family, solver), 1.0)

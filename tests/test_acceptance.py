@@ -33,15 +33,7 @@ from trigkrylov.integrators import (
 )
 from trigkrylov.krylov import ResidualCurve, krylov_build
 from trigkrylov.linop import DenseOperator
-from trigkrylov.problems import (
-    TransportProblemSpec,
-    anisotropic_wave_spec,
-    build_transport,
-    build_wave3d,
-    isotropic_wave_spec,
-    reference_solution,
-    spectral_reference_wave3d,
-)
+from trigkrylov.problems import build_wave3d, isotropic_wave_spec, preset, tol_used
 from trigkrylov.smallfun import (
     ScalarFunKind,
     SpectralCache,
@@ -76,24 +68,6 @@ SOLVER_ORDER = ("rt-sim", "rt-seq", "gautschi", "two-pass")
 
 #: Matvecs, steps and rel_err of every fixture cell, as last accepted.
 GOLDEN_CELLS = Path(__file__).with_name("golden_cells.json")
-
-#: Tolerance factor of a fixture cell per (family, solver), 1 where absent:
-#: Table 3 runs gautschi 10x tighter and two-pass 10x looser, Table 5 runs
-#: first-order 10x looser.  ``tools/cell_digest.py`` reads it too.
-TOL_ADJUST = {("anisotropic", "gautschi"): 0.1, ("anisotropic", "two-pass"): 10.0,
-              ("transport", "first-order"): 10.0}
-
-
-def fixture_problem(family, grid):
-    """(ivp, reference y at t = 1) of a fixture family on one grid."""
-    if family == "transport":
-        ivp = build_transport(TransportProblemSpec(grid))
-        return ivp, reference_solution(ivp, "dense")[0]
-    spec_fn = {"isotropic": isotropic_wave_spec,
-               "anisotropic": anisotropic_wave_spec}[family]
-    spec = spec_fn(grid)
-    return build_wave3d(spec), spectral_reference_wave3d(spec, 1.0)[0]
-
 
 def _report(number, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -130,56 +104,48 @@ def rt_seq_logs():
     return {}
 
 
+def _fixture_runs(family, grids, solvers, cell_steps, log_gaps):
+    """Solve every (grid, tol, solver) cell of a family once, at the
+    tolerance its table uses; yields (cell, rel_err, tol_used, report)."""
+    for grid in grids:
+        build, reference = preset(family, grid)
+        ivp = build()
+        yref = reference(ivp)
+        for tol in (1e-4, 1e-6):
+            for solver in solvers:
+                tol_cell = tol_used(family, solver, tol)
+                rep = solve(ivp, SolverConfig(tol=tol_cell), solver)
+                key = f"{family}/{grid}/{tol:g}/{solver}"
+                cell_steps[key] = rep.steps
+                log_gaps[key] = _log_gap(rep)
+                yield (grid, tol, solver), _rel(rep.y, yref), tol_cell, rep
+
+
 @pytest.fixture(scope="module")
 def isotropic_cells(cell_steps, log_gaps):
     """Solve every Table-2 cell once; criteria 5 and 8 share the results."""
-    out = {}
-    for grid in (10, 20):
-        ivp, yref = fixture_problem("isotropic", grid)
-        for tol in (1e-4, 1e-6):
-            for solver in SOLVER_ORDER:
-                rep = solve(ivp, SolverConfig(tol=tol), solver)
-                out[(grid, tol, solver)] = (rep.matvecs, _rel(rep.y, yref))
-                key = f"isotropic/{grid}/{tol:g}/{solver}"
-                cell_steps[key] = rep.steps
-                log_gaps[key] = _log_gap(rep)
-    return out
+    return {cell: (rep.matvecs, rel) for cell, rel, _, rep in
+            _fixture_runs("isotropic", (10, 20), SOLVER_ORDER, cell_steps, log_gaps)}
 
 
 @pytest.fixture(scope="module")
 def anisotropic_cells(cell_steps, log_gaps, rt_seq_logs):
     out = {}
-    for grid in (10, 20):
-        ivp, yref = fixture_problem("anisotropic", grid)
-        for tol in (1e-4, 1e-6):
-            for solver in SOLVER_ORDER:
-                adj = TOL_ADJUST.get(("anisotropic", solver), 1.0)
-                rep = solve(ivp, SolverConfig(tol=tol * adj), solver)
-                out[(grid, tol, solver)] = (rep.matvecs, _rel(rep.y, yref))
-                key = f"anisotropic/{grid}/{tol:g}/{solver}"
-                cell_steps[key] = rep.steps
-                log_gaps[key] = _log_gap(rep)
-                if solver == "rt-seq":
-                    rt_seq_logs[key] = (rep.matvecs, rep.steps, rep.repair_events,
-                                        rep.residual_log)
+    for cell, rel, _, rep in _fixture_runs("anisotropic", (10, 20), SOLVER_ORDER,
+                                           cell_steps, log_gaps):
+        out[cell] = (rep.matvecs, rel)
+        grid, tol, solver = cell
+        if solver == "rt-seq":
+            rt_seq_logs[f"anisotropic/{grid}/{tol:g}/rt-seq"] = (
+                rep.matvecs, rep.steps, rep.repair_events, rep.residual_log)
     return out
 
 
 @pytest.fixture(scope="module")
 def transport_cells(cell_steps, log_gaps):
-    out = {}
-    for grid in (128, 256, 512):
-        ivp, yref = fixture_problem("transport", grid)
-        for tol in (1e-4, 1e-6):
-            for solver in ("rt-seq", "gautschi", "first-order"):
-                adj = TOL_ADJUST.get(("transport", solver), 1.0)
-                rep = solve(ivp, SolverConfig(tol=tol * adj), solver)
-                out[(grid, tol, solver)] = (rep.matvecs, _rel(rep.y, yref),
-                                            tol * adj)
-                key = f"transport/{grid}/{tol:g}/{solver}"
-                cell_steps[key] = rep.steps
-                log_gaps[key] = _log_gap(rep)
-    return out
+    return {cell: (rep.matvecs, rel, tol_cell) for cell, rel, tol_cell, rep in
+            _fixture_runs("transport", (128, 256, 512),
+                          ("rt-seq", "gautschi", "first-order"), cell_steps, log_gaps)}
 
 
 def test_criterion_1_residual_identity_suite():

@@ -7,7 +7,6 @@ import pytest
 from trigkrylov.bounds import (
     BoundInput,
     adaptive_truncation,
-    bessel_j,
     bessel_sequence,
     bound_input_from_decompositions,
     bound_p3,
@@ -41,13 +40,15 @@ def _bessel_series_oracle(k, t):
 
 
 def test_bessel_trivial_values():
-    assert bessel_j(0, 0.0) == 1.0
-    for k in range(0, 5):
-        assert bessel_j(2 * k + 1, 0.0) == 0.0
+    seq = bessel_sequence(0.0, 9)
+    assert seq[0] == 1.0
+    assert np.all(seq[1::2] == 0.0)
+    with pytest.raises(ValueError):
+        bessel_sequence(-1.0, 4)
 
 
 def test_bessel_j1_at_one():
-    assert bessel_j(1, 1.0) == pytest.approx(0.4400505857449335, abs=1e-12)
+    assert bessel_sequence(1.0, 1)[1] == pytest.approx(0.4400505857449335, abs=1e-12)
 
 
 @pytest.mark.parametrize("t", [0.001, 0.05, 0.5, 2.0, 17.3, 60.0, 100.0])
@@ -55,15 +56,6 @@ def test_bessel_vs_series_oracle(t):
     seq = bessel_sequence(t, 400)
     for k in (0, 1, 2, 5, 23, 120, 400):
         assert abs(seq[k] - _bessel_series_oracle(k, t)) <= 1e-12, (k, t)
-
-
-def test_bessel_range_guards():
-    with pytest.raises(ValueError):
-        bessel_j(0, 101.0)
-    with pytest.raises(ValueError):
-        bessel_j(401, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(0, -1.0)
 
 
 def _quadrature_coeff(fun, k, n=2000):

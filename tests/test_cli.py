@@ -1,8 +1,10 @@
 import csv
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,19 +48,20 @@ def test_vector_bad_header(tmp_path):
 
 
 def test_build_preset_names():
-    ivp, spec, n = build_preset("isotropic10")
-    assert n == 10 and spec is not None and ivp.op.dim == 1000
-    ivp2, spec2, _ = build_preset("anisotropic8-t10")
-    assert spec2.t_final == 10.0 and spec2.kx == 1e4
-    ivp3, spec3, _ = build_preset("transport128")
-    assert spec3 is None and not ivp3.op.is_symmetric
+    ivp, reference = build_preset("isotropic10")
+    assert ivp.op.dim == 1000 and ivp.t_final == 1.0
+    assert reference(ivp).shape == (1000,)
+    ivp2, _ = build_preset("anisotropic8-t10")
+    assert ivp2.t_final == 10.0 and ivp2.op.kx == 1e4
+    ivp3, _ = build_preset("transport128")
+    assert ivp3.op.dim == 128 and not ivp3.op.is_symmetric
     with pytest.raises(ValueError, match="preset"):
         build_preset("cube10")
 
 
 def test_scale_mapping():
-    _, _, n = build_preset("isotropic10", scale=0.25)
-    assert n == 4  # max(4, floor(10*0.25))
+    ivp, _ = build_preset("isotropic10", scale=0.25)
+    assert ivp.op.dim == 4**3  # max(4, floor(10*0.25))
 
 
 def test_solve_preset_summary_and_outputs(tmp_path, capsys):
@@ -201,12 +204,15 @@ def test_bench_truncation_marker(tmp_path):
 
 def test_reported_errors_do_not_come_from_rt_seq(tmp_path, monkeypatch):
     # rt-seq at tol 1e-12 is a solver under test, so it must not be the
-    # ground truth of a transport problem or of a wave grid past 48
+    # ground truth of a preset at any grid: not of a transport problem past
+    # the dense assembly cap of 4096, which its SparseCSR operator never
+    # reaches, nor of a wave grid past 48
     def forbidden(*args, **kwargs):
         raise AssertionError("reference taken from rt_sequential")
 
     monkeypatch.setattr(pb, "rt_sequential", forbidden)
-    for problem, tol in (("transport128", "1e-6"), ("isotropic50", "1e-4")):
+    for problem, tol in (("transport128", "1e-6"), ("transport4097", "1e-4"),
+                         ("isotropic50", "1e-4")):
         out = tmp_path / problem
         assert main(["solve", "--problem", problem, "--tol", tol,
                      "--out", str(out)]) == 0
@@ -220,14 +226,40 @@ def test_reported_errors_do_not_come_from_rt_seq(tmp_path, monkeypatch):
                for row in rows)
 
 
-def test_bench_tolerance_adjustments(tmp_path):
-    assert main(["bench", "--suite", "table5", "--scale", "0.05", "--no-timing",
+@pytest.mark.parametrize("suite,family", [("table3", "anisotropic"),
+                                          ("table4", "anisotropic"),
+                                          ("table5", "transport")])
+def test_bench_tolerance_adjustments(tmp_path, monkeypatch, suite, family):
+    # the solvers are stubbed: only the tolerance each cell hands them counts
+    handed = []
+
+    def record(ivp, cfg, solver):
+        handed.append(cfg.tol)
+        return SimpleNamespace(y=ivp.u, matvecs=0, steps=0, repair_events=0)
+
+    monkeypatch.setattr(cli, "run_solver", record)
+    assert main(["bench", "--suite", suite, "--scale", "0.05", "--no-timing",
                  "--out", str(tmp_path)]) == 0
-    rows = _rows(tmp_path / "table5.csv")
+    rows = _rows(tmp_path / f"{suite}.csv")
+    assert [float(row["tol_used"]) for row in rows] == handed
+    assert rows and all(row["problem"].startswith(family) for row in rows)
     for row in rows:
-        factor = 10.0 if row["solver"] == "first-order" else 1.0
-        assert float(row["tol_used"]) == pytest.approx(
-            factor * float(row["tol_nominal"]))
+        factor = pb.TOL_ADJUST.get((family, row["solver"]), 1.0)
+        assert float(row["tol_used"]) == factor * float(row["tol_nominal"])
+
+
+def test_benchmark_workloads_use_the_tolerance_table(monkeypatch):
+    # perfbench keeps its own copy of the adjustments until it reads the
+    # catalogue; this keeps the two from drifting apart
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    families = {"wave3d-large": "isotropic", "wave3d-aniso": "anisotropic",
+                "transport-nonsym": "transport"}
+    assert workloads.WORKLOADS.keys() == families.keys()
+    for name, workload in workloads.WORKLOADS.items():
+        for cell in workload.cells:
+            factor = pb.TOL_ADJUST.get((families[name], cell.solver), 1.0)
+            assert cell.tol_used == cell.tol * factor, (name, cell)
 
 
 def test_bounds_csv_zero_violations(tmp_path):

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from trigkrylov.linop import DenseOperator, IdentityOperator
+from trigkrylov.linop import DenseOperator
 from trigkrylov.krylov import (
     COARSE_FRACTIONS,
     KrylovProcess,
@@ -38,7 +38,7 @@ def _spd_operator(rng, n, shift=2.0):
 
 
 def test_identity_happy_breakdown():
-    d = krylov_build(IdentityOperator(6), np.ones(6), 3)
+    d = krylov_build(DenseOperator(np.eye(6)), np.ones(6), 3)
     assert d.m == 1 and d.breakdown and d.h_next == 0.0
     np.testing.assert_allclose(d.H_m, [[1.0]], atol=1e-14)
 
@@ -85,7 +85,7 @@ def test_matvec_budget():
 
 def test_zero_start_vector_rejected():
     with pytest.raises(ValueError, match="zero starting vector"):
-        krylov_build(IdentityOperator(4), np.zeros(4), 2)
+        krylov_build(DenseOperator(np.eye(4)), np.zeros(4), 2)
 
 
 def _scalar_sigma_curve(lam=1.0, h_next=1.0, beta=1.0):
@@ -122,7 +122,7 @@ def test_arnoldi_curve_at_zero_and_tiny_times(kind):
 
 
 def test_breakdown_residual_is_zero():
-    d = krylov_build(IdentityOperator(5), np.ones(5), 3)
+    d = krylov_build(DenseOperator(np.eye(5)), np.ones(5), 3)
     curve = ResidualCurve(d, ScalarFunKind.SIGMA)
     assert np.all(curve.values(np.linspace(0.1, 3.0, 7)) == 0.0)
 
@@ -193,13 +193,13 @@ def test_coarse_check_closed_forms():
     curve = _scalar_sigma_curve()
     assert coarse_residual_check(curve, np.pi / 2, 1.0)
     assert not coarse_residual_check(curve, np.pi / 2, 0.5)
-    broken = ResidualCurve(krylov_build(IdentityOperator(4), np.ones(4), 2),
+    broken = ResidualCurve(krylov_build(DenseOperator(np.eye(4)), np.ones(4), 2),
                            ScalarFunKind.SIGMA)
     assert coarse_residual_check(broken, 1.0, 0.0)
 
 
 def test_find_step_zero_residual_returns_horizon():
-    broken = ResidualCurve(krylov_build(IdentityOperator(4), np.ones(4), 2),
+    broken = ResidualCurve(krylov_build(DenseOperator(np.eye(4)), np.ones(4), 2),
                            ScalarFunKind.SIGMA)
     assert find_largest_admissible_step(broken, 2.0, 1e-12) == 2.0
 
@@ -293,7 +293,7 @@ def test_exactness_at_full_dimension():
 
 
 def test_process_mode_and_argument_guards():
-    op = IdentityOperator(6)
+    op = DenseOperator(np.eye(6))
     with pytest.raises(ValueError, match="unknown mode"):
         KrylovProcess(op, np.ones(6), 6, mode="qr")
     with pytest.raises(ValueError, match="stored basis"):
@@ -311,7 +311,7 @@ def test_process_mode_and_argument_guards():
 
 
 def test_breakdown_step_refused_after_flag():
-    proc = KrylovProcess(IdentityOperator(4), np.ones(4), 4)
+    proc = KrylovProcess(DenseOperator(np.eye(4)), np.ones(4), 4)
     proc.step()
     assert proc.breakdown
     with pytest.raises(RuntimeError, match="breakdown"):
@@ -358,7 +358,7 @@ def test_newest_reads_the_basis_in_every_mode():
         stored.step()
         window.step()
     for mode in ("arnoldi", "lanczos", "lanczos3"):
-        proc = KrylovProcess(IdentityOperator(4), np.ones(4), 4, mode=mode)
+        proc = KrylovProcess(DenseOperator(np.eye(4)), np.ones(4), 4, mode=mode)
         proc.step()
         assert proc.breakdown and not np.any(proc.newest), mode
 

@@ -10,7 +10,6 @@ import scipy.sparse
 from trigkrylov.linop import (
     BlockFirstOrderOperator,
     DenseOperator,
-    IdentityOperator,
     KroneckerSum3D,
     SparseCSR,
     _band_blocks,
@@ -29,11 +28,6 @@ from trigkrylov.problems import (
 )
 
 
-def test_identity_apply():
-    op = IdentityOperator(3)
-    np.testing.assert_allclose(op.apply(np.array([1.0, 2.0, 3.0])), [1, 2, 3])
-
-
 def test_laplacian_stencil_hand_value():
     # n=3, h=1/4: L @ (1,1,1) = 16 * (1, 0, 1)
     lap = dirichlet_laplacian_1d(3)
@@ -42,7 +36,7 @@ def test_laplacian_stencil_hand_value():
 
 
 def test_block_apply_formula():
-    op = BlockFirstOrderOperator(IdentityOperator(2))
+    op = BlockFirstOrderOperator(DenseOperator(np.eye(2)))
     out = op.apply(np.array([1.0, 2.0, 3.0, 4.0]))
     np.testing.assert_allclose(out, [-3.0, -4.0, 1.0, 2.0])
 
@@ -54,17 +48,17 @@ def test_block_assemble_1x1():
 
 
 def test_assemble_identity():
-    np.testing.assert_allclose(assemble_dense(IdentityOperator(2)), np.eye(2))
+    np.testing.assert_allclose(assemble_dense(DenseOperator(np.eye(2))), np.eye(2))
 
 
 def test_assemble_cap():
     with pytest.raises(ValueError, match="cap"):
-        assemble_dense(IdentityOperator(10), cap=4)
+        assemble_dense(DenseOperator(np.eye(10)), cap=4)
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        IdentityOperator(3).apply(np.ones(4))
+        DenseOperator(np.eye(3)).apply(np.ones(4))
 
 
 def _kron_sum_dense(lx, ly, lz, kx, ky, kz):
@@ -94,7 +88,7 @@ def test_kronecker_sum_matches_explicit_assembly(shape):
 
 
 @pytest.mark.parametrize("make_op", [
-    lambda: IdentityOperator(12),
+    lambda: DenseOperator(np.eye(12)),
     lambda: DenseOperator(np.diag(np.arange(1.0, 13.0))),
     lambda: KroneckerSum3D(*(dirichlet_laplacian_1d(2),) * 3),
     lambda: BlockFirstOrderOperator(DenseOperator(np.diag([1.0, 2.0, 3.0]))),
@@ -114,7 +108,7 @@ def test_linearity_and_symmetry(make_op):
 
 
 def test_matvec_count_exact():
-    op = IdentityOperator(5)
+    op = DenseOperator(np.eye(5))
     for k in range(1, 8):
         op.apply(np.ones(5))
         assert op.matvec_count == k
@@ -246,7 +240,7 @@ def test_band_blocks_cover_every_nonzero(fac, ncols, n_blocks):
 
 
 @pytest.mark.parametrize("make_op", [
-    lambda: IdentityOperator(12),
+    lambda: DenseOperator(np.eye(12)),
     lambda: DenseOperator(np.diag(np.arange(1.0, 13.0))),
     lambda: SparseCSR(scipy.sparse.diags(np.arange(1.0, 13.0)), is_symmetric=True),
     lambda: KroneckerSum3D(*(dirichlet_laplacian_1d(2),) * 3),

@@ -13,6 +13,7 @@ from trigkrylov.problems import (
     build_transport,
     build_wave3d,
     isotropic_wave_spec,
+    preset,
     reference_solution,
     spectral_reference_wave3d,
 )
@@ -92,18 +93,17 @@ def test_transport_gaussian_peak_on_grid():
     assert ivp.u[4] == pytest.approx(1.0, rel=1e-15)
 
 
-def test_transport_velocity_variants():
-    printed = build_transport(TransportProblemSpec(16, velocity="as-printed"))
-    charac = build_transport(TransportProblemSpec(16, velocity="characteristic"))
-    # both share -alpha*u0; printed adds +u0', characteristic adds -c u0'
-    diff = printed.v - charac.v
+def test_transport_initial_velocity_as_printed():
+    # v0 = D u0 - alpha u0, with D the centered difference and zero boundary
+    ivp = build_transport(TransportProblemSpec(16, alpha=0.7))
     h = 1.0 / 17.0
     x = h * np.arange(1, 17)
     u0 = np.exp(-500.0 * (x - 0.5) ** 2)
     d = (np.roll(u0, -1) - np.roll(u0, 1)) / (2 * h)
     d[0] = u0[1] / (2 * h)
     d[-1] = -u0[-2] / (2 * h)
-    np.testing.assert_allclose(diff, (1 + 0.3) * d, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(ivp.u, u0, rtol=1e-15)
+    np.testing.assert_allclose(ivp.v, d - 0.7 * u0, rtol=1e-12, atol=1e-12)
 
 
 def test_transport_symmetric_part_shift_bound():
@@ -231,5 +231,5 @@ def test_spec_validation():
         WaveProblemSpec(4, 4, 4, ic="bogus")
     with pytest.raises(ValueError):
         TransportProblemSpec(2)
-    with pytest.raises(ValueError):
-        TransportProblemSpec(16, velocity="bogus")
+    with pytest.raises(ValueError, match="family"):
+        preset("cube", 4)

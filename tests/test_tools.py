@@ -1,5 +1,5 @@
-"""The bit-identity tools under ``tools/`` import internals of the acceptance
-fixtures and the benchmark workloads; these tests keep them runnable.  Each
+"""The bit-identity tools under ``tools/`` read the package's problem
+catalogue and the benchmark workloads; these tests keep them runnable.  Each
 tool is loaded from its file, since ``tools`` is not a package."""
 import importlib.util
 import json

@@ -13,9 +13,9 @@ repair events and the SHA-1 of y, v_out and the residual log, then a line
 with its step sizes in ``float.hex``.  Equal lines mean equal counts, equal
 step sequences and bit-identical outputs.
 
-Fixture problems, references and tolerances come from the acceptance
-fixtures (``TOL_ADJUST`` and ``fixture_problem`` in
-``tests/test_acceptance.py``), benchmark ones from the workload table;
+A fixture cell's problem, reference and tolerance come from the package's
+catalogue (``trigkrylov.problems.preset`` and ``tol_used``), as in the
+acceptance fixtures, a benchmark cell's from the workload table;
 ``tools/ulp_spread.py`` takes its cells from :func:`cells` too.  The
 benchmark's wave3d-large cells (n = 262,144) take most of the time.  The
 script is not part of the test suite.
@@ -30,9 +30,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+GOLDEN_CELLS = ROOT / "tests" / "golden_cells.json"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from test_acceptance import GOLDEN_CELLS, TOL_ADJUST, fixture_problem  # noqa: E402
+from trigkrylov import problems as pb  # noqa: E402
 from trigkrylov.integrators import SolverConfig, solve  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -59,11 +60,9 @@ def cells():
     problems = {}
     for key in json.loads(GOLDEN_CELLS.read_text()):
         family, grid, tol, solver = key.split("/")
-        factory, reference = problems.setdefault((family, grid), (
-            lambda f=family, g=int(grid): fixture_problem(f, g)[0],
-            lambda ivp, f=family, g=int(grid): fixture_problem(f, g)[1]))
-        yield (key, factory, reference,
-               float(tol) * TOL_ADJUST.get((family, solver), 1.0), solver)
+        factory, reference = problems.setdefault((family, grid),
+                                                 pb.preset(family, int(grid)))
+        yield key, factory, reference, pb.tol_used(family, solver, float(tol)), solver
     for workload in WORKLOADS.values():
         for cell in workload.cells:
             yield (f"{workload.name}/{cell.solver}", workload.build, workload.reference,

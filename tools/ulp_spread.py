@@ -17,9 +17,10 @@ problem's reference (the sine eigenbasis for waves, the block exponential
 for transport), which differs from a copy's own by about 1e-16.
 
 Problems, references and tolerances are those of
-``cell_digest.cells()``, so a cell here is the digested cell of the same
-name; an unknown name exits with status 2.  The script is not part of the
-test suite.
+``cell_digest.cells()`` (the package's catalogue, ``trigkrylov.problems``,
+for fixture cells and ``perfbench/workloads.py`` for benchmark cells), so
+a cell here is the digested cell of the same name; an unknown name exits
+with status 2.  The script is not part of the test suite.
 """
 from __future__ import annotations
 
