@@ -22,7 +22,6 @@ from .smallfun import (
     ScalarFunKind,
     SpectralCache,
     cos_sqrt,
-    exact_ivp_solution,
     phi,
     psi,
     scalar_fun,
@@ -62,6 +61,7 @@ from .problems import (
     anisotropic_wave_spec,
     build_transport,
     build_wave3d,
+    exact_ivp_solution,
     isotropic_wave_spec,
     reference_solution,
     spectral_reference_wave3d,

@@ -1,5 +1,9 @@
 """Command-line front end: single solves, benchmark suites and bound sweeps.
 
+A solve reports its error against the reference of :mod:`trigkrylov.problems`:
+a preset's own rule, and :func:`~trigkrylov.problems.exact_ivp_solution` for
+a Matrix Market file at any size, never a solver under test.
+
 Output is CSV (fixed header per suite, '.' decimal point) plus a flat binary
 vector dump with a one-line text header ``n <dim>``.  All randomness is
 seeded, so a fixed config reproduces its CSV bit for bit (suppress the wall
@@ -87,15 +91,6 @@ def build_preset(name: str, scale: float = 1.0, t_override: float | None = None)
     return build(), reference
 
 
-def _reference_for(ivp):
-    """y at t_final of a matrix-file problem: the dense reference for a
-    nonsymmetric operator up to n = 4096, else rt-seq at tol 1e-12, which
-    is not independent of the solver under test."""
-    if not ivp.op.is_symmetric and ivp.op.dim <= 4096:
-        return pb.reference_solution(ivp, "dense")[0]
-    return pb.reference_solution(ivp, "tight-tolerance")[0]
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
@@ -117,7 +112,7 @@ def cmd_solve(args) -> int:
             v = read_vector(args.v_file) if args.v_file else np.zeros(op.dim)
             g = read_vector(args.g_file) if args.g_file else None
             ivp = SecondOrderIVP(op, u, v, g, args.t if args.t is not None else 1.0)
-            reference = _reference_for
+            reference = lambda ivp: pb.exact_ivp_solution(ivp, ivp.t_final)[0]
             label = Path(args.matrix).name
         cfg = SolverConfig(tol=args.tol, m_max=args.mmax)
     except ValueError as exc:

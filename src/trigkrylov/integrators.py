@@ -396,7 +396,9 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     first step with both runs' rates.  Every later cycle runs one psi
     branch on the driver's g - A y; if its residual certifies less than
     delta, the step is repaired by bridging the interval with the
-    sequential RT solver.  A cycle's velocity is the averaged velocity
+    sequential RT solver.  No run hands ``_grow_admissible`` a previous
+    step: a later run's horizon is delta, the previous step itself, which
+    the gate never skips.  A cycle's velocity is the averaged velocity
     (y_{k+1} - y_k)/delta, so the returned velocity is that of the final
     step, not y'(t_final).
     """
@@ -420,14 +422,10 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         delta = cyc.t_rem
         if cyc.beta_sigma > 0:
             (c_sigma,), delta = _grow_admissible(
-                op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, cfg.tol * cyc.beta_sigma, m_tilde,
-                cyc.prev_step,
-            )
+                op, [(cyc.vel, ScalarFunKind.SIGMA)], delta, cfg.tol * cyc.beta_sigma, m_tilde)
         if cyc.beta_psi > 0:
             (c_psi,), delta_psi = _grow_admissible(
-                op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, m_tilde,
-                cyc.prev_step,
-            )
+                op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, m_tilde)
             # the live sigma basis serves the shorter step as it is
             delta = min(delta, delta_psi)
 
@@ -451,9 +449,7 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         if cyc.beta_psi == 0:
             return np.zeros(op.dim), [], False
         (curve,), delta_tilde = _grow_admissible(
-            op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, cfg.m_max,
-            cyc.prev_step,
-        )
+            op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, cfg.m_max)
         entries = [("step", curve.decomposition.m, delta, _peak(curve, delta))]
         if delta_tilde >= delta * (1.0 - 1e-12):
             return rate(curve), entries, False

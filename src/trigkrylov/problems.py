@@ -5,10 +5,13 @@ stencil with homogeneous Dirichlet boundary conditions (isotropic and
 strongly anisotropic presets), and a 1-D transport equation with decay
 recast as a second-order PDE, whose discretization is nonsymmetric.
 
-The wave reference evaluates every sine mode with numpy's cos and sinc,
-and the dense reference of a nonsymmetric operator is the action of the
-exponential of its first-order block, so neither shares a function with
-the solvers it checks.
+The reference rule is written here once, and no solver under test serves
+as a reference.  A wave's ground truth evaluates every sine mode with
+numpy's cos and sinc.  :func:`exact_ivp_solution` takes a stored sparse
+matrix, symmetric or not, and any nonsymmetric operator through the action
+of the exponential of the first-order block, so neither route shares a
+function with the solvers it checks; only a symmetric operator without a
+stored matrix is assembled and factored by ``eigh``.
 
 The catalogue of the paper's problems is :func:`preset` (a family on a
 grid, with its reference) and :data:`TOL_ADJUST` with :func:`tol_used`
@@ -23,13 +26,9 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from . import linop, smallfun
-from .integrators import SecondOrderIVP, SolverConfig, rt_sequential
-
-#: Default largest per-dimension grid of :func:`spectral_reference_wave3d`;
-#: a caller that wants a larger grid passes ``cap`` (:func:`preset` passes the
-#: grid, as ``scipy.fft.dstn`` handles any size).
-SPECTRAL_REFERENCE_CAP = 48
+from . import linop
+from .integrators import SecondOrderIVP
+from .smallfun import ScalarFunKind, SpectralCache
 
 #: Tolerance factor per (family, solver), 1 where absent: Tables 3 and 4 run
 #: gautschi 10x tighter and two-pass 10x looser on the anisotropic wave,
@@ -120,14 +119,14 @@ def _sine_eigenvalues(n: int) -> np.ndarray:
     return (2.0 / h**2) * (1.0 - np.cos(p * np.pi * h))
 
 
-def spectral_reference_wave3d(spec: WaveProblemSpec, t: float,
-                              cap: int = SPECTRAL_REFERENCE_CAP):
+def spectral_reference_wave3d(spec: WaveProblemSpec, t: float, cap: float = np.inf):
     """(y(t), y'(t)) via the discrete sine eigenbasis of the stencil.
 
     Exact for the discretized problem: every mode evolves by cos(t sqrt(lam))
     and sin(t sqrt(lam))/sqrt(lam) of its (positive) eigenvalue lam, taken
-    from numpy rather than from the functions the solvers use.  Usable as
-    ground truth up to the DST-size cap.
+    from numpy rather than from the functions the solvers use, at any grid
+    (``scipy.fft.dstn`` handles any size); a grid past ``cap`` per
+    dimension raises ``ValueError``.
     """
     if max(spec.nx, spec.ny, spec.nz) > cap:
         raise ValueError(f"grid exceeds spectral reference cap {cap}")
@@ -192,21 +191,68 @@ def build_transport(spec: TransportProblemSpec) -> SecondOrderIVP:
     return SecondOrderIVP(op, u0, v0, None, spec.t_final)
 
 
-def reference_solution(ivp: SecondOrderIVP, method: str):
-    """Ground-truth (y, y') at t_final by one of two routes.
+def exact_ivp_solution(ivp: SecondOrderIVP, t: float):
+    """Ground-truth (y(t), y'(t)) of y'' = -A y + g from the matrix of A.
 
-    ``dense`` works on the assembled A (``eigh`` when A is symmetric, the
-    action of the exponential of the first-order block otherwise; see
-    :func:`smallfun.exact_ivp_solution`), ``tight-tolerance`` runs the
-    sequential RT solver at tol 1e-12 with m_max 60 (cases too large for
-    ``dense``; not independent of that solver).  A wave problem's sine
-    eigenbasis is :func:`spectral_reference_wave3d`.
+    A :class:`~trigkrylov.linop.SparseCSR` operator gives its stored matrix,
+    which is never densified; any other operator is assembled densely (n
+    matvecs, n <= 4096).  An assembled symmetric A is factored by ``eigh``,
+    and
+
+        y(t)  = u + t^2/2 psi(t^2 A)(g - A u) + t sigma(t^2 A) v
+        y'(t) = t sigma(t^2 A)(g - A u) + cos(t sqrt(A)) v.
+
+    Every other A, sparse or nonsymmetric, goes through none of the solvers'
+    functions: with s the power of two nearest sqrt(||A||_1) (at least 1),
+    (s y, y', 1) solves the first-order system with the block
+
+        B = [[0, s I, 0], [-A/s, 0, g], [0, 0, 0]]
+
+    of dimension 2n + 1, so one sparse action exp(t B) (s u, v, 1)
+    (``scipy.sparse.linalg.expm_multiply``, Al-Mohy & Higham, SISC 33,
+    2011) gives both.  The scaling by s is exact and brings ||B||_1 from
+    about ||A||_1 down to about 2 sqrt(||A||_1), the size of the block's
+    spectrum, which sets the cost of the action.  A symmetric assembled A
+    keeps ``eigh``, as the action's cost grows with t sqrt(||A||) and a
+    small stiff problem at t = 100 takes it seconds.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    sparse = isinstance(ivp.op, linop.SparseCSR)
+    a_mat = ivp.op.csr if sparse else linop.assemble_dense(ivp.op)
+    if ivp.op.is_symmetric and not sparse:
+        w = ivp.g - a_mat @ ivp.u
+        cache = SpectralCache.from_dense(a_mat, beta=1.0, symmetric=True)
+        t2 = t * t
+        # one sigma(t^2 A) serves both w and v
+        sig = t * cache.apply_fun(ScalarFunKind.SIGMA, t2, np.column_stack([w, ivp.v]))
+        y = ivp.u + 0.5 * t2 * cache.apply_fun(ScalarFunKind.PSI, t2, w) + sig[:, 1]
+        yp = sig[:, 0] + cache.apply_fun(ScalarFunKind.COS, t2, ivp.v)
+        return y, yp
+    # imported here: the solvers never need it, and it adds 2 MB to every process
+    import scipy.sparse.linalg
+
+    n = a_mat.shape[0]
+    norm_1 = float(abs(a_mat).sum(axis=0).max())  # ||A||_1, dense or sparse
+    s = 2.0 ** max(0, round(0.5 * np.log2(max(norm_1, 1.0))))
+    block = scipy.sparse.bmat([
+        [None, s * scipy.sparse.eye(n), None],
+        [scipy.sparse.csr_matrix(a_mat / -s), None, scipy.sparse.csr_matrix(ivp.g[:, None])],
+        [None, None, scipy.sparse.csr_matrix((1, 1))],
+    ], format="csr")
+    z = scipy.sparse.linalg.expm_multiply(
+        t * block, np.concatenate([s * ivp.u, ivp.v, [1.0]]), traceA=0.0
+    )
+    return z[:n] / s, z[n:2 * n]
+
+
+def reference_solution(ivp: SecondOrderIVP, method: str):
+    """Ground-truth (y, y') at t_final by :func:`exact_ivp_solution`;
+    ``method`` must be ``"dense"``.  A wave problem's sine eigenbasis is
+    :func:`spectral_reference_wave3d`.
     """
     if method == "dense":
-        return smallfun.exact_ivp_solution(ivp, ivp.t_final)
-    if method == "tight-tolerance":
-        report = rt_sequential(ivp, SolverConfig(tol=1e-12, m_max=60))
-        return report.y, report.v_out
+        return exact_ivp_solution(ivp, ivp.t_final)
     raise ValueError(f"unknown reference method {method!r}")
 
 
@@ -219,18 +265,19 @@ def preset(family: str, grid: int, t_final: float = 1.0):
     ``family`` is ``isotropic``, ``anisotropic`` or ``transport``.
     ``build()`` assembles the IVP, and ``reference(ivp)`` gives its
     y(t_final) by a route that no solver under test takes, at every grid:
-    the sine eigenbasis for a wave, the block exponential (``"dense"``, on
-    the stored ``SparseCSR`` matrix, so no assembly cap) for transport.
+    the sine eigenbasis for a wave, the block exponential of
+    :func:`exact_ivp_solution` (on the stored ``SparseCSR`` matrix, so no
+    assembly cap) for transport.
     """
     if family == "transport":
         spec = TransportProblemSpec(grid, t_final=t_final)
         return (lambda: build_transport(spec),
-                lambda ivp: reference_solution(ivp, "dense")[0])
+                lambda ivp: exact_ivp_solution(ivp, ivp.t_final)[0])
     if family not in _WAVE_SPECS:
         raise ValueError(f"unknown problem family {family!r}")
     spec = _WAVE_SPECS[family](grid, t_final)
     return (lambda: build_wave3d(spec),
-            lambda ivp: spectral_reference_wave3d(spec, ivp.t_final, cap=grid)[0])
+            lambda ivp: spectral_reference_wave3d(spec, ivp.t_final)[0])
 
 
 def tol_used(family: str, solver: str, tol: float) -> float:

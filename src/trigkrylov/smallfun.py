@@ -41,6 +41,9 @@ at time t is V_m (prefactor(t) f(scale(t) H) beta e1), and its residual is
 h_{m+1,m} times the last entry of the position term's coefficient vector.
 :func:`branch_coefficients` evaluates all terms at many times with one
 :meth:`SpectralCache.fun_e1` call per term.
+
+The ground truth the solvers are checked against is in
+:mod:`trigkrylov.problems`, not here.
 """
 from __future__ import annotations
 
@@ -48,9 +51,6 @@ import enum
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-
-from . import linop
 
 #: log of the largest float, the x beyond which exp(x) overflows.
 _EXP_MAX = float(np.log(np.finfo(float).max))
@@ -193,12 +193,6 @@ def _fun_by_expm(z, kind: ScalarFunKind):
     return 2.0 * top[:, 2 * m:]
 
 
-def _looks_symmetric(h_mat) -> bool:
-    """Symmetric to 1e-13 of ||H||_inf; H is an array or a scipy sparse matrix."""
-    scale = float(abs(h_mat).sum(axis=1).max()) or 1.0
-    return bool(abs(h_mat - h_mat.T).max() <= 1e-13 * scale)
-
-
 class SpectralCache:
     """Reusable factorization of a small matrix H plus the starting scale beta.
 
@@ -332,57 +326,3 @@ def branch_coefficients(cache: SpectralCache, kind: ScalarFunKind, ts) -> np.nda
         raise RuntimeError(f"{kind.name.lower()} coefficients are not finite at "
                            f"t = {ts.max():g}: the time span overflows")
     return coeffs
-
-
-def exact_ivp_solution(ivp, t: float):
-    """Ground-truth (y(t), y'(t)) of y'' = -A y + g from the assembled A.
-
-    A :class:`~trigkrylov.linop.SparseCSR` operator gives its matrix as it
-    is stored; any other operator is assembled densely (n matvecs).  A
-    symmetric A is factored densely by ``eigh``, and
-
-        y(t)  = u + t^2/2 psi(t^2 A)(g - A u) + t sigma(t^2 A) v
-        y'(t) = t sigma(t^2 A)(g - A u) + cos(t sqrt(A)) v.
-
-    A nonsymmetric A goes through none of this module's functions: with s
-    the power of two nearest sqrt(||A||_1) (at least 1), (s y, y', 1) solves
-    the first-order system with the block
-
-        B = [[0, s I, 0], [-A/s, 0, g], [0, 0, 0]]
-
-    of dimension 2n + 1, so one sparse action exp(t B) (s u, v, 1)
-    (``scipy.sparse.linalg.expm_multiply``, Al-Mohy & Higham, SISC 33,
-    2011) gives both.  The scaling by s is exact and brings ||B||_1 from
-    about ||A||_1 down to about 2 sqrt(||A||_1), the size of the block's
-    spectrum, which sets the cost of the action.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    sparse = isinstance(ivp.op, linop.SparseCSR)
-    a_mat = ivp.op.csr if sparse else linop.assemble_dense(ivp.op)
-    if ivp.op.is_symmetric or _looks_symmetric(a_mat):
-        if sparse:
-            a_mat = a_mat.toarray()
-        w = ivp.g - a_mat @ ivp.u
-        cache = SpectralCache.from_dense(a_mat, beta=1.0, symmetric=True)
-        t2 = t * t
-        # one sigma(t^2 A) serves both w and v
-        sig = t * cache.apply_fun(ScalarFunKind.SIGMA, t2, np.column_stack([w, ivp.v]))
-        y = ivp.u + 0.5 * t2 * cache.apply_fun(ScalarFunKind.PSI, t2, w) + sig[:, 1]
-        yp = sig[:, 0] + cache.apply_fun(ScalarFunKind.COS, t2, ivp.v)
-        return y, yp
-    # imported here: the solvers never need it, and it adds 2 MB to every process
-    import scipy.sparse.linalg
-
-    n = a_mat.shape[0]
-    norm_1 = float(abs(a_mat).sum(axis=0).max())  # ||A||_1, dense or sparse
-    s = 2.0 ** max(0, round(0.5 * np.log2(max(norm_1, 1.0))))
-    block = scipy.sparse.bmat([
-        [None, s * scipy.sparse.eye(n), None],
-        [scipy.sparse.csr_matrix(a_mat / -s), None, scipy.sparse.csr_matrix(ivp.g[:, None])],
-        [None, None, scipy.sparse.csr_matrix((1, 1))],
-    ], format="csr")
-    z = scipy.sparse.linalg.expm_multiply(
-        t * block, np.concatenate([s * ivp.u, ivp.v, [1.0]]), traceA=0.0
-    )
-    return z[:n] / s, z[n:2 * n]

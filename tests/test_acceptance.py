@@ -33,13 +33,18 @@ from trigkrylov.integrators import (
 )
 from trigkrylov.krylov import ResidualCurve, krylov_build
 from trigkrylov.linop import DenseOperator
-from trigkrylov.problems import build_wave3d, isotropic_wave_spec, preset, tol_used
+from trigkrylov.problems import (
+    build_wave3d,
+    exact_ivp_solution,
+    isotropic_wave_spec,
+    preset,
+    tol_used,
+)
 from trigkrylov.smallfun import (
     ScalarFunKind,
     SpectralCache,
     branch_coefficients,
     cos_sqrt,
-    exact_ivp_solution,
     psi,
     sigma,
 )

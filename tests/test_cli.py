@@ -12,6 +12,7 @@ import scipy.io
 import scipy.sparse
 
 import trigkrylov.cli as cli
+import trigkrylov.integrators as integrators
 import trigkrylov.problems as pb
 from trigkrylov.cli import (
     BENCH_HEADER,
@@ -23,6 +24,7 @@ from trigkrylov.cli import (
     write_vector,
 )
 from trigkrylov.krylov import StepSearchStagnation
+from trigkrylov.linop import dirichlet_laplacian_1d
 
 
 def _rows(path, reader=csv.DictReader):
@@ -202,22 +204,51 @@ def test_bench_truncation_marker(tmp_path):
     assert len(rows) < 1 + 4 * 2 * 4
 
 
+def _write_problem(tmp_path, name, a_mat, ivp, symmetry):
+    """A Matrix Market file of ``a_mat`` and dumps of ivp.u and ivp.v; the
+    ``solve`` flags that read them."""
+    scipy.io.mmwrite(tmp_path / f"{name}.mtx", scipy.sparse.coo_matrix(a_mat),
+                     symmetry=symmetry)
+    write_vector(tmp_path / f"{name}-u.bin", ivp.u)
+    write_vector(tmp_path / f"{name}-v.bin", ivp.v)
+    return ["--matrix", str(tmp_path / f"{name}.mtx"),
+            "--u-file", str(tmp_path / f"{name}-u.bin"),
+            "--v-file", str(tmp_path / f"{name}-v.bin"), "--t", str(ivp.t_final)]
+
+
 def test_reported_errors_do_not_come_from_rt_seq(tmp_path, monkeypatch):
     # rt-seq at tol 1e-12 is a solver under test, so it must not be the
-    # ground truth of a preset at any grid: not of a transport problem past
-    # the dense assembly cap of 4096, which its SparseCSR operator never
-    # reaches, nor of a wave grid past 48
-    def forbidden(*args, **kwargs):
-        raise AssertionError("reference taken from rt_sequential")
+    # ground truth of a preset at any grid, nor of a matrix file: not of a
+    # nonsymmetric one past the dense assembly cap of 4096, nor of a
+    # symmetric one.  Every solver run passes through _restart, so a solve
+    # whose reference ran a solver records two runs.
+    runs = []
+    restart = integrators._restart
 
-    monkeypatch.setattr(pb, "rt_sequential", forbidden)
-    for problem, tol in (("transport128", "1e-6"), ("transport4097", "1e-4"),
-                         ("isotropic50", "1e-4")):
-        out = tmp_path / problem
-        assert main(["solve", "--problem", problem, "--tol", tol,
-                     "--out", str(out)]) == 0
+    def record(ivp, solver, advance):
+        runs.append(solver)
+        return restart(ivp, solver, advance)
+
+    monkeypatch.setattr(integrators, "_restart", record)
+    transport = pb.build_transport(pb.TransportProblemSpec(4097))
+    lap = scipy.sparse.csr_matrix(dirichlet_laplacian_1d(10))
+    sources = {
+        "transport128": ["--problem", "transport128"],
+        "transport4097": ["--problem", "transport4097"],
+        "isotropic50": ["--problem", "isotropic50"],
+        "transport4097.mtx": _write_problem(tmp_path, "transport4097", transport.op.csr,
+                                            transport, "general"),
+        "isotropic10.mtx": _write_problem(
+            tmp_path, "isotropic10", scipy.sparse.kronsum(scipy.sparse.kronsum(lap, lap), lap),
+            pb.build_wave3d(pb.isotropic_wave_spec(10)), "symmetric"),
+    }
+    for (label, source), tol in zip(sources.items(), ("1e-6", "1e-4", "1e-4", "1e-4", "1e-6")):
+        out = tmp_path / "out" / label
+        runs.clear()
+        assert main(["solve", *source, "--tol", tol, "--out", str(out)]) == 0
+        assert runs == ["rt-seq"], label
         rel = float(_rows(out / "summary.csv")[0]["rel_accuracy"])
-        assert 0.0 < rel <= 10.0 * float(tol), problem
+        assert 0.0 < rel <= 10.0 * float(tol), label
     assert main(["bench", "--suite", "table5", "--scale", "0.05", "--no-timing",
                  "--out", str(tmp_path / "b")]) == 0
     rows = _rows(tmp_path / "b" / "table5.csv")

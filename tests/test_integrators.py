@@ -20,11 +20,15 @@ from trigkrylov.integrators import (
 )
 from trigkrylov.krylov import ResidualCurve, krylov_build
 from trigkrylov.linop import DenseOperator
-from trigkrylov.problems import anisotropic_wave_spec, build_wave3d, isotropic_wave_spec
+from trigkrylov.problems import (
+    anisotropic_wave_spec,
+    build_wave3d,
+    exact_ivp_solution,
+    isotropic_wave_spec,
+)
 from trigkrylov.smallfun import (
     ScalarFunKind,
     SpectralCache,
-    exact_ivp_solution,
     psi,
     sigma,
 )

@@ -283,7 +283,7 @@ def test_exactness_at_full_dimension():
     n = 16
     op = _spd_operator(rng, n)
     from trigkrylov.integrators import SecondOrderIVP, SolverConfig, rt_sequential
-    from trigkrylov.smallfun import exact_ivp_solution
+    from trigkrylov.problems import exact_ivp_solution
 
     ivp = SecondOrderIVP(op, rng.standard_normal(n), rng.standard_normal(n),
                          rng.standard_normal(n), 1.5)

@@ -12,12 +12,12 @@ from trigkrylov.problems import (
     anisotropic_wave_spec,
     build_transport,
     build_wave3d,
+    exact_ivp_solution,
     isotropic_wave_spec,
     preset,
     reference_solution,
     spectral_reference_wave3d,
 )
-from trigkrylov.smallfun import exact_ivp_solution
 
 
 def test_wave_2x2x2_matches_hand_assembly():
@@ -171,7 +171,9 @@ def test_spectral_reference_matches_dense():
 def test_spectral_reference_cap():
     spec = isotropic_wave_spec(50)
     with pytest.raises(ValueError, match="cap"):
-        spectral_reference_wave3d(spec, 1.0)
+        spectral_reference_wave3d(spec, 1.0, cap=49)
+    y, _ = spectral_reference_wave3d(spec, 1.0)  # no cap by default
+    assert np.all(np.isfinite(y))
 
 
 def test_spectral_reference_uses_none_of_the_solver_functions(monkeypatch):
@@ -192,7 +194,7 @@ def test_reference_methods_cross_check():
     ivp = build_wave3d(spec)
     y_dense, _ = reference_solution(ivp, "dense")
     y_spec, _ = spectral_reference_wave3d(spec, ivp.t_final)
-    y_tight, _ = reference_solution(ivp, "tight-tolerance")
+    y_tight = rt_sequential(ivp, SolverConfig(tol=1e-12, m_max=60)).y
     scale = np.linalg.norm(y_dense)
     assert np.linalg.norm(y_dense - y_spec) <= 1e-8 * scale
     assert np.linalg.norm(y_dense - y_tight) <= 1e-8 * scale
@@ -201,8 +203,11 @@ def test_reference_methods_cross_check():
 def test_reference_transport_dense_vs_tight():
     ivp = build_transport(TransportProblemSpec(64))
     y_dense, _ = reference_solution(ivp, "dense")
-    y_tight, _ = reference_solution(ivp, "tight-tolerance")
+    y_tight = rt_sequential(ivp, SolverConfig(tol=1e-12, m_max=60)).y
     assert np.linalg.norm(y_dense - y_tight) <= 1e-8 * np.linalg.norm(y_dense)
+    # the solver under test is no reference route
+    with pytest.raises(ValueError, match="unknown reference method"):
+        reference_solution(ivp, "tight-tolerance")
 
 
 def test_grid_refinement_sanity():

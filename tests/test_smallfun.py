@@ -7,18 +7,31 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from trigkrylov import smallfun
 from trigkrylov.integrators import SecondOrderIVP
 from trigkrylov.krylov import krylov_build
-from trigkrylov.linop import BlockFirstOrderOperator, DenseOperator, assemble_dense
-from trigkrylov.problems import TransportProblemSpec, build_transport
+from trigkrylov.linop import (
+    BlockFirstOrderOperator,
+    DenseOperator,
+    SparseCSR,
+    assemble_dense,
+    dirichlet_laplacian_1d,
+)
+from trigkrylov.problems import (
+    TransportProblemSpec,
+    build_transport,
+    build_wave3d,
+    exact_ivp_solution,
+    isotropic_wave_spec,
+    spectral_reference_wave3d,
+)
 from trigkrylov.smallfun import (
     ScalarFunKind,
     SpectralCache,
     branch_coefficients,
     cos_sqrt,
-    exact_ivp_solution,
     phi,
     psi,
     scalar_fun,
@@ -515,18 +528,33 @@ def _raise(*args, **kwargs):
     raise AssertionError("must not be called here")
 
 
+def _isotropic17_sparse_ivp():
+    """The isotropic 17^3 wave (n = 4913, past the dense assembly cap of
+    4096) on its stored seven-point matrix, flagged symmetric; with its spec."""
+    spec = isotropic_wave_spec(17)
+    lap = scipy.sparse.csr_matrix(dirichlet_laplacian_1d(17))
+    a_mat = scipy.sparse.kronsum(scipy.sparse.kronsum(lap, lap), lap, format="csr")
+    wave = build_wave3d(spec)
+    return spec, SecondOrderIVP(SparseCSR(a_mat, is_symmetric=True), wave.u, wave.v,
+                                None, spec.t_final)
+
+
 def test_exact_ivp_nonsymmetric_uses_none_of_the_solver_functions(monkeypatch):
     # a defect in the solvers' scalar functions, eigenbasis or
     # block-exponential fallback must not reach the ground truth the
-    # solvers are checked against
+    # solvers are checked against: not of a nonsymmetric operator, nor of a
+    # stored symmetric matrix
+    from trigkrylov import linop
+
     monkeypatch.setattr(smallfun, "scalar_fun", _raise)
     monkeypatch.setattr(SpectralCache, "from_dense", _raise)
     monkeypatch.setattr(smallfun, "_fun_by_expm", _raise)
     monkeypatch.setattr(scipy.linalg, "schur", _raise)
-    ivp = build_transport(TransportProblemSpec(64))
-    y, yp = exact_ivp_solution(ivp, 1.0)
-    assert np.all(np.isfinite(y)) and np.all(np.isfinite(yp))
-    assert np.linalg.norm(y) > 0
+    monkeypatch.setattr(linop, "assemble_dense", _raise)
+    for ivp in (build_transport(TransportProblemSpec(64)), _isotropic17_sparse_ivp()[1]):
+        y, yp = exact_ivp_solution(ivp, 1.0)
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(yp))
+        assert np.linalg.norm(y) > 0
 
 
 def test_import_leaves_sparse_linalg_unloaded():
@@ -617,8 +645,7 @@ def test_exact_ivp_nonsymmetric_edge_cases():
 
 
 def test_exact_ivp_reads_a_sparse_operator_directly(monkeypatch):
-    # the CLI's dense-reference cap: assembling A here took 4096 matvecs,
-    # 2.3 s and a 384 MiB peak
+    # assembling A here would take 4096 matvecs, 2.3 s and a 384 MiB peak
     from trigkrylov import linop
     import tracemalloc
 
@@ -638,15 +665,36 @@ def test_exact_ivp_reads_a_sparse_operator_directly(monkeypatch):
     assert peak <= 8 * 2**20
 
 
+def test_exact_ivp_symmetric_sparse_matrix_past_the_assembly_cap():
+    # a stored symmetric matrix takes the block exponential: densifying the
+    # 17^3 operator for eigh would take 193 MB
+    import tracemalloc
+
+    spec, ivp = _isotropic17_sparse_ivp()
+    exact_ivp_solution(build_transport(TransportProblemSpec(16)), 1.0)  # warm imports
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        y, yp = exact_ivp_solution(ivp, spec.t_final)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert ivp.op.matvec_count == 0
+    assert peak <= 8 * 2**20
+    y_ref, yp_ref = spectral_reference_wave3d(spec, spec.t_final)
+    assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+    assert np.linalg.norm(yp - yp_ref) <= 1e-12 * np.linalg.norm(yp_ref)
+
+
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_exact_ivp_sparse_path_matches_the_assembled_operator(symmetric):
-    from trigkrylov.linop import SparseCSR
-
+    # a stored matrix takes the block exponential whatever its flag, as an
+    # assembled nonsymmetric operator does
     ivp = build_transport(TransportProblemSpec(512))
     csr = ivp.op.csr
-    if symmetric:  # detected from the entries, not from the flag
+    if symmetric:
         csr = (csr + csr.T) / 2
-    sparse_op = SparseCSR(csr, is_symmetric=False)
+    sparse_op = SparseCSR(csr, is_symmetric=symmetric)
     dense_op = DenseOperator(csr.toarray(), is_symmetric=False)
     y_ref, yp_ref = exact_ivp_solution(SecondOrderIVP(dense_op, ivp.u, ivp.v, ivp.g), 1.0)
     y, yp = exact_ivp_solution(SecondOrderIVP(sparse_op, ivp.u, ivp.v, ivp.g), 1.0)

@@ -27,11 +27,12 @@ def load_tool(monkeypatch):
     return load
 
 
-def test_cell_digest_prints_the_golden_matvecs(load_tool, capsys):
-    assert load_tool("cell_digest").main([_CELL]) == 0
+@pytest.mark.parametrize("cell", [_CELL, "transport/128/1e-06/rt-seq"])
+def test_cell_digest_prints_the_golden_matvecs(load_tool, capsys, cell):
+    assert load_tool("cell_digest").main([cell]) == 0
     head, sizes = capsys.readouterr().out.splitlines()
-    assert head.startswith(f"{_CELL}: ") and sizes.startswith("  step sizes: ")
-    golden = json.loads((_ROOT / "tests" / "golden_cells.json").read_text())[_CELL]
+    assert head.startswith(f"{cell}: ") and sizes.startswith("  step sizes: ")
+    golden = json.loads((_ROOT / "tests" / "golden_cells.json").read_text())[cell]
     assert int(re.search(r"matvecs (\d+)", head).group(1)) == golden["matvecs"]
 
 
