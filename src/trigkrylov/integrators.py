@@ -10,7 +10,10 @@ cycle is one time step of the cosine scheme, and two-pass Lanczos is a
 single cycle.  The RT solvers and Gautschi grow every basis with
 :func:`_grow_admissible`, which checks the residual after every Krylov
 step, except while the horizon is more than ``GATE`` times the previous
-cycle's step: then only at the dimension cap or at breakdown.  Residual
+cycle's step (then only at the dimension cap or at breakdown) and, in
+Gautschi's runs over the fixed step, below the previous run's dimension
+minus ``GATE_MARGIN``.  The cycles of a solve take their Krylov stores and
+branch updates from one pool, so they reuse each other's memory.  Residual
 thresholds are relative to the norm of the starting vector of the
 corresponding Krylov branch; for split-branch solvers the per-branch
 tolerances are rebalanced from each restart cycle's inflow data so their
@@ -31,10 +34,13 @@ from .krylov import (
     CombinedResidualCurve,
     KrylovProcess,
     ResidualCurve,
+    chunks,
     coarse_residual_check,
     confirm_admissible,
     find_largest_admissible_step,
     krylov_build,
+    new_store,
+    store_pool,
 )
 
 _MAX_CYCLES = 1_000_000
@@ -62,6 +68,12 @@ TWO_PASS_CHECK_INTERVAL = 10
 #: almost never passes below the dimension cap.  A skipped check can only
 #: delay acceptance to the cap, so a wrong gate costs matvecs, not accuracy.
 GATE = 4.0
+
+#: Over a horizon that an earlier run of the solve certified at dimension
+#: m (Gautschi's fixed step), :func:`_grow_admissible` checks from
+#: m - GATE_MARGIN on: there consecutive runs accept dimensions that differ
+#: by at most one.
+GATE_MARGIN = 2
 
 ResidualLogEntry = namedtuple(
     "ResidualLogEntry", ["phase", "cycle", "m", "t_start", "t_end", "residual"]
@@ -153,35 +165,39 @@ def _tolerance_split(tol, beta_psi, beta_sigma):
     return 0.0, tol * beta_sigma
 
 
-def _grow_admissible(op, branches, horizon, threshold, m_cap, prev_step=math.inf):
+def _grow_admissible(op, branches, horizon, threshold, m_cap, prev_step=math.inf,
+                     prev_m=0):
     """Extend one Krylov process per ``(start, kind)`` branch, in lockstep,
     until the summed residual is admissible on [0, horizon].
 
-    While ``horizon > GATE * prev_step`` (``prev_step`` is the solve's
-    previous step) the residual is checked only at the dimension cap or once
-    every branch has broken down; otherwise after every step, on the six
-    coarse samples.  A branch that breaks down stops growing and its
-    residual vanishes.  On failure at the dimension cap the largest
-    admissible step is located on the fine grid.  Each process stops at the
-    dimension of ``op`` if ``m_cap`` exceeds it, and a cap that reaches it
-    turns on reorthogonalization: without it the basis of a small stiff
-    operator loses orthogonality long before an invariant subspace is
-    found, and the residual never certifies a useful step.  Returns
-    (curves, delta): one :class:`ResidualCurve` per branch, which is the
-    branch's handle (its decomposition, spectral cache and kind), and the
-    step, which is ``horizon`` once the residual is admissible on all of it.
+    The residual is checked on the six coarse samples after every step from
+    a first dimension on, and always at the dimension cap or once every
+    branch has broken down.  The first dimension is the cap while ``horizon
+    > GATE * prev_step`` (``prev_step`` is the solve's previous step), and
+    otherwise ``prev_m - GATE_MARGIN``, where ``prev_m`` is the dimension
+    an earlier run accepted on the same horizon (0 if none).  A branch that
+    breaks down stops growing and its residual vanishes.  On failure at the
+    dimension cap the largest admissible step is located on the fine grid.
+    Each process stops at the dimension of ``op`` if ``m_cap`` exceeds it,
+    and a cap that reaches it turns on reorthogonalization: without it the
+    basis of a small stiff operator loses orthogonality long before an
+    invariant subspace is found, and the residual never certifies a useful
+    step.  Returns (curves, delta): one :class:`ResidualCurve` per branch,
+    which is the branch's handle (its decomposition, spectral cache and
+    kind), and the step, which is ``horizon`` once the residual is
+    admissible on all of it.
     """
     procs = [KrylovProcess(op, start, m_cap, reorth=m_cap >= op.dim)
              for start, _ in branches]
     m_last = procs[0].m_max
-    gated = horizon > GATE * prev_step
+    m_first = m_last if horizon > GATE * prev_step else prev_m - GATE_MARGIN
     for m in range(1, m_last + 1):
         for proc in procs:
             if not proc.breakdown:
                 proc.step()
         broken = all(proc.breakdown for proc in procs)
-        if gated and m < m_last and not broken:
-            continue  # such a check almost never passes; the cap decides
+        if m < min(m_first, m_last) and not broken:
+            continue  # such a check almost never passes
         curves = [ResidualCurve(proc.snapshot(), kind)
                   for proc, (_, kind) in zip(procs, branches)]
         curve = curves[0] if len(curves) == 1 else CombinedResidualCurve(*curves)
@@ -208,7 +224,9 @@ def _branch_updates(curve, steps):
     """
     coeffs = branch_coefficients(curve.cache, curve.kind, steps)
     k, terms, m = coeffs.shape
-    return (coeffs.reshape(k * terms, m) @ curve.decomposition.V_m.T).reshape(k, terms, -1)
+    basis = curve.decomposition.V_m
+    out = new_store(k * terms, basis.shape[0])
+    return np.matmul(coeffs.reshape(k * terms, m), basis.T, out=out).reshape(k, terms, -1)
 
 
 def _add_updates(y, updates):
@@ -236,6 +254,11 @@ _Cycle = namedtuple("_Cycle", ["y", "vel", "gt", "beta_psi", "beta_sigma", "t_re
 def _restart(ivp: SecondOrderIVP, solver: str, advance) -> SolveReport:
     """The restart loop every solver runs; ``solver`` names the report.
 
+    The loop runs inside a :func:`~trigkrylov.krylov.store_pool`, so the
+    Krylov stores and branch updates of one cycle reuse the memory of
+    earlier cycles' once nothing refers to it; a nested solve (a bridge)
+    shares the pool of the solve it serves.
+
     Each cycle spends one matvec on gt = g - A y and stops at a stationary
     point (gt and the velocity both zero).  Otherwise ``advance(cycle)``
     grows the solver's Krylov bases, takes an admissible step delta <= t_rem
@@ -244,35 +267,38 @@ def _restart(ivp: SecondOrderIVP, solver: str, advance) -> SolveReport:
     entries as ``(phase, m, step, residual)`` over [t, t + step], and
     whether it repaired a step.
     The cycle's y and vel are the loop's own vectors, which ``advance`` may
-    update in place, and gt is formed in the buffer of the product A y.
+    update in place, and gt is formed in one buffer of the solve, which
+    ``advance`` must not keep past its cycle.
     """
     op = ivp.op
     count0 = op.matvec_count
     y = ivp.u.copy()
     vel = ivp.v.copy()
+    gt = np.empty(op.dim)
     step_sizes: list[float] = []
     log: list[ResidualLogEntry] = []
     repair_events = 0
     t_done = 0.0
-    while t_done < ivp.t_final * (1.0 - 1e-14):
-        cycle = len(step_sizes)
-        if cycle >= _MAX_CYCLES:
-            raise RuntimeError("restart cycle limit exceeded")
-        gt = op.apply(y)
-        np.subtract(ivp.g, gt, out=gt)
-        beta_psi = _norm(gt)
-        beta_sigma = _norm(vel)
-        if beta_psi + beta_sigma == 0.0:
-            break  # stationary point: y'' = 0 with zero velocity
-        delta, y, vel, entries, repaired = advance(
-            _Cycle(y, vel, gt, beta_psi, beta_sigma, ivp.t_final - t_done,
-                   step_sizes[-1] if step_sizes else math.inf)
-        )
-        log.extend(ResidualLogEntry(phase, cycle, m, t_done, t_done + step, res)
-                   for phase, m, step, res in entries)
-        repair_events += repaired
-        step_sizes.append(delta)
-        t_done += delta
+    with store_pool():
+        while t_done < ivp.t_final * (1.0 - 1e-14):
+            cycle = len(step_sizes)
+            if cycle >= _MAX_CYCLES:
+                raise RuntimeError("restart cycle limit exceeded")
+            op.apply(y, out=gt)
+            np.subtract(ivp.g, gt, out=gt)
+            beta_psi = _norm(gt)
+            beta_sigma = _norm(vel)
+            if beta_psi + beta_sigma == 0.0:
+                break  # stationary point: y'' = 0 with zero velocity
+            delta, y, vel, entries, repaired = advance(
+                _Cycle(y, vel, gt, beta_psi, beta_sigma, ivp.t_final - t_done,
+                       step_sizes[-1] if step_sizes else math.inf)
+            )
+            log.extend(ResidualLogEntry(phase, cycle, m, t_done, t_done + step, res)
+                       for phase, m, step, res in entries)
+            repair_events += repaired
+            step_sizes.append(delta)
+            t_done += delta
     return SolveReport(
         y=y, v_out=vel, matvecs=op.matvec_count - count0, steps=len(step_sizes),
         step_sizes=step_sizes, residual_log=log, repair_events=repair_events,
@@ -396,15 +422,16 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     first step with both runs' rates.  Every later cycle runs one psi
     branch on the driver's g - A y; if its residual certifies less than
     delta, the step is repaired by bridging the interval with the
-    sequential RT solver.  No run hands ``_grow_admissible`` a previous
-    step: a later run's horizon is delta, the previous step itself, which
-    the gate never skips.  A cycle's velocity is the averaged velocity
+    sequential RT solver.  These runs all have the horizon delta, so each
+    hands ``_grow_admissible`` the dimension the previous one accepted,
+    which gates its checks.  A cycle's velocity is the averaged velocity
     (y_{k+1} - y_k)/delta, so the returned velocity is that of the final
     step, not y'(t_final).
     """
     op = ivp.op
     m_tilde = math.floor(GAUTSCHI_ALPHA * cfg.m_max)
     delta = 0.0  # fixed by the first cycle
+    m_step = 0  # the dimension the latest step run accepted
 
     def rate(curve):
         """sigma(delta^2 A) v or delta/2 psi(delta^2 A) w: the branch's
@@ -446,11 +473,14 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         """delta/2 psi(delta^2 A) (g - A y), bridged if the psi residual
         certifies less than delta; with the log entries and whether the
         step was repaired.  The basis is dropped on return."""
+        nonlocal m_step
         if cyc.beta_psi == 0:
             return np.zeros(op.dim), [], False
         (curve,), delta_tilde = _grow_admissible(
-            op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, cfg.m_max)
-        entries = [("step", curve.decomposition.m, delta, _peak(curve, delta))]
+            op, [(cyc.gt, ScalarFunKind.PSI)], delta, cfg.tol * cyc.beta_psi, cfg.m_max,
+            cyc.prev_step, m_step)
+        m_step = curve.decomposition.m
+        entries = [("step", m_step, delta, _peak(curve, delta))]
         if delta_tilde >= delta * (1.0 - 1e-12):
             return rate(curve), entries, False
         x, bridge_matvecs = _repair_psi_action(op, curve, cyc.gt, delta, delta_tilde, cfg)
@@ -526,11 +556,16 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         proc = KrylovProcess(op, start, curve.decomposition.m, mode="lanczos3")
         y_acc = pos_coeff[0] * proc.newest
         v_acc = vel_coeff[0] * proc.newest
-        tmp = np.empty_like(y_acc)  # each product is formed here first
+        parts = chunks(op.dim)
+        tmp = np.empty(parts[0].stop)  # each chunk's products are formed here first
         for i in range(1, curve.decomposition.m):
             proc.step()
-            y_acc += np.multiply(proc.newest, pos_coeff[i], out=tmp)
-            v_acc += np.multiply(proc.newest, vel_coeff[i], out=tmp)
+            v = proc.newest
+            for s in parts:
+                t = tmp[: s.stop - s.start]
+                ys, vs = y_acc[s], v_acc[s]
+                ys += np.multiply(v[s], pos_coeff[i], out=t)
+                vs += np.multiply(v[s], vel_coeff[i], out=t)
         return y_acc, v_acc
 
     def advance(cyc):

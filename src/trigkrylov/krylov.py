@@ -12,26 +12,37 @@ prefactor, function and scale of u(t) for each branch come from
 their updates from.
 
 A :class:`KrylovProcess` is created with its step cap ``m_max`` and owns one
-preallocated basis store of ``min(m_max, dim) + 1`` rows, one row per basis
-vector; an Arnoldi process also owns one (m_max + 1) x m_max Hessenberg
-array.  The three-term mode keeps a store of three rows as a ring, row
-``i % 3`` holding v_{i+1}, so it keeps no basis and is not capped at
-``dim``.  Every process also owns one scratch vector.  A step applies A
-straight into the next row (``apply(x, out=)``), orthogonalizes that row in
-place, forming each ``coeff * v`` in the scratch vector so the bits equal
-those of ``w - coeff * v``, and normalizes it in place, so no step
-allocates an n-vector.  :meth:`KrylovProcess.step` past the cap raises
+basis store of ``min(m_max, dim) + 1`` rows, one row per basis vector; an
+Arnoldi process also owns one (m_max + 1) x m_max Hessenberg array.  The
+three-term mode keeps a store of three rows as a ring, row ``i % 3``
+holding v_{i+1}, so it keeps no basis and is not capped at ``dim``.  Inside
+a solve the store comes from the solve's :class:`StorePool` (see
+:func:`store_pool`), so a new process reuses the memory of a dropped one;
+outside, it is a new array.  Every process also owns a scratch vector of
+one :data:`CHUNK`.  A step applies A straight into the next row
+(``apply(x, out=)``), orthogonalizes that row in place chunk by chunk,
+forming each ``coeff * v`` in the scratch so the bits equal those of ``w -
+coeff * v``, and so allocates no n-vector.  A Lanczos step leaves the new
+row undivided by its norm h: the next step divides it, inside the apply's
+sweep where the operator has one (``KroneckerSum3D``, which also subtracts
+beta v_{m-1} there), and a read of the row through :attr:`newest` or a
+snapshot's ``V`` divides it first, so every reader sees the bits of
+``w / h``.  :meth:`KrylovProcess.step` past the cap raises
 ``RuntimeError``.  :attr:`KrylovProcess.newest` reads the newest basis
 vector in every mode; two-pass Lanczos replays its first pass's three-term
 process through it, bit for bit.  A :class:`KrylovDecomposition` snapshot
 reads the basis as a view of the store (``V_m`` and ``V`` are transposed
-row slices), never a copy.  Rows are only ever appended, so an earlier
-snapshot stays valid while the process goes on; a three-term snapshot
-holds no basis.  A solver passes each branch around as its
-:class:`ResidualCurve`, which holds the snapshot, its spectral cache and
-the branch kind.
+row slices), never a copy, and the view keeps the store from being reused.
+Rows are only ever appended, so an earlier snapshot stays valid while the
+process goes on; a three-term snapshot holds no basis.  A solver passes
+each branch around as its :class:`ResidualCurve`, which holds the snapshot,
+its spectral cache and the branch kind.
 """
 from __future__ import annotations
+
+import contextlib
+import sys
+import threading
 
 import numpy as np
 
@@ -46,9 +57,97 @@ BREAKDOWN_RTOL = 1e-12
 
 DEFAULT_KMAX_HALVINGS = 40
 
+#: Elements per chunk of a step's elementwise passes: 256 KiB, so that a
+#: chunk of each operand and the scratch stay in L2 between the product and
+#: the update.
+CHUNK = 32768
+
+
+def chunks(n: int) -> list:
+    """The slices of ``range(n)`` in pieces of at most :data:`CHUNK`."""
+    return [slice(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
+
+
+def _refcount(stores, i):
+    return sys.getrefcount(stores[i])
+
+
+#: The reference count of a store that only its pool's list holds.
+_FREE = _refcount([np.empty(0)], 0)
+
+
+class StorePool:
+    """Arrays of one solve that are handed out again once nothing refers
+    to them.
+
+    Every view of a store (a process's rows, a snapshot's ``V``) has the
+    store as its base, so a store whose reference count is the pool's own
+    is free.  :meth:`take` returns a free store of the requested shape, or
+    drops every free store and allocates a new one, so the pool never holds
+    a free store while another is allocated.
+    """
+
+    def __init__(self):
+        self._stores: list[np.ndarray] = []
+
+    def take(self, rows: int, n: int) -> np.ndarray:
+        stores = self._stores
+        free = [_refcount(stores, i) == _FREE for i in range(len(stores))]
+        for i, is_free in enumerate(free):
+            if is_free and stores[i].shape == (rows, n):
+                return stores[i]
+        stores[:] = [store for store, is_free in zip(stores, free) if not is_free]
+        stores.append(np.empty((rows, n)))
+        return stores[-1]
+
+
+_local = threading.local()
+
+
+@contextlib.contextmanager
+def store_pool():
+    """Within the block, :func:`new_store` on this thread takes from one
+    :class:`StorePool`: the enclosing block's, or a new one dropped on exit."""
+    if getattr(_local, "pool", None) is not None:
+        yield
+        return
+    _local.pool = StorePool()
+    try:
+        yield
+    finally:
+        _local.pool = None
+
+
+def new_store(rows: int, n: int) -> np.ndarray:
+    """A (rows, n) array of undefined content: from the active
+    :func:`store_pool`, or newly allocated outside one."""
+    pool = getattr(_local, "pool", None)
+    return np.empty((rows, n)) if pool is None else pool.take(rows, n)
+
 
 class StepSearchStagnation(RuntimeError):
     """Raised when the residual stays above tolerance even for tiny steps."""
+
+
+class _Pending:
+    """A Lanczos basis row that still holds h times its vector, divided by
+    h once, by whichever reader comes first: the next step, in its apply
+    (:meth:`_claim`), or a read of the row (:meth:`settle`)."""
+
+    __slots__ = ("row", "h")
+
+    def __init__(self, row: np.ndarray, h: float):
+        self.row, self.h = row, h
+
+    def _claim(self):
+        """h, which the caller divides the row by; None once claimed."""
+        h, self.h = self.h, None
+        return h
+
+    def settle(self) -> None:
+        h = self._claim()
+        if h is not None:
+            self.row /= h
 
 
 class KrylovProcess:
@@ -87,12 +186,14 @@ class KrylovProcess:
         self.h_next = 0.0
         self.breakdown = False
         self._norm_est = 0.0
-        self._scratch = np.empty(op.dim)
+        self._chunks = chunks(op.dim)
+        self._scratch = np.empty(self._chunks[0].stop)
         # row i % rows holds v_{i+1}: one row per basis vector, or a ring
         # of three in three-term mode
         rows = 3 if mode == "lanczos3" else self.m_max + 1
-        self._store = np.empty((rows, op.dim))
+        self._store = new_store(rows, op.dim)
         np.divide(w, beta, out=self._store[0])
+        self._pending = None  # a Lanczos step leaves its new row undivided
         if mode == "arnoldi":
             self._h = np.zeros((self.m_max + 1, self.m_max))
         else:
@@ -123,14 +224,23 @@ class KrylovProcess:
     def newest(self) -> np.ndarray:
         """Read-only view of v_{m+1}, the newest basis vector (zero after
         breakdown); the three-term mode reuses it a few steps later."""
+        if self._pending is not None:
+            self._pending.settle()
         view = self._newest().view()
         view.flags.writeable = False
         return view
 
     def _subtract(self, w, coeff, v):
-        """w -= coeff * v in place; the product is formed in the scratch
-        vector first, so the bits equal those of ``w - coeff * v``."""
-        w -= np.multiply(v, coeff, out=self._scratch)
+        """w -= coeff * v in place, chunk by chunk; each chunk's product is
+        formed in the scratch first, so the bits equal those of
+        ``w - coeff * v``."""
+        scratch = self._scratch
+        if len(w) == len(scratch):  # one chunk
+            w -= np.multiply(v, coeff, out=scratch)
+            return
+        for s in self._chunks:
+            ws = w[s]
+            ws -= np.multiply(v[s], coeff, out=scratch[: s.stop - s.start])
 
     def _step_arnoldi(self):
         m, store = self.m, self._store
@@ -156,9 +266,17 @@ class KrylovProcess:
         m, store = self.m, self._store
         rows = len(store)
         v_prev, v_cur, w = store[(m - 1) % rows], store[m % rows], store[(m + 1) % rows]
-        self.op.apply(v_cur, out=w)
-        if m > 0:
-            self._subtract(w, self.offdiags[-1], v_prev)
+        if m == 0:
+            self.op.apply(v_cur, out=w)
+        else:
+            # v_cur still holds beta v_{m+1} unless a reader divided it
+            beta, pending, self._pending = self.offdiags[-1], self._pending, None
+            scale = pending._claim() if pending is not None else None
+            if not self.op._apply_fused(v_cur, w, beta, v_prev, scale):
+                if scale is not None:
+                    v_cur /= scale
+                self.op.apply(v_cur, out=w)
+                self._subtract(w, beta, v_prev)
         alpha = float(w @ v_cur)
         self._subtract(w, alpha, v_cur)
         if self.reorth:
@@ -177,7 +295,7 @@ class KrylovProcess:
             self.offdiags[-1] = 0.0
             self.breakdown = True
         else:
-            w /= h_next
+            self._pending = _Pending(w, h_next)
 
     def snapshot(self) -> "KrylovDecomposition":
         return KrylovDecomposition(self)
@@ -199,6 +317,7 @@ class KrylovDecomposition:
         self.h_next = process.h_next
         self.breakdown = process.breakdown
         self._store = None if process.mode == "lanczos3" else process._store
+        self._pending = None if process.mode == "lanczos3" else process._pending
         if process.mode == "arnoldi":
             self._h_square = process._h[: self.m, : self.m].copy()
             self._tridiag = None
@@ -209,6 +328,8 @@ class KrylovDecomposition:
     def _rows(self, count: int) -> np.ndarray:
         if self._store is None:
             raise ValueError("three-term mode does not store the basis")
+        if count > self.m and self._pending is not None:
+            self._pending.settle()
         view = self._store[:count].T
         view.flags.writeable = False  # a write would change the process's basis
         return view

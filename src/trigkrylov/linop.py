@@ -74,6 +74,13 @@ class LinearOperator:
     def _matvec(self, x: np.ndarray, out: np.ndarray) -> None:
         raise NotImplementedError
 
+    def _apply_fused(self, x, out, coeff, v, scale) -> bool:
+        """A Lanczos step's sweep, where the operator has one: ``x /= scale``
+        in place (unless ``scale`` is None), then ``out = A x - coeff * v``
+        as one counted :meth:`apply`, with the bits of those three passes.
+        Returns False, having done nothing, where it has none."""
+        return False
+
 
 class DenseOperator(LinearOperator):
     """Operator backed by an explicit square matrix (test and desk scale)."""
@@ -217,10 +224,13 @@ class KroneckerSum3D(LinearOperator):
     times each plane) and then its x term (the x lines times column blocks
     of Lx^T) are formed in one workspace of p*ny*nx floats and added into
     ``out`` while both are still in cache, so the working set stays small
-    enough for L2 at 64^3.  The bits equal those of the whole-vector
-    contractions except on grids of at most 1200 points with nx >= 32 and
-    on a single line (ny = nz = 1), where the whole x GEMM goes to
-    OpenBLAS's small-matrix or GEMV kernels, which sum in another order
+    enough for L2 at 64^3.  A Lanczos step's private :meth:`_apply_fused`
+    runs its other passes in the same loop: each group first divides the
+    planes of x its z band reaches and no earlier group divided, and last
+    subtracts coeff * v from its ``out`` rows.  The bits equal those of the
+    whole-vector contractions except on grids of at most 1200 points with
+    nx >= 32 and on a single line (ny = nz = 1), where the whole x GEMM goes
+    to OpenBLAS's small-matrix or GEMV kernels, which sum in another order
     (measured with OpenBLAS 0.3.31 on an x86-64 SkylakeX core).
 
     When ``nx`` is not a multiple of 8, every product with nx columns has
@@ -265,12 +275,22 @@ class KroneckerSum3D(LinearOperator):
             self._ws_shape = (planes * self.ny * self.nx,)
         self._local = threading.local()
 
+    def _apply_fused(self, x, out, coeff, v, scale) -> bool:
+        if self._xblocks is None:
+            return False
+        self._local.fused = (coeff, v, scale)
+        try:
+            self.apply(x, out=out)
+        finally:
+            self._local.fused = None
+        return True
+
     def _matvec(self, x, out):
         ws = getattr(self._local, "ws", None)
         if ws is None:
             ws = self._local.ws = np.empty(self._ws_shape)
         if self._xblocks is not None:
-            self._apply_planes(x, out, ws)
+            self._apply_planes(x, out, ws, getattr(self._local, "fused", None))
             return
         nx, ny, nz = self.nx, self.ny, self.nz
         # z: lz contracts the slowest axis
@@ -293,10 +313,18 @@ class KroneckerSum3D(LinearOperator):
             ws[0] *= self.kx
         out += ws[0]
 
-    def _apply_planes(self, x, out, ws):
+    def _apply_planes(self, x, out, ws, fused=None):
         nx, ny, nz = self.nx, self.ny, self.nz
         x3, xz, oz = x.reshape(nz, ny, nx), x.reshape(nz, ny * nx), out.reshape(nz, ny * nx)
+        scaled = nz  # the planes of x below this one are divided by scale
+        if fused is not None:
+            coeff, vz, scale = fused[0], fused[1].reshape(nz, ny * nx), fused[2]
+            scaled = 0 if scale is not None else nz
         for block, rows, cols in self._zblocks:
+            if scaled < cols.stop:  # the z band reaches the next group's first plane
+                xd = xz[scaled:cols.stop]
+                xd /= scale
+                scaled = cols.stop
             o, xs = oz[rows], x3[rows]
             p = len(xs)
             w = ws[:p * ny * nx].reshape(p, ny, nx)
@@ -316,6 +344,8 @@ class KroneckerSum3D(LinearOperator):
             if self.kx != 1.0:
                 w *= self.kx
             o += w.reshape(p, ny * nx)
+            if fused is not None:  # a Lanczos step's - coeff * v, while o is in cache
+                o -= np.multiply(vz[rows], coeff, out=w.reshape(p, ny * nx))
 
 
 class BlockFirstOrderOperator(LinearOperator):

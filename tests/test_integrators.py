@@ -2,11 +2,13 @@ import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import trigkrylov.integrators as integ
+from trigkrylov import krylov
 from trigkrylov.integrators import (
     SOLVERS,
     SecondOrderIVP,
@@ -358,14 +360,16 @@ def _hex_log(report):
             for e in report.residual_log]
 
 
-@pytest.mark.parametrize("name", ["rt-sim", "rt-seq"])
+@pytest.mark.parametrize("name", ["rt-sim", "rt-seq", "gautschi"])
 def test_gate_skips_checks_without_moving_a_bit(monkeypatch, name):
-    # the anisotropic 10^3 cell at 1e-6, without the gate and with it
+    # the anisotropic 10^3 cell at 1e-6, without the gate and with it;
+    # Gautschi's step runs are gated by the margin, rt-sim and rt-seq by GATE
     ivp = build_wave3d(anisotropic_wave_spec(10))
     calls = _counting_from_tridiagonal(monkeypatch)
     runs = []
-    for gate in (math.inf, integ.GATE):
+    for gate, margin in ((math.inf, math.inf), (integ.GATE, integ.GATE_MARGIN)):
         monkeypatch.setattr(integ, "GATE", gate)
+        monkeypatch.setattr(integ, "GATE_MARGIN", margin)
         calls.clear()
         report = solve(ivp, SolverConfig(tol=1e-6), name)
         runs.append((report, len(calls)))
@@ -799,3 +803,72 @@ def test_step_sizes_sum_to_final_time():
     for name in ("rt-sim", "rt-seq", "gautschi", "first-order"):
         report = solve(ivp, SolverConfig(tol=1e-6, m_max=10), name)
         assert sum(report.step_sizes) == pytest.approx(1.7, rel=1e-12), name
+
+
+def _kept_bytes(curve, updates):
+    return curve.decomposition.V_m.tobytes(), updates.tobytes()
+
+
+def test_a_kept_rt_seq_psi_curve_outlives_the_later_cycles_of_its_solve(monkeypatch):
+    # the first psi curve and its ladder are held to the end of the solve,
+    # so every later growth of the solve's pool must leave them alone
+    ivp = build_wave3d(anisotropic_wave_spec(10))
+    cfg = SolverConfig(tol=1e-6)
+    plain = rt_sequential(ivp, cfg)
+    kept, updates = [], integ._branch_updates
+
+    def spy(curve, steps):
+        out = updates(curve, steps)
+        if not kept:
+            kept.append((curve, out, _kept_bytes(curve, out)))
+        return out
+
+    monkeypatch.setattr(integ, "_branch_updates", spy)
+    report = rt_sequential(ivp, cfg)
+    assert report.steps > 2
+    (curve, out, before), = kept
+    assert curve.kind is ScalarFunKind.PSI
+    assert _kept_bytes(curve, out) == before
+    assert report.y.tobytes() == plain.y.tobytes()
+
+
+def test_a_gautschi_step_curve_outlives_its_bridge(monkeypatch):
+    # the bridge is a nested rt-seq solve, which shares the pool of the
+    # Gautschi solve whose step curve it serves
+    ivp, _ = _repair_heavy_instance(np.random.default_rng(42))
+    cfg = SolverConfig(tol=1e-8, m_max=8)
+    plain = gautschi(ivp, cfg)
+    checked, repair = [], integ._repair_psi_action
+
+    def spy(op, curve, w, delta, delta_tilde, cfg):
+        before = _kept_bytes(curve, w)
+        x, steps = repair(op, curve, w, delta, delta_tilde, cfg)
+        checked.append(_kept_bytes(curve, w) == before)
+        return x, steps
+
+    monkeypatch.setattr(integ, "_repair_psi_action", spy)
+    report = gautschi(ivp, cfg)
+    assert checked and all(checked)
+    assert report.y.tobytes() == plain.y.tobytes()
+
+
+@pytest.mark.parametrize("name", ["rt-seq", "rt-sim"])
+def test_a_solve_allocates_a_few_stores_and_reuses_them(monkeypatch, name):
+    seen, takes, allocated = weakref.WeakValueDictionary(), [], []
+    take = krylov.StorePool.take
+
+    def counting(pool, rows, n):
+        store = take(pool, rows, n)
+        takes.append(rows)
+        if seen.get(id(store)) is not store:
+            seen[id(store)] = store
+            allocated.append(rows)
+        return store
+
+    monkeypatch.setattr(krylov.StorePool, "take", counting)
+    report = solve(build_wave3d(isotropic_wave_spec(40)), SolverConfig(tol=1e-6), name)
+    # a basis and the updates of each branch in every cycle, from two bases
+    # and two update arrays: rt-seq's psi ladder and sigma step, or
+    # rt-sim's two branches
+    assert len(takes) >= 4 * report.steps
+    assert len(allocated) <= 4, allocated

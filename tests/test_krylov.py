@@ -4,17 +4,26 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from trigkrylov.linop import DenseOperator
+from trigkrylov.linop import (
+    DenseOperator,
+    KroneckerSum3D,
+    SparseCSR,
+    dirichlet_laplacian_1d,
+)
 from trigkrylov.krylov import (
+    CHUNK,
     COARSE_FRACTIONS,
     KrylovProcess,
     ResidualCurve,
     StepSearchStagnation,
+    StorePool,
     coarse_residual_check,
     confirm_admissible,
     find_largest_admissible_step,
     krylov_build,
+    store_pool,
 )
 from trigkrylov.problems import (
     TransportProblemSpec,
@@ -453,3 +462,105 @@ def test_csr_arnoldi_steps_allocate_no_vectors():
     finally:
         tracemalloc.stop()
     assert rise <= 0.1 * 8 * op.dim, f"{rise / (8 * op.dim):.2f} n-vectors"
+
+
+def _whole_vector_lanczos(op, w, steps):
+    """The Lanczos recurrence in whole-vector passes: v = (A v_m - beta
+    v_{m-1} - alpha v_m) / h, each product formed before its subtraction."""
+    basis, alphas, offdiags = [w / np.linalg.norm(w)], [], []
+    for m in range(steps):
+        r = op.apply(basis[m])
+        if m > 0:
+            r = r - offdiags[-1] * basis[m - 1]
+        alphas.append(float(r @ basis[m]))
+        r = r - alphas[-1] * basis[m]
+        offdiags.append(float(np.linalg.norm(r)))
+        basis.append(r / offdiags[-1])
+    return np.array(basis), alphas, offdiags
+
+
+def _lanczos_operators():
+    # below one chunk, a multiple of the chunk and a multiple plus 5
+    for n in (1000, 2 * CHUNK, 2 * CHUNK + 5):
+        diag = np.random.default_rng(n).uniform(1.0, 2.0, n)
+        yield SparseCSR(scipy.sparse.diags(diag, format="csr"), is_symmetric=True)
+    # the fused plane sweep: one x line, 64 x 17 lines in one plane, and
+    # plane groups
+    for shape in ((64, 1, 1), (64, 17, 1), (16, 12, 10), (64, 64, 16)):
+        yield KroneckerSum3D(*(dirichlet_laplacian_1d(n) for n in shape))
+
+
+@pytest.mark.parametrize("mode", ["lanczos", "lanczos3"])
+def test_lanczos_steps_have_the_bits_of_the_whole_vector_recurrence(mode):
+    for op in _lanczos_operators():
+        w = np.random.default_rng(op.dim).standard_normal(op.dim)
+        basis, alphas, offdiags = _whole_vector_lanczos(op, w, 6)
+        proc = KrylovProcess(op, w, 6, mode=mode)
+        for m in range(6):
+            proc.step()
+            assert np.array_equal(proc.newest, basis[m + 1]), (op.dim, m)
+        assert proc.alphas == alphas and proc.offdiags == offdiags
+        if mode == "lanczos":
+            assert np.array_equal(proc.snapshot().V.T, basis)
+
+
+def test_a_snapshot_reads_the_newest_row_divided_once():
+    # the newest row is divided by its h by the next step or by a read of
+    # the snapshot's V, whichever comes first, and never twice
+    op = KroneckerSum3D(*(dirichlet_laplacian_1d(n) for n in (16, 12, 10)))
+    w = np.random.default_rng(3).standard_normal(op.dim)
+    basis, _, _ = _whole_vector_lanczos(op, w, 4)
+    for read_first in (False, True):
+        proc = KrylovProcess(op, w, 4)
+        proc.step()
+        proc.step()
+        snap = proc.snapshot()
+        if read_first:
+            assert np.array_equal(snap.V.T, basis[:3])
+        proc.step()
+        proc.step()
+        assert np.array_equal(snap.V.T, basis[:3])
+        assert np.array_equal(proc.snapshot().V.T, basis)
+
+
+def test_a_pool_hands_out_a_store_again_once_nothing_refers_to_it():
+    pool = StorePool()
+    a = pool.take(3, 10)
+    view = a[1:].T
+    del a
+    b = pool.take(3, 10)  # the first is still read through a view
+    assert not np.shares_memory(b, view)
+    second = weakref.ref(b)
+    del b
+    assert pool.take(3, 10) is second()  # the second is free
+    del view
+    c = pool.take(4, 10)  # a miss drops both free stores
+    assert len(pool._stores) == 1 and pool._stores[0] is c
+    assert second() is None
+
+
+def test_processes_in_a_pool_reuse_a_dropped_basis_and_keep_a_live_one():
+    rng = np.random.default_rng(9)
+    op = _spd_operator(rng, 30)
+    w = rng.standard_normal(30)
+    plain = krylov_build(op, w, 6)
+    with store_pool():
+        first = KrylovProcess(op, rng.standard_normal(30), 6)
+        for _ in range(6):
+            first.step()
+        kept = first.snapshot()
+        before = kept.V.tobytes()
+        del first
+        second = KrylovProcess(op, w, 6)
+        assert not np.shares_memory(second._store, kept.V)
+        for _ in range(6):
+            second.step()
+        assert kept.V.tobytes() == before  # a snapshot keeps its store
+        store = weakref.ref(kept._store)
+        del kept
+        third = KrylovProcess(op, w, 6)
+        assert third._store is store()  # the dropped basis is handed out again
+        for _ in range(6):
+            third.step()
+        assert np.array_equal(third.snapshot().V, plain.V)  # the bits of a new store
+        assert np.array_equal(second.snapshot().V, plain.V)

@@ -348,3 +348,44 @@ def test_csr_apply_bits_equal_the_scipy_product():
         out = np.full(op.dim, np.nan)  # the product must not read what out held
         assert op.apply(x, out=out) is out
         assert np.array_equal(out, csr @ x)
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("shape,factors", [
+    ((64, 17, 1), (1.0, 1.0, 1.0)),   # whole x GEMM bits differ from the plane path
+    ((64, 1, 1), (1.0, 1.0, 1.0)),    # a single line
+    ((8, 1, 1), (2.0, 1.0, 1.0)),
+    ((16, 12, 10), (0.5, 2.0, 3.0)),  # a short last plane group
+    ((8, 17, 33), (1.0, 1.0, 1.0)),   # odd planes of 136 points, and 5 groups
+    ((64, 64, 64), (1.0, 1.0, 1.0)),  # the wave3d-large operator
+])
+def test_fused_sweep_bits_equal_the_three_passes(shape, factors, scaled):
+    # a Lanczos step's x /= scale, A x and - coeff * v in one sweep over
+    # the plane groups, against the three whole-vector passes
+    op = KroneckerSum3D(*(dirichlet_laplacian_1d(n) for n in shape), *factors)
+    rng = np.random.default_rng(21)
+    x, v = rng.standard_normal((2, op.dim))
+    coeff = rng.standard_normal()
+    scale = 3.0 * rng.random() if scaled else None
+    x_divided = x / scale if scaled else x.copy()
+    expected = op.apply(x_divided)
+    expected -= np.multiply(v, coeff)
+    out = np.full(op.dim, np.nan)
+    count = op.matvec_count
+    assert op._apply_fused(x, out, coeff, v, scale)
+    assert op.matvec_count == count + 1
+    assert np.array_equal(x, x_divided)
+    assert np.array_equal(out, expected)
+    # the sweep is armed for that one apply only
+    assert np.array_equal(op.apply(x, out=out), op.apply(x))
+
+
+def test_operators_without_a_plane_path_have_no_fused_sweep():
+    ops = [DenseOperator(np.diag([1.0, 2.0, 3.0])),
+           KroneckerSum3D(*(dirichlet_laplacian_1d(n) for n in (10, 6, 4)))]
+    for op in ops:
+        x = np.ones(op.dim)
+        out = np.full(op.dim, np.nan)
+        assert not op._apply_fused(x, out, 5.0, np.ones(op.dim), 2.0)
+        assert op.matvec_count == 0
+        assert np.all(x == 1.0) and np.all(np.isnan(out))

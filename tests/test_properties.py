@@ -44,8 +44,8 @@ def _problem(seed):
 @pytest.fixture(scope="module")
 def gate_runs():
     """seed -> solver -> {GATE value: ((matvecs, float.hex steps, y bytes),
-    residual curves made)}, for GATE = inf (every step checked) and its
-    value."""
+    residual curves made)}, for GATE = inf with GATE_MARGIN = inf (every
+    step checked) and their values."""
     made = []
 
     class CountingCurve(integ.ResidualCurve):
@@ -59,8 +59,9 @@ def gate_runs():
         for seed in SEEDS:
             ivp, tol = _problem(seed)
             for name in GATED_SOLVERS:
-                for gate in (math.inf, integ.GATE):
+                for gate, margin in ((math.inf, math.inf), (integ.GATE, integ.GATE_MARGIN)):
                     mp.setattr(integ, "GATE", gate)
+                    mp.setattr(integ, "GATE_MARGIN", margin)
                     made.clear()
                     rep = solve(ivp, SolverConfig(tol=tol), name)
                     outcome = (rep.matvecs, [float.hex(s) for s in rep.step_sizes],
@@ -79,8 +80,10 @@ def test_gate_moves_no_count_step_or_bit(gate_runs, seed):
 
 
 def test_the_sweep_exercises_the_gate(gate_runs):
-    # nine cells skip checks: rt-sim and first-order on the long runs
+    # rt-sim and first-order skip checks on the long runs (nine cells),
+    # Gautschi below its previous step's dimension (two cells)
     skipped = [(seed, name) for seed, by_name in gate_runs.items()
                for name, by_gate in by_name.items()
                if by_gate[integ.GATE][1] < by_gate[math.inf][1]]
     assert len(skipped) >= 5
+    assert any(name == "gautschi" for _, name in skipped)

@@ -1,6 +1,7 @@
 """The bit-identity tools under ``tools/`` read the package's problem
-catalogue and the benchmark workloads; these tests keep them runnable.  Each
-tool is loaded from its file, since ``tools`` is not a package."""
+catalogue and the benchmark workloads, and ``bench_pairs`` runs the
+benchmark from two checkouts; these tests keep them runnable.  Each tool is
+loaded from its file, since ``tools`` is not a package."""
 import importlib.util
 import json
 import re
@@ -45,3 +46,45 @@ def test_ulp_spread_prints_one_line_per_cell(load_tool, capsys, monkeypatch):
     assert [line.split(": as is ")[0] for line in lines] == cells
     assert tool.main(["transport-nonsym/two-pass"]) == 2
     assert "unknown cells: transport-nonsym/two-pass" in capsys.readouterr().err
+
+
+_STUB_RUN = """
+import json, pathlib
+side = pathlib.Path.cwd().name
+metrics = {"solve_s": 2.0 if side == "base" else 1.5, "matvecs": 100,
+           "matvecs.rt-seq": 40 if side == "base" else DRIFT, "err_ratio_max": 0.5,
+           "peak_rss_mb": 200.0 if side == "base" else 210.0}
+print("workload stub")
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0,
+                  "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}}))
+"""
+
+
+@pytest.mark.parametrize("drift", [40, 41])
+def test_bench_pairs_alternates_the_sides_and_flags_moved_counts(load_tool, capsys, tmp_path,
+                                                                 monkeypatch, drift):
+    tool = load_tool("bench_pairs")
+    stub = tmp_path / "stub_run.py"
+    stub.write_text(_STUB_RUN.replace("DRIFT", str(drift)))
+    sides = [tmp_path / "base", tmp_path / "change"]
+    for side in sides:
+        side.mkdir()
+    ran = []
+
+    def command(checkout, workload, seed, seconds):
+        ran.append((checkout.name, workload, seed, seconds))
+        return [sys.executable, str(stub)]
+
+    monkeypatch.setattr(tool, "command", command)
+    status = tool.main([*map(str, sides), "--workload", "w", "--pairs", "3",
+                        "--seed", "7", "--seconds", "5"])
+    out = capsys.readouterr().out
+    assert ran == [("base", "w", 7, 5.0), ("change", "w", 7, 5.0)] * 3
+    assert [f"pair {k}: base 2.000 s, change 1.500 s (-25.0%)" in out
+            for k in (1, 2, 3)] == [True] * 3
+    assert "change won 3 of 3 pairs" in out
+    assert "median solve_s base 2.000 s, change 1.500 s" in out
+    # counts and accuracy must repeat; other metrics, like peak RSS, may move
+    assert status == (0 if drift == 40 else 1)
+    assert out.count("DIFFERS") == (0 if drift == 40 else 3)
+    assert "peak_rss_mb: median base 200, change 210 (+5.0%)" in out
