@@ -110,9 +110,12 @@ class SolverConfig:
     """Common solver knobs.
 
     ``m_max`` caps the Krylov dimension per restart cycle; the simultaneous
-    solver halves it per branch because two bases share the memory budget,
-    Gautschi's start-up runs take ``GAUTSCHI_ALPHA`` of it, and two-pass
-    Lanczos stops after 200 * m_max iterations.
+    and first-order solvers halve it per branch because two bases share the
+    memory budget (unless the operator's dimension n is at most ``m_max``:
+    then they take the full dimension, n per branch and 2n for the block,
+    at most (2n)^2 entries), Gautschi's start-up runs take
+    ``GAUTSCHI_ALPHA`` of it, and two-pass Lanczos stops after 200 * m_max
+    iterations.
     """
 
     tol: float
@@ -313,9 +316,12 @@ def rt_simultaneous(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     (starting vector v) are extended together; the combined residual bound
     ||r(s)|| <= ||r_psi(s)|| + ||r_sigma(s)|| is tested against
     tol * (||g - A y|| + ||v||).  Both bases are held simultaneously, so each
-    is capped at m_max/2.  Each live branch logs its own entry.
+    is capped at m_max/2, or at the dimension n of the operator when n <=
+    m_max: no small stiff basis then stops short of an invariant subspace.
+    Each live branch logs its own entry.
     """
-    m_cap = cfg.m_max // 2
+    n = ivp.op.dim
+    m_cap = n if n <= cfg.m_max else cfg.m_max // 2
 
     def advance(cyc):
         branches = [(start, kind) for start, beta, kind in (
@@ -593,11 +599,12 @@ def rt_first_order_block(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     variation-of-constants update w += V t phi(-t H) beta e1 on the largest
     admissible step.  The Krylov dimension is halved to keep the
     orthogonalization and storage cost comparable to the second-order
-    solvers.  Block products are counted as single matvecs.
+    solvers, except when n <= m_max, where it is the block's dimension 2n.
+    Block products are counted as single matvecs.
     """
     block = BlockFirstOrderOperator(ivp.op)
     n = ivp.op.dim
-    m_cap = cfg.m_max // 2
+    m_cap = 2 * n if n <= cfg.m_max else cfg.m_max // 2
 
     def advance(cyc):
         # g_hat - B w for w = (y, vel) and g_hat = (0, g), as B w = (-vel, A y)

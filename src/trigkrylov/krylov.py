@@ -22,21 +22,20 @@ outside, it is a new array.  Every process also owns a scratch vector of
 one :data:`CHUNK`.  A step applies A straight into the next row
 (``apply(x, out=)``), orthogonalizes that row in place chunk by chunk,
 forming each ``coeff * v`` in the scratch so the bits equal those of ``w -
-coeff * v``, and so allocates no n-vector.  A Lanczos step leaves the new
-row undivided by its norm h: the next step divides it, inside the apply's
-sweep where the operator has one (``KroneckerSum3D``, which also subtracts
-beta v_{m-1} there), and a read of the row through :attr:`newest` or a
-snapshot's ``V`` divides it first, so every reader sees the bits of
-``w / h``.  :meth:`KrylovProcess.step` past the cap raises
-``RuntimeError``.  :attr:`KrylovProcess.newest` reads the newest basis
-vector in every mode; two-pass Lanczos replays its first pass's three-term
-process through it, bit for bit.  A :class:`KrylovDecomposition` snapshot
-reads the basis as a view of the store (``V_m`` and ``V`` are transposed
-row slices), never a copy, and the view keeps the store from being reused.
-Rows are only ever appended, so an earlier snapshot stays valid while the
-process goes on; a three-term snapshot holds no basis.  A solver passes
-each branch around as its :class:`ResidualCurve`, which holds the snapshot,
-its spectral cache and the branch kind.
+coeff * v``, and so allocates no n-vector.  Where the operator has a
+sweep of its own (``KroneckerSum3D``), a Lanczos step's apply subtracts
+beta v_{m-1} inside it, with the bits of the separate pass.  Every step
+ends by dividing the new row by its norm.  :meth:`KrylovProcess.step`
+past the cap raises ``RuntimeError``.  :attr:`KrylovProcess.newest` reads
+the newest basis vector in every mode; two-pass Lanczos replays its first
+pass's three-term process through it, bit for bit.  A
+:class:`KrylovDecomposition` snapshot reads the basis as a view of the
+store (``V_m`` and ``V`` are transposed row slices), never a copy, and the
+view keeps the store from being reused.  Rows are only ever appended, so
+an earlier snapshot stays valid while the process goes on; a three-term
+snapshot holds no basis.  A solver passes each branch around as its
+:class:`ResidualCurve`, which holds the snapshot, its spectral cache and
+the branch kind.
 """
 from __future__ import annotations
 
@@ -129,27 +128,6 @@ class StepSearchStagnation(RuntimeError):
     """Raised when the residual stays above tolerance even for tiny steps."""
 
 
-class _Pending:
-    """A Lanczos basis row that still holds h times its vector, divided by
-    h once, by whichever reader comes first: the next step, in its apply
-    (:meth:`_claim`), or a read of the row (:meth:`settle`)."""
-
-    __slots__ = ("row", "h")
-
-    def __init__(self, row: np.ndarray, h: float):
-        self.row, self.h = row, h
-
-    def _claim(self):
-        """h, which the caller divides the row by; None once claimed."""
-        h, self.h = self.h, None
-        return h
-
-    def settle(self) -> None:
-        h = self._claim()
-        if h is not None:
-            self.row /= h
-
-
 class KrylovProcess:
     """Incremental Arnoldi/Lanczos factorization A V_m = V_{m+1} H_m.
 
@@ -193,7 +171,6 @@ class KrylovProcess:
         rows = 3 if mode == "lanczos3" else self.m_max + 1
         self._store = new_store(rows, op.dim)
         np.divide(w, beta, out=self._store[0])
-        self._pending = None  # a Lanczos step leaves its new row undivided
         if mode == "arnoldi":
             self._h = np.zeros((self.m_max + 1, self.m_max))
         else:
@@ -224,8 +201,6 @@ class KrylovProcess:
     def newest(self) -> np.ndarray:
         """Read-only view of v_{m+1}, the newest basis vector (zero after
         breakdown); the three-term mode reuses it a few steps later."""
-        if self._pending is not None:
-            self._pending.settle()
         view = self._newest().view()
         view.flags.writeable = False
         return view
@@ -268,15 +243,9 @@ class KrylovProcess:
         v_prev, v_cur, w = store[(m - 1) % rows], store[m % rows], store[(m + 1) % rows]
         if m == 0:
             self.op.apply(v_cur, out=w)
-        else:
-            # v_cur still holds beta v_{m+1} unless a reader divided it
-            beta, pending, self._pending = self.offdiags[-1], self._pending, None
-            scale = pending._claim() if pending is not None else None
-            if not self.op._apply_fused(v_cur, w, beta, v_prev, scale):
-                if scale is not None:
-                    v_cur /= scale
-                self.op.apply(v_cur, out=w)
-                self._subtract(w, beta, v_prev)
+        elif not self.op._apply_fused(v_cur, w, self.offdiags[-1], v_prev):
+            self.op.apply(v_cur, out=w)
+            self._subtract(w, self.offdiags[-1], v_prev)
         alpha = float(w @ v_cur)
         self._subtract(w, alpha, v_cur)
         if self.reorth:
@@ -295,7 +264,7 @@ class KrylovProcess:
             self.offdiags[-1] = 0.0
             self.breakdown = True
         else:
-            self._pending = _Pending(w, h_next)
+            w /= h_next
 
     def snapshot(self) -> "KrylovDecomposition":
         return KrylovDecomposition(self)
@@ -317,7 +286,6 @@ class KrylovDecomposition:
         self.h_next = process.h_next
         self.breakdown = process.breakdown
         self._store = None if process.mode == "lanczos3" else process._store
-        self._pending = None if process.mode == "lanczos3" else process._pending
         if process.mode == "arnoldi":
             self._h_square = process._h[: self.m, : self.m].copy()
             self._tridiag = None
@@ -328,8 +296,6 @@ class KrylovDecomposition:
     def _rows(self, count: int) -> np.ndarray:
         if self._store is None:
             raise ValueError("three-term mode does not store the basis")
-        if count > self.m and self._pending is not None:
-            self._pending.settle()
         view = self._store[:count].T
         view.flags.writeable = False  # a write would change the process's basis
         return view

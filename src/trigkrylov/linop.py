@@ -74,11 +74,11 @@ class LinearOperator:
     def _matvec(self, x: np.ndarray, out: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _apply_fused(self, x, out, coeff, v, scale) -> bool:
-        """A Lanczos step's sweep, where the operator has one: ``x /= scale``
-        in place (unless ``scale`` is None), then ``out = A x - coeff * v``
-        as one counted :meth:`apply`, with the bits of those three passes.
-        Returns False, having done nothing, where it has none."""
+    def _apply_fused(self, x, out, coeff, v) -> bool:
+        """A Lanczos step's sweep, where the operator has one: ``out = A x -
+        coeff * v`` as one counted :meth:`apply`, with the bits of the apply
+        and the subtraction.  Returns False, having done nothing, where it
+        has none."""
         return False
 
 
@@ -225,8 +225,7 @@ class KroneckerSum3D(LinearOperator):
     of Lx^T) are formed in one workspace of p*ny*nx floats and added into
     ``out`` while both are still in cache, so the working set stays small
     enough for L2 at 64^3.  A Lanczos step's private :meth:`_apply_fused`
-    runs its other passes in the same loop: each group first divides the
-    planes of x its z band reaches and no earlier group divided, and last
+    runs its beta v_{m-1} subtraction in the same loop: each group last
     subtracts coeff * v from its ``out`` rows.  The bits equal those of the
     whole-vector contractions except on grids of at most 1200 points with
     nx >= 32 and on a single line (ny = nz = 1), where the whole x GEMM goes
@@ -275,10 +274,10 @@ class KroneckerSum3D(LinearOperator):
             self._ws_shape = (planes * self.ny * self.nx,)
         self._local = threading.local()
 
-    def _apply_fused(self, x, out, coeff, v, scale) -> bool:
+    def _apply_fused(self, x, out, coeff, v) -> bool:
         if self._xblocks is None:
             return False
-        self._local.fused = (coeff, v, scale)
+        self._local.fused = (coeff, v)
         try:
             self.apply(x, out=out)
         finally:
@@ -316,15 +315,9 @@ class KroneckerSum3D(LinearOperator):
     def _apply_planes(self, x, out, ws, fused=None):
         nx, ny, nz = self.nx, self.ny, self.nz
         x3, xz, oz = x.reshape(nz, ny, nx), x.reshape(nz, ny * nx), out.reshape(nz, ny * nx)
-        scaled = nz  # the planes of x below this one are divided by scale
         if fused is not None:
-            coeff, vz, scale = fused[0], fused[1].reshape(nz, ny * nx), fused[2]
-            scaled = 0 if scale is not None else nz
+            coeff, vz = fused[0], fused[1].reshape(nz, ny * nx)
         for block, rows, cols in self._zblocks:
-            if scaled < cols.stop:  # the z band reaches the next group's first plane
-                xd = xz[scaled:cols.stop]
-                xd /= scale
-                scaled = cols.stop
             o, xs = oz[rows], x3[rows]
             p = len(xs)
             w = ws[:p * ny * nx].reshape(p, ny, nx)

@@ -399,21 +399,31 @@ def test_gate_still_checks_when_every_branch_breaks_down(monkeypatch):
     assert len(calls) == 2  # one snapshot per branch, at breakdown
 
 
-def test_first_order_overflowing_checks_leak_no_numpy_warning():
+def test_first_order_overflowing_checks_leak_no_numpy_warning(monkeypatch):
     # a check over too long a horizon overflows phi, and the corner's
     # product sums infinities of different phase into NaN: a violation by
-    # design, not a warning to the caller (rel_err is 3.9e-5 here, 39x tol,
-    # from the per-cycle tolerance)
-    n = 30
+    # design, not a warning to the caller.  n = 31 > m_max, so the block
+    # branch keeps its halved cap and restarts
+    n = 31
     op = DenseOperator(np.diag(np.logspace(0, 4, n)), is_symmetric=True)
     rng = np.random.default_rng(0)
     u = rng.standard_normal(n)
     v = rng.standard_normal(n)
     ivp = SecondOrderIVP(op, u, v, None, 10.0)
+    coarse, nonfinite = integ.coarse_residual_check, []
+
+    def coarse_spy(curve, t, tol):
+        with np.errstate(all="ignore"):
+            samples = curve.values(t * krylov.COARSE_FRACTIONS)
+        nonfinite.append(not np.all(np.isfinite(samples)))
+        return coarse(curve, t, tol)
+
+    monkeypatch.setattr(integ, "coarse_residual_check", coarse_spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = rt_first_order_block(ivp, SolverConfig(tol=1e-6))
-    assert (report.matvecs, report.steps) == (3019, 189)
+    assert (report.matvecs, report.steps) == (3020, 189)
+    assert sum(nonfinite) == 3
 
 
 def _huge_time_ivp(t_final):
@@ -453,18 +463,25 @@ def test_two_pass_iteration_cap_error(monkeypatch):
         two_pass_lanczos(ivp, cfg)
 
 
-def test_two_pass_converges_past_n_iterations():
-    # Three-term Lanczos in floating point can need more than n steps on a
-    # stiff spectrum; capping the recurrence at n made some of these fail.
+def _small_stiff_problems(count):
+    """The first ``count`` of a stream of small stiff SPD problems (n = 8-24,
+    eigenvalues 1e4 |N(0, 1)|), at t = 1 and t = 100 in turn."""
     rng = np.random.default_rng(2024)
-    for i in range(40):
+    for i in range(count):
         n = int(rng.integers(8, 25))
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         lam = 1e4 * np.abs(rng.standard_normal(n))
         op = DenseOperator((q * lam) @ q.T, is_symmetric=True)
         t = (1.0, 100.0)[i % 2]
-        ivp = SecondOrderIVP(op, rng.standard_normal(n), rng.standard_normal(n),
+        yield SecondOrderIVP(op, rng.standard_normal(n), rng.standard_normal(n),
                              rng.standard_normal(n), t)
+
+
+def test_two_pass_converges_past_n_iterations():
+    # Three-term Lanczos in floating point can need more than n steps on a
+    # stiff spectrum; capping the recurrence at n made some of these fail.
+    for i, ivp in enumerate(_small_stiff_problems(40)):
+        n, t = ivp.op.dim, ivp.t_final
         report = two_pass_lanczos(ivp, SolverConfig(tol=1e-6))
         y_ref, _ = exact_ivp_solution(ivp, t)
         assert report.matvecs <= 160, (i, n, report.matvecs)
@@ -699,6 +716,27 @@ def test_small_stiff_spd_reorthogonalizes_at_full_dimension(name):
     y_ref, _ = exact_ivp_solution(ivp, 100.0)
     assert report.matvecs <= 2 * n + 2
     assert _rel_err(report.y, y_ref) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["rt-sim", "first-order"])
+def test_operators_no_larger_than_m_max_take_the_full_krylov_cap(name):
+    # n <= m_max: rt-sim caps each branch at n and first-order its block
+    # branch at 2n, so one cycle reaches an invariant subspace.  With the
+    # halved cap of 15 these solves took 1042 (rt-sim) and 3019
+    # (first-order) matvecs to reach 2.5e-5 and 3.9e-5 on the diagonal
+    # problem, and 24922 and 48543 to reach 1.6e-5 and 1.2e-3 on the n = 19
+    # stiff one
+    n = 30
+    op = DenseOperator(np.diag(np.logspace(0, 4, n)), is_symmetric=True)
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    stiff = list(_small_stiff_problems(2))[1]
+    for ivp in (SecondOrderIVP(op, u, v, None, 10.0), stiff):
+        report = solve(ivp, SolverConfig(tol=1e-6), name)
+        y_ref, _ = exact_ivp_solution(ivp, ivp.t_final)
+        assert report.matvecs <= 2 * ivp.op.dim + 2
+        assert _rel_err(report.y, y_ref) <= 1e-8
 
 
 @pytest.mark.parametrize("kind", [ScalarFunKind.PSI, ScalarFunKind.SIGMA,

@@ -496,17 +496,21 @@ def test_lanczos_steps_have_the_bits_of_the_whole_vector_recurrence(mode):
         w = np.random.default_rng(op.dim).standard_normal(op.dim)
         basis, alphas, offdiags = _whole_vector_lanczos(op, w, 6)
         proc = KrylovProcess(op, w, 6, mode=mode)
+        snaps = []
         for m in range(6):
             proc.step()
             assert np.array_equal(proc.newest, basis[m + 1]), (op.dim, m)
+            if mode == "lanczos":
+                snaps.append(proc.snapshot())
         assert proc.alphas == alphas and proc.offdiags == offdiags
-        if mode == "lanczos":
-            assert np.array_equal(proc.snapshot().V.T, basis)
+        # each snapshot, read once the run ends, holds the recurrence's rows
+        for m, snap in enumerate(snaps):
+            assert np.array_equal(snap.V.T, basis[:m + 2]), (op.dim, m)
 
 
 def test_a_snapshot_reads_the_newest_row_divided_once():
-    # the newest row is divided by its h by the next step or by a read of
-    # the snapshot's V, whichever comes first, and never twice
+    # the newest row is divided by its h once, whether the snapshot's V is
+    # read before the next steps or after them
     op = KroneckerSum3D(*(dirichlet_laplacian_1d(n) for n in (16, 12, 10)))
     w = np.random.default_rng(3).standard_normal(op.dim)
     basis, _, _ = _whole_vector_lanczos(op, w, 4)

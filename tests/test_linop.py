@@ -350,7 +350,7 @@ def test_csr_apply_bits_equal_the_scipy_product():
         assert np.array_equal(out, csr @ x)
 
 
-@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("in_store", [False, True])
 @pytest.mark.parametrize("shape,factors", [
     ((64, 17, 1), (1.0, 1.0, 1.0)),   # whole x GEMM bits differ from the plane path
     ((64, 1, 1), (1.0, 1.0, 1.0)),    # a single line
@@ -359,22 +359,23 @@ def test_csr_apply_bits_equal_the_scipy_product():
     ((8, 17, 33), (1.0, 1.0, 1.0)),   # odd planes of 136 points, and 5 groups
     ((64, 64, 64), (1.0, 1.0, 1.0)),  # the wave3d-large operator
 ])
-def test_fused_sweep_bits_equal_the_three_passes(shape, factors, scaled):
-    # a Lanczos step's x /= scale, A x and - coeff * v in one sweep over
-    # the plane groups, against the three whole-vector passes
+def test_fused_sweep_bits_equal_the_three_passes(shape, factors, in_store):
+    # a Lanczos step's A x and - coeff * v in one sweep over the plane
+    # groups, against the whole-vector apply and subtraction; in_store
+    # passes v, x and out as rows of one store, as the step does
     op = KroneckerSum3D(*(dirichlet_laplacian_1d(n) for n in shape), *factors)
     rng = np.random.default_rng(21)
-    x, v = rng.standard_normal((2, op.dim))
+    store = np.full((3, op.dim), np.nan)
+    store[:2] = rng.standard_normal((2, op.dim))
+    v, x, out = store if in_store else [row.copy() for row in store]
     coeff = rng.standard_normal()
-    scale = 3.0 * rng.random() if scaled else None
-    x_divided = x / scale if scaled else x.copy()
-    expected = op.apply(x_divided)
+    x_before = x.copy()
+    expected = op.apply(x)
     expected -= np.multiply(v, coeff)
-    out = np.full(op.dim, np.nan)
     count = op.matvec_count
-    assert op._apply_fused(x, out, coeff, v, scale)
+    assert op._apply_fused(x, out, coeff, v)
     assert op.matvec_count == count + 1
-    assert np.array_equal(x, x_divided)
+    assert np.array_equal(x, x_before)
     assert np.array_equal(out, expected)
     # the sweep is armed for that one apply only
     assert np.array_equal(op.apply(x, out=out), op.apply(x))
@@ -386,6 +387,6 @@ def test_operators_without_a_plane_path_have_no_fused_sweep():
     for op in ops:
         x = np.ones(op.dim)
         out = np.full(op.dim, np.nan)
-        assert not op._apply_fused(x, out, 5.0, np.ones(op.dim), 2.0)
+        assert not op._apply_fused(x, out, 5.0, np.ones(op.dim))
         assert op.matvec_count == 0
         assert np.all(x == 1.0) and np.all(np.isnan(out))

@@ -79,7 +79,8 @@ def test_bench_pairs_alternates_the_sides_and_flags_moved_counts(load_tool, caps
     status = tool.main([*map(str, sides), "--workload", "w", "--pairs", "3",
                         "--seed", "7", "--seconds", "5"])
     out = capsys.readouterr().out
-    assert ran == [("base", "w", 7, 5.0), ("change", "w", 7, 5.0)] * 3
+    base, change = ("base", "w", 7, 5.0), ("change", "w", 7, 5.0)
+    assert ran == [base, change, change, base, base, change]
     assert [f"pair {k}: base 2.000 s, change 1.500 s (-25.0%)" in out
             for k in (1, 2, 3)] == [True] * 3
     assert "change won 3 of 3 pairs" in out
@@ -88,3 +89,49 @@ def test_bench_pairs_alternates_the_sides_and_flags_moved_counts(load_tool, caps
     assert status == (0 if drift == 40 else 1)
     assert out.count("DIFFERS") == (0 if drift == 40 else 3)
     assert "peak_rss_mb: median base 200, change 210 (+5.0%)" in out
+
+
+@pytest.mark.parametrize("slower", [0, 1, 2])
+def test_bench_pairs_runs_the_base_first_in_odd_pairs_and_prints_verdicts(
+        load_tool, capsys, tmp_path, monkeypatch, slower):
+    # the change is 0.5 s faster except in its first ``slower`` pairs, and
+    # tied in pair 10: it wins 9 pairs only when no pair is slower
+    tool = load_tool("bench_pairs")
+    base_dir, change_dir = tmp_path / "base", tmp_path / "change"
+    base_dir.mkdir()
+    change_dir.mkdir()
+    bounds = [("solve_s", "lower", 0.25), ("matvecs", "lower", 0.01),
+              ("setup_s", "lower", 0.25), ("peak_rss_mb", "lower", 0.1),
+              ("rss_better", "lower", 0.1), ("gbps", "higher", 0.1),
+              ("absent", "lower", 0.1)]
+    (base_dir / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": n, "unit": "", "better": b, "bound": x} for n, b, x in bounds]}))
+    order = []
+
+    def run(checkout, workload, seed, seconds):
+        order.append(checkout.name)
+        k = (len(order) + 1) // 2  # the pair
+        base = checkout.name == "base"
+        change_s = 2.1 if k == 10 else 2.5 if k <= slower else 1.5
+        return {"solve_s": 2.0 + 0.01 * k if base else change_s,
+                "matvecs": 100, "err_ratio_max": 0.5,
+                "setup_s": 0.05 if base else 0.1,  # twice the base: worse
+                "peak_rss_mb": 100.0 * (1 + k % 2),  # spread 100%: unresolved
+                # as wide, but every run of the change is better: ok
+                "rss_better": (100.0 if base else 40.0) * (1 + k % 2),
+                "gbps": 10.0 if base else 9.5}  # 5% lower, bound 10%: ok
+
+    monkeypatch.setattr(tool, "run", run)
+    assert tool.main([str(base_dir), str(change_dir), "--workload", "w"]) == 0
+    out = capsys.readouterr().out
+    assert order == ["base", "change", "change", "base"] * 5
+    gain = "yes" if slower == 0 else "no"
+    assert (f"solve_s gain: {gain} (won {9 - slower} of 10, need 9 of 10; "
+            f"median gap 0.555 s, base quartile spread 0.055 s)") in out
+    # two slow pairs widen the change's quartile spread to 34% of the base's
+    # median, past the 25% bound
+    solve = "unresolved" if slower == 2 else "ok"
+    for line in [f"solve_s: {solve}", "matvecs: ok", "setup_s: worse beyond bound",
+                 "peak_rss_mb: unresolved", "rss_better: ok", "gbps: ok",
+                 "absent: not in every run"]:
+        assert f"  {line}" in out, line

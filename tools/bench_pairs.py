@@ -6,17 +6,27 @@ then run from anywhere:
     python3 tools/bench_pairs.py <base> <change> --workload wave3d-large --pairs 10
 
 Each pair runs ``perfbench/run.py --trace 0`` (with ``--seed``, default 0,
-and ``--seconds``, default 30) once from ``<base>`` and then once from
-``<change>``, each in a fresh process with its checkout as the working
-directory, and reads the JSON object on the last line of its output.  The
-script prints the ``solve_s`` of both sides of every pair,
-then how many pairs the change won, both medians and the quartile spread of
-the base's runs, and the medians of both sides for every other metric that
-may move (``setup_s``, ``peak_rss_mb``).  Every metric named ``matvecs`` or
-``matvecs.<slot>`` and ``err_ratio_max`` must read the same in every run of
-both sides; a metric that differs is flagged.  The exit status is 1 if a
-run fails or a metric is flagged, 0 otherwise.  The script is not part of
-the test suite.
+and ``--seconds``, default 30) once from each checkout, the base first in
+odd pairs and the change first in even ones, each in a fresh process with
+its checkout as the working directory, and reads the JSON object on the
+last line of its output.  The script prints the ``solve_s`` of both sides
+of every pair, then how many pairs the change won, both medians and the
+quartile spread of the base's runs, and the medians of both sides for every
+other metric that may move (``setup_s``, ``peak_rss_mb``).  Every metric
+named ``matvecs`` or ``matvecs.<slot>`` and ``err_ratio_max`` must read the
+same in every run of both sides; a metric that differs is flagged.
+
+Two verdicts follow.  The gain verdict for ``solve_s``: the change wins at
+least 9 of every 10 pairs (a tie counts for neither side) and its median is
+lower than the base's by more than the base's quartile spread.  Then one
+line per ``end_to_end`` metric of the base checkout's ``BENCHMARK.json``
+(only read): "ok" if every run of the change is better than every run of
+the base, else "unresolved" if the quartile spread of either side,
+relative to the base's median, is wider than the metric's bound, else
+"worse beyond bound" if the change's median is worse than the base's by
+more than the bound, else "ok".  The exit status is 1 if a run fails or a
+metric is flagged, 0 otherwise; the verdicts do not set it.  The script is
+not part of the test suite.
 """
 from __future__ import annotations
 
@@ -63,6 +73,50 @@ def _quartile_spread(values) -> float:
     return q3 - q1
 
 
+def gain_verdict(times) -> str:
+    """The ``solve_s`` gain verdict of (base, change) pairs."""
+    wins = sum(c < b for b, c in times)
+    base = [b for b, _ in times]
+    gap = statistics.median(base) - statistics.median(c for _, c in times)
+    spread = _quartile_spread(base)
+    gain = 10 * wins >= 9 * len(times) and gap > spread
+    return (f"solve_s gain: {'yes' if gain else 'no'} (won {wins} of {len(times)}, "
+            f"need 9 of 10; median gap {gap:.3f} s, base quartile spread {spread:.3f} s)")
+
+
+def bound_verdict(base, change, bound: float, lower_is_better: bool) -> str:
+    """"ok", "worse beyond bound" or "unresolved" for one metric's runs."""
+    if not lower_is_better:
+        base, change = [-x for x in base], [-x for x in change]
+    base_med = statistics.median(base)
+    scale = abs(base_med) or 1.0
+    if max(change) < min(base):  # every run of the change is better
+        return "ok"
+    if max(_quartile_spread(base), _quartile_spread(change)) / scale > bound:
+        return "unresolved"
+    worse = statistics.median(change) - base_med
+    return "worse beyond bound" if worse / scale > bound else "ok"
+
+
+def bound_verdicts(base_dir: Path, runs) -> list:
+    """One line per ``end_to_end`` metric of ``base_dir/BENCHMARK.json``;
+    ``runs`` holds the (base, change) metrics of every pair."""
+    path = base_dir / "BENCHMARK.json"
+    if not path.exists():
+        return [f"no bounds: {path} does not exist"]
+    spec = json.loads(path.read_text())
+    lines = []
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        if any(name not in side for pair in runs for side in pair):
+            lines.append(f"{name}: not in every run")
+            continue
+        base, change = ([pair[side][name] for pair in runs] for side in (0, 1))
+        verdict = bound_verdict(base, change, metric["bound"], metric["better"] == "lower")
+        lines.append(f"{name}: {verdict} (bound {metric['bound']:g})")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("base", type=Path)
@@ -76,9 +130,11 @@ def main(argv=None) -> int:
 
     times, flagged, reference, runs = [], [], None, []
     for k in range(1, args.pairs + 1):
+        sides = [None, None]  # base, change; the base runs first in odd pairs
         try:
-            sides = [run(d, args.workload, args.seed, args.seconds)
-                     for d in (base_dir, change_dir)]
+            for i in ((0, 1) if k % 2 else (1, 0)):
+                sides[i] = run((base_dir, change_dir)[i], args.workload, args.seed,
+                               args.seconds)
         except RuntimeError as exc:
             print(f"pair {k}: {exc}", file=sys.stderr)
             return 1
@@ -107,6 +163,9 @@ def main(argv=None) -> int:
                             for side in (0, 1))
             print(f"  {metric}: median base {base:.6g}, change {change:.6g} "
                   f"({change / base - 1.0:+.1%})")
+    print(gain_verdict(times))
+    for line in bound_verdicts(base_dir, runs):
+        print(f"  {line}")
     for line in flagged:
         print(f"DIFFERS {line}")
     return 1 if flagged else 0
