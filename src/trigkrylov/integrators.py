@@ -56,7 +56,8 @@ PSI_STEP_RUNGS = (0.99, 0.98, 0.97, 0.96, 0.9, 0.8, 0.7, 0.6)
 
 #: Safety factor of Gautschi's start-up: its sigma and psi runs are capped
 #: at floor(GAUTSCHI_ALPHA * m_max) so that the later psi runs, capped at
-#: m_max, have room to certify the fixed step.
+#: m_max, have room to certify the fixed step.  An operator of dimension
+#: n <= m_max leaves no such room to keep: the runs are capped at n.
 GAUTSCHI_ALPHA = 0.85
 
 #: Iterations between the residual checks of :func:`two_pass_lanczos`'s
@@ -114,8 +115,8 @@ class SolverConfig:
     memory budget (unless the operator's dimension n is at most ``m_max``:
     then they take the full dimension, n per branch and 2n for the block,
     at most (2n)^2 entries), Gautschi's start-up runs take
-    ``GAUTSCHI_ALPHA`` of it, and two-pass Lanczos stops after 200 * m_max
-    iterations.
+    ``GAUTSCHI_ALPHA`` of it (or n when n <= ``m_max``), and two-pass
+    Lanczos stops after 200 * m_max iterations.
     """
 
     tol: float
@@ -423,7 +424,8 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     Each time step is one :func:`_restart` cycle.  Cycle 0 chooses the
     fixed step delta from the residual of a sigma run on v, shortens it to
     what a psi run on g - A u certifies (both runs of dimension at most
-    floor(GAUTSCHI_ALPHA * m_max)), rounds it down to
+    floor(GAUTSCHI_ALPHA * m_max), or n when the operator's dimension n is
+    at most m_max), rounds it down to
     t_final / ceil(t_final / delta) with no further check, and takes the
     first step with both runs' rates.  Every later cycle runs one psi
     branch on the driver's g - A y; if its residual certifies less than
@@ -435,7 +437,8 @@ def gautschi(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
     step, not y'(t_final).
     """
     op = ivp.op
-    m_tilde = math.floor(GAUTSCHI_ALPHA * cfg.m_max)
+    n = op.dim
+    m_tilde = n if n <= cfg.m_max else math.floor(GAUTSCHI_ALPHA * cfg.m_max)
     delta = 0.0  # fixed by the first cycle
     m_step = 0  # the dimension the latest step run accepted
 

@@ -133,7 +133,8 @@ class KrylovProcess:
 
     ``mode`` is one of ``"arnoldi"``, ``"lanczos"`` (basis stored) or
     ``"lanczos3"`` (three-term recurrence, only a ring of three basis
-    vectors kept).  One call to :meth:`step` consumes exactly one matvec;
+    vectors kept); the two Lanczos modes need an operator flagged
+    symmetric.  One call to :meth:`step` consumes exactly one matvec;
     at most ``min(m_max, dim)`` steps are taken with a stored basis and at
     most ``m_max`` in three-term mode.
     """
@@ -150,6 +151,8 @@ class KrylovProcess:
             mode = "lanczos" if op.is_symmetric else "arnoldi"
         if mode not in ("arnoldi", "lanczos", "lanczos3"):
             raise ValueError(f"unknown mode {mode!r}")
+        if mode != "arnoldi" and not op.is_symmetric:
+            raise ValueError(f"mode {mode!r} needs an operator flagged symmetric")
         if mode == "lanczos3" and reorth:
             raise ValueError("reorthogonalization requires a stored basis")
         self.op = op

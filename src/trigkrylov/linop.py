@@ -77,8 +77,8 @@ class LinearOperator:
     def _apply_fused(self, x, out, coeff, v) -> bool:
         """A Lanczos step's sweep, where the operator has one: ``out = A x -
         coeff * v`` as one counted :meth:`apply`, with the bits of the apply
-        and the subtraction.  Returns False, having done nothing, where it
-        has none."""
+        and the subtraction.  Every :class:`KroneckerSum3D` has it; the
+        other operators return False, having done nothing."""
         return False
 
 
@@ -218,26 +218,29 @@ class KroneckerSum3D(LinearOperator):
     which for finite x add nothing to an entry's multiply-add chain, so the
     bits are those of the contractions ``np.tensordot`` makes.
 
-    When ``nx`` is a multiple of 8, one loop runs over the row blocks of Lz
-    (blocks of 8 whole rows where Lz's band covers it), each a group of p
-    z-planes.  The group's z rows go straight into ``out``.  Its y term (Ly
-    times each plane) and then its x term (the x lines times column blocks
-    of Lx^T) are formed in one workspace of p*ny*nx floats and added into
-    ``out`` while both are still in cache, so the working set stays small
-    enough for L2 at 64^3.  A Lanczos step's private :meth:`_apply_fused`
+    One loop runs over groups of p z-planes.  A group's z rows go straight
+    into ``out``; its y term and then its x term (the x lines times column
+    blocks of Lx^T) are formed in one workspace and added into ``out`` while
+    both are still in cache.  A Lanczos step's private :meth:`_apply_fused`
     runs its beta v_{m-1} subtraction in the same loop: each group last
-    subtracts coeff * v from its ``out`` rows.  The bits equal those of the
-    whole-vector contractions except on grids of at most 1200 points with
-    nx >= 32 and on a single line (ny = nz = 1), where the whole x GEMM goes
-    to OpenBLAS's small-matrix or GEMV kernels, which sum in another order
-    (measured with OpenBLAS 0.3.31 on an x86-64 SkylakeX core).
+    subtracts coeff * v from its ``out`` rows.
 
-    When ``nx`` is not a multiple of 8, every product with nx columns has
-    tail columns (:func:`_tail_columns`) and a plane-by-plane y term
-    changes bits.  The apply then keeps three whole-vector contractions:
-    the z blocks into ``out``, the y blocks on a transposed copy of x (the
-    copy tensordot makes), and one x GEMM, through a workspace of two
-    n-vectors.
+    When ``nx`` is a multiple of 8, a group is a row block of Lz (8 whole
+    rows where Lz's band covers it), its y term is Ly times each plane, and
+    the workspace of p*ny*nx floats stays small enough for L2 at 64^3.  The
+    bits equal those of tensordot's whole-grid contractions except on grids of at
+    most 1200 points with nx >= 32 and on a single line (ny = nz = 1), where
+    the whole x GEMM goes to OpenBLAS's small-matrix or GEMV kernels, which
+    sum in another order (measured with OpenBLAS 0.3.31 on an x86-64
+    SkylakeX core).
+
+    Otherwise every product with nx columns has tail columns
+    (:func:`_tail_columns`), whose sums move with the shape of the product,
+    so the grid is one group of all nz planes: the z blocks of the whole
+    grid, the y blocks on a transposed copy of x (the copy tensordot makes),
+    and one x GEMM by Lx^T, through a workspace of two n-vectors.  Splitting
+    it into smaller groups, or Lz into blocks of 8 rows where ny*nx has tail
+    columns, changes the bits on some grids.
 
     Each calling thread allocates its workspace once (a
     ``threading.local``).
@@ -258,25 +261,27 @@ class KroneckerSum3D(LinearOperator):
             np.array_equal(fac, fac.T) for fac in (self.lx, self.ly, self.lz)
         )
         super().__init__(self.nx * self.ny * self.nz, is_symmetric=symmetric)
-        self._zblocks = _band_blocks(self.lz, self.ny * self.nx)
         self._yblocks = _band_blocks(self.ly, self.nz * self.nx)
-        if _tail_columns(self.nx):
-            self._xblocks = None
-            self._ws_shape = (2, self.dim)
+        zblocks = _band_blocks(self.lz, self.ny * self.nx)
+        self._tail = bool(_tail_columns(self.nx))
+        if self._tail:  # one group of all nz planes, x by the view Lx^T
+            self._groups = [(slice(0, self.nz), zblocks)]
+            self._xblocks = [(self.lx.T, slice(0, self.nx), slice(0, self.nx))]
         else:
-            if len(self._zblocks) == 1:  # groups of 8 planes, whole rows of Lz
-                self._zblocks = _row_blocks(self.lz, self.nz, self.nz)
+            if len(zblocks) == 1:  # groups of 8 planes, whole rows of Lz
+                zblocks = _row_blocks(self.lz, self.nz, self.nz)
+            self._groups = [(rows, [(block, rows, cols)]) for block, rows, cols in zblocks]
             # contiguous blocks of Lx^T: with a transposed operand OpenBLAS
             # sends small products to a kernel that sums in another order
             self._xblocks = [(np.ascontiguousarray(block.T), rows, cols)
                              for block, rows, cols in _band_blocks(self.lx, self.nx)]
-            planes = max(rows.stop - rows.start for _, rows, _ in self._zblocks)
-            self._ws_shape = (planes * self.ny * self.nx,)
+        # a group of p planes takes p*ny*nx floats, twice on a tail grid
+        # (the y term's transposed copy)
+        planes = max(rows.stop - rows.start for rows, _ in self._groups)
+        self._ws_size = (1 + self._tail) * planes * self.ny * self.nx
         self._local = threading.local()
 
     def _apply_fused(self, x, out, coeff, v) -> bool:
-        if self._xblocks is None:
-            return False
         self._local.fused = (coeff, v)
         try:
             self.apply(x, out=out)
@@ -287,49 +292,33 @@ class KroneckerSum3D(LinearOperator):
     def _matvec(self, x, out):
         ws = getattr(self._local, "ws", None)
         if ws is None:
-            ws = self._local.ws = np.empty(self._ws_shape)
-        if self._xblocks is not None:
-            self._apply_planes(x, out, ws, getattr(self._local, "fused", None))
-            return
-        nx, ny, nz = self.nx, self.ny, self.nz
-        # z: lz contracts the slowest axis
-        xz, oz = x.reshape(nz, ny * nx), out.reshape(nz, ny * nx)
-        for block, rows, cols in self._zblocks:
-            np.dot(block, xz[cols], out=oz[rows])
-        if self.kz != 1.0:
-            out *= self.kz
-        # y: bring the y axis to the front (the copy tensordot makes), contract
-        np.copyto(ws[0].reshape(ny, nz, nx), x.reshape(nz, ny, nx).transpose(1, 0, 2))
-        xy, oy = ws[0].reshape(ny, nz * nx), ws[1].reshape(ny, nz * nx)
-        for block, rows, cols in self._yblocks:
-            np.dot(block, xy[cols], out=oy[rows])
-        if self.ky != 1.0:
-            ws[1] *= self.ky
-        out.reshape(nz, ny, nx)[...] += ws[1].reshape(ny, nz, nx).transpose(1, 0, 2)
-        # x: lx contracts the fastest axis
-        np.dot(x.reshape(nz * ny, nx), self.lx.T, out=ws[0].reshape(nz * ny, nx))
-        if self.kx != 1.0:
-            ws[0] *= self.kx
-        out += ws[0]
-
-    def _apply_planes(self, x, out, ws, fused=None):
+            ws = self._local.ws = np.empty(self._ws_size)
+        fused = getattr(self._local, "fused", None)
         nx, ny, nz = self.nx, self.ny, self.nz
         x3, xz, oz = x.reshape(nz, ny, nx), x.reshape(nz, ny * nx), out.reshape(nz, ny * nx)
         if fused is not None:
             coeff, vz = fused[0], fused[1].reshape(nz, ny * nx)
-        for block, rows, cols in self._zblocks:
+        for rows, zblocks in self._groups:
             o, xs = oz[rows], x3[rows]
             p = len(xs)
             w = ws[:p * ny * nx].reshape(p, ny, nx)
-            np.dot(block, xz[cols], out=o)
+            for block, zrows, cols in zblocks:
+                np.dot(block, xz[cols], out=oz[zrows])
             if self.kz != 1.0:
                 o *= self.kz
-            # y: Ly times each plane of the group
-            for lyb, yrows, ycols in self._yblocks:
-                np.matmul(lyb, xs[:, ycols], out=w[:, yrows])
+            if self._tail:  # y: on a transposed copy of the group, as tensordot
+                xy, wy = ws[p * ny * nx:].reshape(ny, p * nx), w.reshape(ny, p * nx)
+                np.copyto(xy.reshape(ny, p, nx), xs.transpose(1, 0, 2))
+                for lyb, yrows, ycols in self._yblocks:
+                    np.dot(lyb, xy[ycols], out=wy[yrows])
+                y_term = wy.reshape(ny, p, nx).transpose(1, 0, 2)
+            else:  # y: Ly times each plane of the group
+                for lyb, yrows, ycols in self._yblocks:
+                    np.matmul(lyb, xs[:, ycols], out=w[:, yrows])
+                y_term = w
             if self.ky != 1.0:
                 w *= self.ky
-            o += w.reshape(p, ny * nx)
+            o.reshape(p, ny, nx)[...] += y_term
             # x: the group's x lines times the column blocks of Lx^T
             xl, wl = xs.reshape(p * ny, nx), w.reshape(p * ny, nx)
             for lxt, xrows, xcols in self._xblocks:

@@ -718,14 +718,16 @@ def test_small_stiff_spd_reorthogonalizes_at_full_dimension(name):
     assert _rel_err(report.y, y_ref) <= 1e-10
 
 
-@pytest.mark.parametrize("name", ["rt-sim", "first-order"])
+@pytest.mark.parametrize("name", ["rt-sim", "first-order", "gautschi"])
 def test_operators_no_larger_than_m_max_take_the_full_krylov_cap(name):
-    # n <= m_max: rt-sim caps each branch at n and first-order its block
-    # branch at 2n, so one cycle reaches an invariant subspace.  With the
-    # halved cap of 15 these solves took 1042 (rt-sim) and 3019
-    # (first-order) matvecs to reach 2.5e-5 and 3.9e-5 on the diagonal
-    # problem, and 24922 and 48543 to reach 1.6e-5 and 1.2e-3 on the n = 19
-    # stiff one
+    # n <= m_max: rt-sim caps each branch at n, first-order its block
+    # branch at 2n and Gautschi its start-up runs at n, so one cycle reaches
+    # an invariant subspace.  With the halved cap of 15 these solves took
+    # 1042 (rt-sim) and 3019 (first-order) matvecs to reach 2.5e-5 and
+    # 3.9e-5 on the diagonal problem, and 24922 and 48543 to reach 1.6e-5
+    # and 1.2e-3 on the n = 19 stiff one; Gautschi's start-up capped at
+    # floor(0.85 * m_max) = 25 took 329 matvecs in 15 steps to reach 6.9e-6
+    # on the diagonal problem
     n = 30
     op = DenseOperator(np.diag(np.logspace(0, 4, n)), is_symmetric=True)
     rng = np.random.default_rng(0)

@@ -319,6 +319,17 @@ def test_process_mode_and_argument_guards():
         krylov_build(op, np.ones(6), 7)
 
 
+@pytest.mark.parametrize("mode", ["lanczos", "lanczos3"])
+def test_lanczos_modes_reject_an_operator_not_flagged_symmetric(mode):
+    # the three-term recurrence would run on this upper-triangular matrix
+    # without a word, returning alphas 9.5, 5.5 for its first two steps
+    op = DenseOperator(np.triu(np.ones((8, 8))) + 5.0 * np.eye(8))
+    assert not op.is_symmetric
+    with pytest.raises(ValueError, match="symmetric"):
+        KrylovProcess(op, np.ones(8), 8, mode=mode)
+    assert op.matvec_count == 0
+
+
 def test_breakdown_step_refused_after_flag():
     proc = KrylovProcess(DenseOperator(np.eye(4)), np.ones(4), 4)
     proc.step()
@@ -484,9 +495,10 @@ def _lanczos_operators():
     for n in (1000, 2 * CHUNK, 2 * CHUNK + 5):
         diag = np.random.default_rng(n).uniform(1.0, 2.0, n)
         yield SparseCSR(scipy.sparse.diags(diag, format="csr"), is_symmetric=True)
-    # the fused plane sweep: one x line, 64 x 17 lines in one plane, and
-    # plane groups
-    for shape in ((64, 1, 1), (64, 17, 1), (16, 12, 10), (64, 64, 16)):
+    # the fused plane sweep: one x line, 64 x 17 lines in one plane, plane
+    # groups, and tail grids of one group
+    for shape in ((64, 1, 1), (64, 17, 1), (16, 12, 10), (64, 64, 16), (20, 20, 20),
+                  (17, 17, 17)):
         yield KroneckerSum3D(*(dirichlet_laplacian_1d(n) for n in shape))
 
 

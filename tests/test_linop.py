@@ -200,6 +200,11 @@ def _kronecker_ops():
     rng = np.random.default_rng(5)
     yield KroneckerSum3D(dirichlet_laplacian_1d(8),
                          *(rng.standard_normal((n, n)) for n in (16, 24)))
+    # tail grids, one group of all nz planes: each changed bits when split
+    # into several groups or Lz into blocks of 8 rows
+    for shape in ((20, 64, 31), (11, 33, 64), (33, 33, 33)):
+        for factors in ((1.0, 1.0, 1.0), (1e4, 1e2, 1.0)):
+            yield build_wave3d(WaveProblemSpec(*shape, *factors, "anisotropic-sines")).op
 
 
 def test_kronecker_apply_bits_equal_the_tensordot_formula():
@@ -282,7 +287,7 @@ def test_apply_rejects_an_out_that_overlaps_x():
 
 
 def test_concurrent_kronecker_applies_equal_serial_ones():
-    # 20^3 runs the whole-vector apply, 24^3 the plane groups
+    # 20^3 runs one group of all 20 planes, 24^3 groups of 8
     for spec in (anisotropic_wave_spec(20), isotropic_wave_spec(24)):
         _check_concurrent_applies(build_wave3d(spec).op)
 
@@ -317,8 +322,24 @@ def _check_concurrent_applies(op):
 
 def test_kronecker_apply_at_64_cubed_allocates_two_plane_groups_at_most():
     op = build_wave3d(isotropic_wave_spec(64)).op
-    planes = max(rows.stop - rows.start for _, rows, _ in op._zblocks)
+    planes = max(rows.stop - rows.start for rows, _ in op._groups)
     assert planes == 8
+    assert 0 < _first_apply_peak(op) <= 2 * planes * op.ny * op.nx * 8
+
+
+def test_kronecker_apply_on_a_tail_grid_allocates_two_vectors_at_most():
+    # nx = 20 is not a multiple of 8: one group of all planes, whose y term
+    # takes a transposed copy besides the group's workspace, 2n floats in
+    # all; numpy buffers the strided add-back of the y term in one ufunc
+    # buffer, and a few small objects take under 4 kB
+    op = build_wave3d(anisotropic_wave_spec(20)).op
+    assert [rows for rows, _ in op._groups] == [slice(0, op.nz)]
+    assert 0 < _first_apply_peak(op) <= (2 * op.dim + np.getbufsize()) * 8 + 4096
+
+
+def _first_apply_peak(op):
+    """Bytes traced during an operator's first apply in a new thread, which
+    allocates that thread's workspace; checks the product's bits."""
     x = np.random.default_rng(4).standard_normal(op.dim)
     out = np.empty(op.dim)
     peaks = []
@@ -335,7 +356,7 @@ def test_kronecker_apply_at_64_cubed_allocates_two_plane_groups_at_most():
     th.start()
     th.join()
     assert np.array_equal(out, _tensordot_apply(op, x))
-    assert 0 < peaks[0] <= 2 * planes * op.ny * op.nx * 8
+    return peaks[0]
 
 
 def test_csr_apply_bits_equal_the_scipy_product():
@@ -358,6 +379,8 @@ def test_csr_apply_bits_equal_the_scipy_product():
     ((16, 12, 10), (0.5, 2.0, 3.0)),  # a short last plane group
     ((8, 17, 33), (1.0, 1.0, 1.0)),   # odd planes of 136 points, and 5 groups
     ((64, 64, 64), (1.0, 1.0, 1.0)),  # the wave3d-large operator
+    ((20, 20, 20), (1e4, 1e2, 1.0)),  # the wave3d-aniso operator, one group
+    ((10, 6, 4), (1.0, 1.0, 1.0)),    # a tail grid of one band block
 ])
 def test_fused_sweep_bits_equal_the_three_passes(shape, factors, in_store):
     # a Lanczos step's A x and - coeff * v in one sweep over the plane
@@ -383,7 +406,8 @@ def test_fused_sweep_bits_equal_the_three_passes(shape, factors, in_store):
 
 def test_operators_without_a_plane_path_have_no_fused_sweep():
     ops = [DenseOperator(np.diag([1.0, 2.0, 3.0])),
-           KroneckerSum3D(*(dirichlet_laplacian_1d(n) for n in (10, 6, 4)))]
+           SparseCSR(scipy.sparse.diags([1.0, 2.0, 3.0]), is_symmetric=True),
+           BlockFirstOrderOperator(DenseOperator(np.diag([1.0, 2.0, 3.0])))]
     for op in ops:
         x = np.ones(op.dim)
         out = np.full(op.dim, np.nan)
