@@ -102,22 +102,18 @@ def cmd_solve(args) -> int:
         print("error: give exactly one problem source (--problem or --matrix)",
               file=sys.stderr)
         return 2
-    try:
-        if args.problem:
-            ivp, reference = build_preset(args.problem, args.scale, args.t)
-            label = args.problem
-        else:
-            op = read_matrix_market(args.matrix)
-            u = read_vector(args.u_file) if args.u_file else np.zeros(op.dim)
-            v = read_vector(args.v_file) if args.v_file else np.zeros(op.dim)
-            g = read_vector(args.g_file) if args.g_file else None
-            ivp = SecondOrderIVP(op, u, v, g, args.t if args.t is not None else 1.0)
-            reference = lambda ivp: pb.exact_ivp_solution(ivp, ivp.t_final)[0]
-            label = Path(args.matrix).name
-        cfg = SolverConfig(tol=args.tol, m_max=args.mmax)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.problem:
+        ivp, reference = build_preset(args.problem, args.scale, args.t)
+        label = args.problem
+    else:
+        op = read_matrix_market(args.matrix)
+        u = read_vector(args.u_file) if args.u_file else np.zeros(op.dim)
+        v = read_vector(args.v_file) if args.v_file else np.zeros(op.dim)
+        g = read_vector(args.g_file) if args.g_file else None
+        ivp = SecondOrderIVP(op, u, v, g, args.t if args.t is not None else 1.0)
+        reference = lambda ivp: pb.exact_ivp_solution(ivp, ivp.t_final)[0]
+        label = Path(args.matrix).name
+    cfg = SolverConfig(tol=args.tol, m_max=args.mmax)
     t0 = time.perf_counter()
     try:
         # an overflowing time span is reported as the solver's error, not
@@ -396,6 +392,9 @@ def _config_flags(sub_parser: argparse.ArgumentParser, path) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Bad outside input (a missing or unreadable file,
+    a malformed value) prints one ``error:`` line and returns 2; a solver
+    failure in ``solve`` returns 1."""
     parser, subcommands = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # --config is read before the full parse, so that the file can also
@@ -403,10 +402,14 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     config = pre.parse_known_args(argv[1:])[0].config
-    if config and argv[0] in subcommands:
-        argv = argv[:1] + _config_flags(subcommands[argv[0]], config) + argv[1:]
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        if config and argv[0] in subcommands:
+            argv = argv[:1] + _config_flags(subcommands[argv[0]], config) + argv[1:]
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -324,11 +324,10 @@ class KrylovDecomposition:
 
     def spectral_cache(self) -> SpectralCache:
         """Factor the projected matrix: a Lanczos snapshot by its
-        tridiagonal, an Arnoldi snapshot by :meth:`SpectralCache.from_dense`
-        with ``symmetric=False``, which that method requires."""
+        tridiagonal, an Arnoldi snapshot by :meth:`SpectralCache.from_dense`."""
         if self._tridiag is not None:
             return SpectralCache.from_tridiagonal(*self._tridiag, beta=self.beta)
-        return SpectralCache.from_dense(self._h_square, beta=self.beta, symmetric=False)
+        return SpectralCache.from_dense(self._h_square, beta=self.beta)
 
 
 class ResidualCurve:

@@ -9,9 +9,10 @@ The reference rule is written here once, and no solver under test serves
 as a reference.  A wave's ground truth evaluates every sine mode with
 numpy's cos and sinc.  :func:`exact_ivp_solution` takes a stored sparse
 matrix, symmetric or not, and any nonsymmetric operator through the action
-of the exponential of the first-order block, so neither route shares a
-function with the solvers it checks; only a symmetric operator without a
-stored matrix is assembled and factored by ``eigh``.
+of the exponential of the first-order block; a symmetric operator without a
+stored matrix is assembled, factored by ``eigh`` and evolved mode by mode
+with the wave reference's cos and sinc.  So no route shares a function with
+the solvers it checks.
 
 The catalogue of the paper's problems is :func:`preset` (a family on a
 grid, with its reference) and :data:`TOL_ADJUST` with :func:`tol_used`
@@ -28,7 +29,6 @@ import scipy.sparse
 
 from . import linop
 from .integrators import SecondOrderIVP
-from .smallfun import ScalarFunKind, SpectralCache
 
 #: Tolerance factor per (family, solver), 1 where absent: Tables 3 and 4 run
 #: gautschi 10x tighter and two-pass 10x looser on the anisotropic wave,
@@ -119,6 +119,14 @@ def _sine_eigenvalues(n: int) -> np.ndarray:
     return (2.0 / h**2) * (1.0 - np.cos(p * np.pi * h))
 
 
+def _modal_weights(lam, t):
+    """(cos(t sqrt(lam)), t sigma(t^2 lam)) of each eigenvalue lam, as real
+    arrays, from numpy's cos and sinc.  A negative lam takes the complex root,
+    which gives cosh and sinh(t sqrt(-lam))/sqrt(-lam)."""
+    t_root = t * np.sqrt(lam if (lam >= 0).all() else lam.astype(complex))
+    return np.cos(t_root).real, (t * np.sinc(t_root / np.pi)).real
+
+
 def spectral_reference_wave3d(spec: WaveProblemSpec, t: float, cap: float = np.inf):
     """(y(t), y'(t)) via the discrete sine eigenbasis of the stencil.
 
@@ -140,9 +148,7 @@ def spectral_reference_wave3d(spec: WaveProblemSpec, t: float, cap: float = np.i
     )
     uh = scipy.fft.dstn(u0, type=1)
     vh = scipy.fft.dstn(v0, type=1)
-    t_sqrt_lam = t * np.sqrt(lam)
-    cos_vals = np.cos(t_sqrt_lam)
-    tsig = t * np.sinc(t_sqrt_lam / np.pi)  # t sigma(t^2 lam)
+    cos_vals, tsig = _modal_weights(lam, t)
     yh = cos_vals * uh + tsig * vh
     yph = -lam * tsig * uh + cos_vals * vh
     y = scipy.fft.idstn(yh, type=1)
@@ -196,11 +202,13 @@ def exact_ivp_solution(ivp: SecondOrderIVP, t: float):
 
     A :class:`~trigkrylov.linop.SparseCSR` operator gives its stored matrix,
     which is never densified; any other operator is assembled densely (n
-    matvecs, n <= 4096).  An assembled symmetric A is factored by ``eigh``,
-    and
+    matvecs, n <= 4096).  An assembled symmetric A = Q diag(lam) Q^T is
+    factored by ``eigh``, and with w = Q^T (g - A u), v^ = Q^T v, the modal
+    weights c(t) = cos(t sqrt(lam)) and s(t) = t sigma(t^2 lam) of
+    :func:`_modal_weights`, and t^2/2 psi(t^2 lam) = 2 s(t/2)^2,
 
-        y(t)  = u + t^2/2 psi(t^2 A)(g - A u) + t sigma(t^2 A) v
-        y'(t) = t sigma(t^2 A)(g - A u) + cos(t sqrt(A)) v.
+        y(t)  = u + Q (2 s(t/2)^2 w + s(t) v^)
+        y'(t) = Q (s(t) w + c(t) v^).
 
     Every other A, sparse or nonsymmetric, goes through none of the solvers'
     functions: with s the power of two nearest sqrt(||A||_1) (at least 1),
@@ -221,14 +229,13 @@ def exact_ivp_solution(ivp: SecondOrderIVP, t: float):
     sparse = isinstance(ivp.op, linop.SparseCSR)
     a_mat = ivp.op.csr if sparse else linop.assemble_dense(ivp.op)
     if ivp.op.is_symmetric and not sparse:
-        w = ivp.g - a_mat @ ivp.u
-        cache = SpectralCache.from_dense(a_mat, beta=1.0, symmetric=True)
-        t2 = t * t
-        # one sigma(t^2 A) serves both w and v
-        sig = t * cache.apply_fun(ScalarFunKind.SIGMA, t2, np.column_stack([w, ivp.v]))
-        y = ivp.u + 0.5 * t2 * cache.apply_fun(ScalarFunKind.PSI, t2, w) + sig[:, 1]
-        yp = sig[:, 0] + cache.apply_fun(ScalarFunKind.COS, t2, ivp.v)
-        return y, yp
+        if not np.isfinite(a_mat).all():
+            raise ValueError("matrix entries must be finite")
+        lam, q = np.linalg.eigh(a_mat)
+        w, v = q.T @ (ivp.g - a_mat @ ivp.u), q.T @ ivp.v
+        cos_vals, tsig = _modal_weights(lam, t)
+        tsig_half = _modal_weights(lam, 0.5 * t)[1]
+        return ivp.u + q @ (2.0 * tsig_half**2 * w + tsig * v), q @ (tsig * w + cos_vals * v)
     # imported here: the solvers never need it, and it adds 2 MB to every process
     import scipy.sparse.linalg
 

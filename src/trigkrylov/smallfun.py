@@ -20,10 +20,10 @@ series oracle down to |z| = 5e-324 in the test suite.
 
 Small matrices are evaluated in an eigenbasis H = X diag(lam) X^-1 where
 that is accurate, so that f(sH) e1 is one weighted sum over the m
-eigenvalues for each scale s.  The caller states which case holds
-(:meth:`SpectralCache.from_dense` takes ``symmetric`` as a required
-keyword).  Symmetric (tridiagonal) H uses its orthogonal eigenvectors.
-Nonsymmetric H uses the eigenvectors from ``np.linalg.eig`` and X^-1 when
+eigenvalues for each scale s.  A Lanczos tridiagonal
+(:meth:`SpectralCache.from_tridiagonal`) uses its orthogonal eigenvectors.
+A dense Arnoldi H (:meth:`SpectralCache.from_dense`) uses the eigenvectors
+from ``np.linalg.eig`` and X^-1 when
 kappa_1(X) <= :data:`EIGENBASIS_KAPPA_MAX` (1e3): the eigenbasis evaluation
 has a relative error of about kappa(X) u (Higham, Functions of Matrices,
 SIAM 2008, sec. 4.5), so the bound keeps it near 1e-13.  The projected matrices of the transport problem have
@@ -241,19 +241,14 @@ class SpectralCache:
         return cls(lam=lam, q=q, beta=beta)
 
     @classmethod
-    def from_dense(cls, h_mat, beta=1.0, *, symmetric: bool):
-        """Factor a dense H: ``eigh`` when the caller states that H is
-        symmetric (the required keyword ``symmetric``), else the eigenbasis
-        of ``np.linalg.eig`` when its kappa_1(X) is at most
-        :data:`EIGENBASIS_KAPPA_MAX`, else keep H for :func:`_fun_by_expm`.
-        Non-finite entries raise ``ValueError``, since ``expm`` would return
-        NaN without an error."""
+    def from_dense(cls, h_mat, beta=1.0):
+        """Factor a dense H by the eigenbasis of ``np.linalg.eig`` when its
+        kappa_1(X) is at most :data:`EIGENBASIS_KAPPA_MAX`, else keep H for
+        :func:`_fun_by_expm`.  Non-finite entries raise ``ValueError``, since
+        ``expm`` would return NaN without an error."""
         h_mat = np.asarray(h_mat, dtype=float)
         if not np.isfinite(h_mat).all():
             raise ValueError("matrix entries must be finite")
-        if symmetric:
-            lam, q = np.linalg.eigh(h_mat)
-            return cls(lam=lam, q=q, beta=beta)
         try:
             lam, x = np.linalg.eig(h_mat)
             x_inv = np.linalg.inv(x)
@@ -264,16 +259,6 @@ class SpectralCache:
             if kappa <= EIGENBASIS_KAPPA_MAX:
                 return cls(lam=lam, q=x, q_inv=x_inv, beta=beta)
         return cls(h_mat=h_mat, beta=beta)
-
-    def apply_fun(self, kind: ScalarFunKind, scale: float, b):
-        """f(scale*H) @ b, for b of shape (m,) or (m, k)."""
-        b = np.asarray(b)
-        if self.h_mat is None:
-            fl = scalar_fun(kind, scale * self.lam)
-            out = self.q @ (fl * (self._q_inv @ b).T).T
-        else:
-            out = _fun_by_expm(scale * self.h_mat, kind) @ b
-        return out.real if not np.iscomplexobj(b) else out
 
     def fun_e1(self, kind: ScalarFunKind, scales):
         """f(scale*H) @ (beta e_1): shape (m,) for one scale, (S, m) for S scales."""

@@ -42,7 +42,6 @@ from trigkrylov.problems import (
 )
 from trigkrylov.smallfun import (
     ScalarFunKind,
-    SpectralCache,
     branch_coefficients,
     cos_sqrt,
     psi,
@@ -543,9 +542,10 @@ def test_criterion_8_substituted_properties(isotropic_cells):
         integ._repair_psi_action = orig
     if rep.repair_events < 1:
         failures.append(("no-repair-triggered",))
-    cache = SpectralCache.from_dense(mat, beta=1.0, symmetric=True)
     for w_vec, delta, x in events:
-        x_exact = 0.5 * delta * cache.apply_fun(ScalarFunKind.PSI, delta**2, w_vec)
+        # delta/2 psi(delta^2 A) w is y(delta)/delta of y'' = -A y + w from rest
+        rest = SecondOrderIVP(op, np.zeros(n), np.zeros(n), w_vec, delta)
+        x_exact = exact_ivp_solution(rest, delta)[0] / delta
         if np.linalg.norm(x - x_exact) > 2 * tol * np.linalg.norm(w_vec):
             failures.append(("repair-equivalence", delta))
     elapsed = time.perf_counter() - t0

@@ -138,6 +138,31 @@ def test_solve_matrix_t_zero_is_not_replaced(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _bad_input_args(case, tmp_path):
+    mtx = str(_write_spd_matrix(tmp_path))
+    regular = tmp_path / "file"
+    regular.write_text("")
+    return {
+        "missing-matrix": ["solve", "--matrix", str(tmp_path / "missing.mtx")],
+        "missing-vector": ["solve", "--matrix", mtx, "--u-file", str(tmp_path / "missing.bin")],
+        "out-below-a-file": ["solve", "--problem", "isotropic4", "--out", str(regular / "sub")],
+        "unknown-preset": ["bounds", "--problem", "nosuch7"],
+        "malformed-m": ["bounds", "--m", "2:x"],
+        "missing-config": ["bench", "--suite", "table2", "--config", str(tmp_path / "missing.cfg")],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["missing-matrix", "missing-vector", "out-below-a-file",
+                                  "unknown-preset", "malformed-m", "missing-config"])
+def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, case):
+    args = _bad_input_args(case, tmp_path)
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_solve_catches_solver_runtime_error(tmp_path, capsys, monkeypatch):
     def stagnate(ivp, cfg, solver):
         raise StepSearchStagnation("stagnation: residual not small even for tiny steps")

@@ -528,7 +528,7 @@ def test_gautschi_start_up_rounds_its_certified_step_to_divide_t_final(monkeypat
     # Both branches live, psi shortens sigma's step, and the step they
     # certify does not divide t_final: cycle 0 rounds it down to a whole
     # fraction of t_final and checks no residual outside its two runs.
-    ivp, _ = _repair_heavy_instance(np.random.default_rng(42))
+    ivp = _repair_heavy_instance(np.random.default_rng(42))
     grow, certified, stray = integ._grow_admissible, [], []
     inside = False
 
@@ -575,7 +575,7 @@ def _repair_heavy_instance(rng):
     u = q[:, :6] @ rng.standard_normal(6)
     v = q[:, :4] @ rng.standard_normal(4)
     g = q[:, -3:] @ rng.standard_normal(3) * 3.0
-    return SecondOrderIVP(op, u, v, g, 6.0), mat
+    return SecondOrderIVP(op, u, v, g, 6.0)
 
 
 def test_gautschi_repair_path_equivalence():
@@ -588,7 +588,7 @@ def test_gautschi_repair_path_equivalence():
         return x, steps
 
     rng = np.random.default_rng(42)
-    ivp, mat = _repair_heavy_instance(rng)
+    ivp = _repair_heavy_instance(rng)
     tol = 1e-8
     integ._repair_psi_action = spy
     try:
@@ -597,9 +597,10 @@ def test_gautschi_repair_path_equivalence():
         integ._repair_psi_action = orig
     assert report.repair_events >= 1
     assert report.repair_events == len(events)
-    cache = SpectralCache.from_dense(mat, beta=1.0, symmetric=True)
     for w, delta, x in events:
-        x_exact = 0.5 * delta * cache.apply_fun(ScalarFunKind.PSI, delta**2, w)
+        # delta/2 psi(delta^2 A) w is y(delta)/delta of y'' = -A y + w from rest
+        rest = SecondOrderIVP(ivp.op, np.zeros_like(w), np.zeros_like(w), w, delta)
+        x_exact = exact_ivp_solution(rest, delta)[0] / delta
         assert np.linalg.norm(x - x_exact) <= 2 * tol * np.linalg.norm(w)
     y_ref, _ = exact_ivp_solution(ivp, ivp.t_final)
     assert _rel_err(report.y, y_ref) <= 10 * tol
@@ -625,7 +626,7 @@ def _multi_cycle_ivp():
 @pytest.mark.parametrize("name, instance, cfg, matvecs", [
     *[pytest.param(name, _multi_cycle_ivp, SolverConfig(tol=1e-6, m_max=10), None, id=name)
       for name in ("rt-sim", "rt-seq", "gautschi", "first-order")],
-    pytest.param("gautschi", lambda: _repair_heavy_instance(np.random.default_rng(42))[0],
+    pytest.param("gautschi", lambda: _repair_heavy_instance(np.random.default_rng(42)),
                  SolverConfig(tol=1e-8, m_max=8), None, id="gautschi-bridged"),
     pytest.param("two-pass", _multi_cycle_ivp, SolverConfig(tol=1e-6, m_max=10), 159,
                  id="two-pass"),
@@ -875,7 +876,7 @@ def test_a_kept_rt_seq_psi_curve_outlives_the_later_cycles_of_its_solve(monkeypa
 def test_a_gautschi_step_curve_outlives_its_bridge(monkeypatch):
     # the bridge is a nested rt-seq solve, which shares the pool of the
     # Gautschi solve whose step curve it serves
-    ivp, _ = _repair_heavy_instance(np.random.default_rng(42))
+    ivp = _repair_heavy_instance(np.random.default_rng(42))
     cfg = SolverConfig(tol=1e-8, m_max=8)
     plain = gautschi(ivp, cfg)
     checked, repair = [], integ._repair_psi_action
