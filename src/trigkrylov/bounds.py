@@ -74,6 +74,7 @@ class BoundInput:
     ``regime`` selects which bounds are meaningful: "general" (phi bound),
     "spd" (positive definite, lam_min available) or "unit-interval"
     (spectrum in [0, 1] with unit starting norms, small-time bounds apply).
+    ``t`` must be finite and nonnegative.
     """
 
     m: int
@@ -90,8 +91,8 @@ class BoundInput:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
+        if not 0 <= self.t < math.inf:
+            raise ValueError("t must be finite and nonnegative")
         if self.regime not in ("general", "spd", "unit-interval"):
             raise ValueError(f"unknown regime {self.regime!r}")
 
@@ -155,10 +156,11 @@ def violates(measured: float, bound: float, *, h: float = 1.0, beta: float = 1.0
     A residual norm h * beta * |e_m^T f(.) e_1| cannot be evaluated below
     roughly eps * h * beta in double precision, while the small-time bounds
     decay superexponentially; comparisons below that floor carry no
-    information and are not counted as violations.
+    information and are not counted as violations.  A NaN residual or bound
+    (an overflowed evaluation) counts as a violation.
     """
     floor = 1e-13 * h * beta * max(1.0, t)
-    return measured > bound * (1.0 + 1e-9) + floor
+    return not measured <= bound * (1.0 + 1e-9) + floor
 
 
 def omega_hat_of(h_m: np.ndarray) -> float:

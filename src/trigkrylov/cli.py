@@ -22,7 +22,9 @@ import numpy as np
 
 from . import bounds as bnd
 from . import problems as pb
-from .integrators import SOLVERS, SecondOrderIVP, SolverConfig, solve as run_solver
+from .integrators import (
+    SOLVERS, ResidualLogEntry, SecondOrderIVP, SolverConfig, solve as run_solver,
+)
 from .krylov import ResidualCurve, krylov_build
 from .linop import DenseOperator, read_matrix_market
 from .smallfun import ScalarFunKind
@@ -97,11 +99,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _out_dir(path) -> Path:
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_solve(args) -> int:
     if (args.problem is None) == (args.matrix is None):
-        print("error: give exactly one problem source (--problem or --matrix)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("give exactly one problem source (--problem or --matrix)")
     if args.problem:
         ivp, reference = build_preset(args.problem, args.scale, args.t)
         label = args.problem
@@ -129,24 +142,17 @@ def cmd_solve(args) -> int:
     if args.reference == "auto":
         yref = reference(ivp)
         rel = repr(float(np.linalg.norm(report.y - yref) / np.linalg.norm(yref)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_vector(out / "y.bin", report.y)
     write_vector(out / "v.bin", report.v_out)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "problem", "n", "tol", "matvecs", "steps",
-                         "repair_events", "cpu_seconds", "rel_accuracy"])
-        writer.writerow([report.solver, label, ivp.op.dim, _fmt(args.tol),
-                         report.matvecs, report.steps, report.repair_events,
-                         "0" if args.no_timing else repr(cpu), rel])
-    with open(out / "residual_log.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "cycle", "m", "t_start", "t_end", "residual"])
-        for entry in report.residual_log:
-            writer.writerow([entry.phase, entry.cycle, entry.m,
-                             repr(entry.t_start), repr(entry.t_end),
-                             repr(entry.residual)])
+    _write_csv(out / "summary.csv",
+               ["solver", "problem", "n", "tol", "matvecs", "steps",
+                "repair_events", "cpu_seconds", "rel_accuracy"],
+               [[report.solver, label, ivp.op.dim, _fmt(args.tol), report.matvecs,
+                 report.steps, report.repair_events,
+                 "0" if args.no_timing else repr(cpu), rel]])
+    _write_csv(out / "residual_log.csv", ResidualLogEntry._fields,
+               [[_fmt(x) for x in entry] for entry in report.residual_log])
     print(f"{report.solver}, matvecs={report.matvecs}, cpu_seconds={cpu:.3f}, "
           f"rel_accuracy={rel if rel else 'n/a'}")
     return 0
@@ -169,56 +175,33 @@ _SUITES = {
 }
 
 
-def _bench_cell(ivp, yref, suite, family, grid, t_final, solver, tol,
-                tol_used, mmax, no_timing):
-    t0 = time.perf_counter()
-    report = run_solver(ivp, SolverConfig(tol=tol_used, m_max=mmax), solver)
-    cpu = 0.0 if no_timing else time.perf_counter() - t0
-    rel = float(np.linalg.norm(report.y - yref) / np.linalg.norm(yref))
-    return [suite, f"{family}{grid}", grid, _fmt(t_final), solver, _fmt(tol),
-            _fmt(tol_used), report.matvecs, report.steps, report.repair_events,
-            repr(rel), repr(cpu)]
-
-
 def cmd_bench(args) -> int:
-    suite = _SUITES[args.suite]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{args.suite.replace('-', '_')}.csv"
     start = time.perf_counter()
-
-    def over_budget():
-        return (args.max_seconds is not None
-                and time.perf_counter() - start > args.max_seconds)
-
-    rows = []
-    truncated = False
-    family = suite["family"]
-    for grid in suite["grids"]:
-        if truncated:
+    suite = _SUITES[args.suite]
+    family, t_final = suite["family"], suite["t"]
+    path = _out_dir(args.out) / f"{args.suite.replace('-', '_')}.csv"
+    cells = [(_scaled(grid, args.scale), tol, solver) for grid in suite["grids"]
+             for tol in suite["tols"] for solver in suite["solvers"]]
+    rows, built = [], None
+    for grid, tol, solver in cells:
+        # a cell that would start after the wall budget is spent is skipped
+        if args.max_seconds is not None and time.perf_counter() - start > args.max_seconds:
             break
-        eff_grid = _scaled(grid, args.scale)
-        build, reference = pb.preset(family, eff_grid, suite["t"])
-        ivp = build()
-        yref = reference(ivp)
-        cells = [
-            (solver, tol, pb.tol_used(family, solver, tol))
-            for tol in suite["tols"] for solver in suite["solvers"]
-        ]
-        for solver, tol, tol_used in cells:
-            # a cell that would start after the wall budget is spent is skipped
-            if over_budget():
-                truncated = True
-                break
-            rows.append(_bench_cell(ivp, yref, args.suite, family,
-                                    eff_grid, suite["t"], solver, tol, tol_used,
-                                    args.mmax, args.no_timing))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_HEADER)
-        writer.writerows(rows)
-        if truncated:
-            writer.writerow(["TRUNCATED"] + [""] * (len(BENCH_HEADER) - 1))
+        if grid != built:
+            build, reference = pb.preset(family, grid, t_final)
+            ivp, built = build(), grid
+            yref = reference(ivp)
+        tol_used = pb.tol_used(family, solver, tol)
+        t0 = time.perf_counter()
+        report = run_solver(ivp, SolverConfig(tol=tol_used, m_max=args.mmax), solver)
+        cpu = 0.0 if args.no_timing else time.perf_counter() - t0
+        rel = float(np.linalg.norm(report.y - yref) / np.linalg.norm(yref))
+        rows.append([args.suite, f"{family}{grid}", grid, _fmt(t_final), solver,
+                     _fmt(tol), _fmt(tol_used), report.matvecs, report.steps,
+                     report.repair_events, repr(rel), repr(cpu)])
+    truncated = len(rows) < len(cells)
+    marker = [["TRUNCATED"] + [""] * (len(BENCH_HEADER) - 1)] if truncated else []
+    _write_csv(path, BENCH_HEADER, rows + marker)
     print(f"wrote {path} ({len(rows)} cells{', truncated' if truncated else ''})")
     return 0
 
@@ -229,6 +212,8 @@ def _bounds_rows(args):
     ms = _parse_int_list(args.m)
     ts = _parse_float_list(args.t_values)
     if args.problem == "synthetic":
+        if args.n < 1:
+            raise ValueError("--n must be at least 1")
         lam = np.sort(rng.uniform(0.0, 1.0, args.n))
         lam[0], lam[-1] = 0.0, 1.0
         op = DenseOperator(np.diag(lam), is_symmetric=True)
@@ -254,44 +239,29 @@ def _bounds_rows(args):
             bi = bnd.bound_input_from_decompositions(d_psi, d_sigma, t, regime)
             res_psi = c_psi.value(t)
             res_sigma = c_sigma.value(t)
+            res = res_psi + res_sigma
             h_beta = max(bi.h_psi * bi.beta_psi, bi.h_sigma * bi.beta_sigma, 1e-300)
-            p22 = bnd.bound_prop22(bi)
-            row = [label, m, _fmt(t), repr(res_psi), repr(res_sigma),
-                   repr(res_psi + res_sigma), repr(p22)]
-            violation = bnd.violates(res_psi + res_sigma, p22, h=h_beta, t=t)
+            # (bound, residual, h, beta) of each applicable bound, in the
+            # order of the five bound columns: always a prefix of them
+            checks = [(bnd.bound_prop22(bi), res, h_beta, 1.0)]
             if regime in ("spd", "unit-interval"):
-                simple, tight = bnd.bound_prop23(bi)
-                row += [repr(simple), repr(tight)]
-                violation = violation or bnd.violates(
-                    res_psi + res_sigma, simple, h=h_beta, t=t)
-                violation = violation or bnd.violates(
-                    res_psi + res_sigma, tight, h=h_beta, t=t)
-            else:
-                row += ["n/a", "n/a"]
+                checks += [(b, res, h_beta, 1.0) for b in bnd.bound_prop23(bi)]
             if regime == "unit-interval" and m >= 2 and t <= 1.0:
-                p3, p4 = bnd.bound_p3(m, t), bnd.bound_p4(m, t)
-                row += [repr(p3), repr(p4)]
-                violation = violation or bnd.violates(
-                    res_sigma, p3, h=bi.h_sigma, beta=bi.beta_sigma, t=t)
-                violation = violation or bnd.violates(
-                    res_psi, p4, h=bi.h_psi, beta=bi.beta_psi, t=t)
-            else:
-                row += ["n/a", "n/a"]
-            row.append(int(violation))
-            rows.append(row)
+                checks += [(bnd.bound_p3(m, t), res_sigma, bi.h_sigma, bi.beta_sigma),
+                           (bnd.bound_p4(m, t), res_psi, bi.h_psi, bi.beta_psi)]
+            violation = any(bnd.violates(r, b, h=h, beta=beta, t=t)
+                            for b, r, h, beta in checks)
+            rows.append([label, m, _fmt(t), repr(res_psi), repr(res_sigma), repr(res)]
+                        + [repr(c[0]) for c in checks] + ["n/a"] * (5 - len(checks))
+                        + [int(violation)])
     return rows
 
 
 def cmd_bounds(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "bounds.csv"
+    path = _out_dir(args.out) / "bounds.csv"
     rows = _bounds_rows(args)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BOUNDS_HEADER)
-        writer.writerows(rows)
-    n_viol = sum(int(r[-1]) for r in rows)
+    _write_csv(path, BOUNDS_HEADER, rows)
+    n_viol = sum(r[-1] for r in rows)
     print(f"wrote {path} ({len(rows)} rows, {n_viol} violations)")
     return 0
 
@@ -381,7 +351,7 @@ def _config_flags(sub_parser: argparse.ArgumentParser, path) -> list[str]:
     for key, val in load_config_file(path).items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
-            raise SystemExit(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         flag = action.option_strings[-1]
         if action.nargs == 0:
             if val.lower() in ("1", "true", "yes"):
@@ -393,7 +363,9 @@ def _config_flags(sub_parser: argparse.ArgumentParser, path) -> list[str]:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Bad outside input (a missing or unreadable file,
-    a malformed value) prints one ``error:`` line and returns 2; a solver
+    a malformed or out-of-range value, an unknown config key) raises
+    ``ValueError`` or ``OSError`` in the subcommand, and this is the one
+    place that prints it as one ``error:`` line and returns 2; a solver
     failure in ``solve`` returns 1."""
     parser, subcommands = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)

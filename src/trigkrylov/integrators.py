@@ -116,15 +116,16 @@ class SolverConfig:
     then they take the full dimension, n per branch and 2n for the block,
     at most (2n)^2 entries), Gautschi's start-up runs take
     ``GAUTSCHI_ALPHA`` of it (or n when n <= ``m_max``), and two-pass
-    Lanczos stops after 200 * m_max iterations.
+    Lanczos stops after 200 * m_max iterations.  ``tol`` must be positive
+    and finite: an infinite tolerance admits any step.
     """
 
     tol: float
     m_max: int = 30
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.m_max < 2:
             raise ValueError("m_max must be at least 2")
 

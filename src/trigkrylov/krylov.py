@@ -433,7 +433,7 @@ def find_largest_admissible_step(curve, t: float, tol: float) -> float:
         vals = curve.values(dt * np.arange(j, j_hi + 1))
         bad = np.nonzero(~(vals <= tol))[0]
         if bad.size:
-            return (j + bad[0] - 1) * dt
+            return float((j + bad[0] - 1) * dt)
         j = j_hi + 1
     return t
 

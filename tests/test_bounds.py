@@ -154,6 +154,12 @@ def test_bound_small_time_premises():
         bound_p4(3, 1.5)
 
 
+def test_bound_input_rejects_a_bad_time():
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            BoundInput(m=3, t=t)
+
+
 def test_bound_prop22_trivial():
     bi = BoundInput(m=3, t=0.0, h_psi=1.0, beta_psi=2.0, h_sigma=0.5,
                     beta_sigma=1.0, omega_hat=-1.0)
@@ -242,3 +248,6 @@ def test_violates_roundoff_floor():
     # noise-level measurement against a subnormal bound is not a violation
     assert not violates(1e-17, 1e-25, h=0.3, beta=1.0, t=0.25)
     assert violates(1e-3, 1e-6, h=0.3, beta=1.0, t=0.25)
+    # an overflowed (NaN) residual or bound is a violation
+    assert violates(math.nan, 1.0)
+    assert violates(1e-3, math.nan)

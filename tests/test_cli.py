@@ -104,11 +104,6 @@ def test_solve_two_pass_on_transport_fails(tmp_path, capsys):
     assert "operator not symmetric" in capsys.readouterr().err
 
 
-def test_solve_requires_one_source(tmp_path, capsys):
-    rc = main(["solve", "--out", str(tmp_path)])
-    assert rc == 2
-
-
 @pytest.mark.parametrize("t_final", ["0", "inf", "nan"])
 def test_solve_t_zero_exits_2(tmp_path, capsys, t_final):
     rc = main(["solve", "--problem", "isotropic10", "--t", t_final,
@@ -142,7 +137,14 @@ def _bad_input_args(case, tmp_path):
     mtx = str(_write_spd_matrix(tmp_path))
     regular = tmp_path / "file"
     regular.write_text("")
+    bogus_cfg = tmp_path / "bogus.cfg"
+    bogus_cfg.write_text("bogus = 1\n")
     return {
+        "no-source": ["solve"],
+        "unknown-config-key": ["solve", "--config", str(bogus_cfg), "--problem", "isotropic4"],
+        "synthetic-n-0": ["bounds", "--n", "0"],
+        "nan-time": ["bounds", "--t-values", "0.5,nan"],
+        "inf-tol": ["solve", "--problem", "isotropic6", "--tol", "inf"],
         "missing-matrix": ["solve", "--matrix", str(tmp_path / "missing.mtx")],
         "missing-vector": ["solve", "--matrix", mtx, "--u-file", str(tmp_path / "missing.bin")],
         "out-below-a-file": ["solve", "--problem", "isotropic4", "--out", str(regular / "sub")],
@@ -153,7 +155,9 @@ def _bad_input_args(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing-matrix", "missing-vector", "out-below-a-file",
-                                  "unknown-preset", "malformed-m", "missing-config"])
+                                  "unknown-preset", "malformed-m", "missing-config",
+                                  "no-source", "unknown-config-key", "synthetic-n-0",
+                                  "nan-time", "inf-tol"])
 def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, case):
     args = _bad_input_args(case, tmp_path)
     if "--out" not in args:
@@ -161,6 +165,21 @@ def test_bad_outside_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_solve_writes_plain_floats(tmp_path):
+    # the step search's numpy scalars must not reach the log as "np.float64(...)"
+    assert main(["solve", "--problem", "transport128", "--solver", "rt-sim",
+                 "--no-timing", "--out", str(tmp_path)]) == 0
+    rows = _rows(tmp_path / "residual_log.csv")
+    assert rows
+    for row in rows:
+        for key in ("t_start", "t_end", "residual"):
+            float(row[key])
+    ivp, _ = build_preset("transport128")
+    report = integrators.solve(ivp, integrators.SolverConfig(tol=1e-6), "rt-sim")
+    assert report.step_sizes
+    assert all(type(s) is float for s in report.step_sizes)
 
 
 def test_solve_catches_solver_runtime_error(tmp_path, capsys, monkeypatch):
@@ -332,6 +351,17 @@ def test_bounds_csv_zero_violations(tmp_path):
         assert float(row["bound_p22"]) == 0.0
 
 
+def test_bounds_overflowed_residuals_count_as_violations(tmp_path, capsys):
+    # t^2 overflows, so the residuals are NaN: each such row is a violation
+    assert main(["bounds", "--m", "2,3", "--t-values", "1e300",
+                 "--out", str(tmp_path)]) == 0
+    rows = _rows(tmp_path / "bounds.csv")
+    assert len(rows) == 2
+    assert all(row["res_total"] == "nan" for row in rows)
+    assert all(row["violation"] == "1" for row in rows)
+    assert "2 rows, 2 violations" in capsys.readouterr().out
+
+
 def test_bounds_wave_preset(tmp_path):
     assert main(["bounds", "--problem", "isotropic6", "--m", "3,6",
                  "--t-values", "0.5,1", "--out", str(tmp_path)]) == 0
@@ -379,14 +409,6 @@ def test_config_file_defaults_and_override(tmp_path):
     rows = _rows(tmp_path / "o" / "summary.csv")
     assert rows[0]["solver"] == "gautschi"
     assert float(rows[0]["tol"]) == 1e-3  # flag overrides file
-
-
-def test_config_unknown_key(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 1\n")
-    with pytest.raises(SystemExit):
-        main(["solve", "--config", str(cfg), "--problem", "isotropic10",
-              "--out", str(tmp_path)])
 
 
 def test_config_value_is_converted_by_its_flag(tmp_path):

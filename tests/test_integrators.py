@@ -53,6 +53,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
+        SolverConfig(tol=math.inf)
+    with pytest.raises(ValueError):
         SolverConfig(tol=1e-6, m_max=1)
 
 
