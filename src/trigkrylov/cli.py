@@ -12,6 +12,7 @@ time column with --no-timing for byte-level comparisons).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import re
 import sys
@@ -78,6 +79,8 @@ def load_config_file(path) -> dict:
 
 
 def _scaled(grid: int, scale: float) -> int:
+    if not grid * scale <= np.iinfo(np.intp).max:
+        raise ValueError(f"--scale {scale!r} is too large for a grid of {grid} points per side")
     return max(4, int(grid * scale))
 
 
@@ -112,9 +115,14 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _rel_err(y, yref) -> float:
+    """||y - yref|| / ||yref||, and 0.0 where y equals yref (a zero
+    reference too, which would otherwise give 0/0)."""
+    diff = np.linalg.norm(y - yref)
+    return 0.0 if diff == 0.0 else float(diff / np.linalg.norm(yref))
+
+
 def cmd_solve(args) -> int:
-    if (args.problem is None) == (args.matrix is None):
-        raise ValueError("give exactly one problem source (--problem or --matrix)")
     if args.problem:
         ivp, reference = build_preset(args.problem, args.scale, args.t)
         label = args.problem
@@ -138,10 +146,7 @@ def cmd_solve(args) -> int:
         return 1
     cpu = time.perf_counter() - t0
 
-    rel = ""
-    if args.reference == "auto":
-        yref = reference(ivp)
-        rel = repr(float(np.linalg.norm(report.y - yref) / np.linalg.norm(yref)))
+    rel = repr(_rel_err(report.y, reference(ivp))) if args.reference == "auto" else ""
     out = _out_dir(args.out)
     write_vector(out / "y.bin", report.y)
     write_vector(out / "v.bin", report.v_out)
@@ -195,7 +200,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         report = run_solver(ivp, SolverConfig(tol=tol_used, m_max=args.mmax), solver)
         cpu = 0.0 if args.no_timing else time.perf_counter() - t0
-        rel = float(np.linalg.norm(report.y - yref) / np.linalg.norm(yref))
+        rel = _rel_err(report.y, yref)
         rows.append([args.suite, f"{family}{grid}", grid, _fmt(t_final), solver,
                      _fmt(tol), _fmt(tol_used), report.matvecs, report.steps,
                      report.repair_events, repr(rel), repr(cpu)])
@@ -209,11 +214,7 @@ def cmd_bench(args) -> int:
 def _bounds_rows(args):
     rng = np.random.default_rng(args.seed)
     rows = []
-    ms = _parse_int_list(args.m)
-    ts = _parse_float_list(args.t_values)
     if args.problem == "synthetic":
-        if args.n < 1:
-            raise ValueError("--n must be at least 1")
         lam = np.sort(rng.uniform(0.0, 1.0, args.n))
         lam[0], lam[-1] = 0.0, 1.0
         op = DenseOperator(np.diag(lam), is_symmetric=True)
@@ -230,12 +231,12 @@ def _bounds_rows(args):
         w_sigma = ivp.v
         regime = "spd" if op.is_symmetric else "general"
         label = args.problem
-    for m in ms:
+    for m in args.m:
         d_psi = krylov_build(op, w_psi, m)
         d_sigma = krylov_build(op, w_sigma, m)
         c_psi = ResidualCurve(d_psi, ScalarFunKind.PSI)
         c_sigma = ResidualCurve(d_sigma, ScalarFunKind.SIGMA)
-        for t in ts:
+        for t in args.t_values:
             bi = bnd.bound_input_from_decompositions(d_psi, d_sigma, t, regime)
             res_psi = c_psi.value(t)
             res_sigma = c_sigma.value(t)
@@ -266,21 +267,47 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> list[int]:
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every error (a bad type or choice, an unknown
+    or missing flag) raises ``ValueError``, which :func:`main` reports as it
+    reports any bad outside input, in place of argparse's usage text and
+    exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _flag_type(what: str, convert, ok=lambda value: True):
+    """An argparse ``type``: ``convert(text)`` where it converts and ``ok``
+    holds for the result; any other text is an error that names ``what``
+    the flag takes."""
+    def parse(text):
+        with contextlib.suppress(ValueError):
+            if ok(value := convert(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+def _int_range_or_list(text: str):
     if ":" in text:
         lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return [int(x) for x in text.split(",")]
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+_POSITIVE = _flag_type("a positive finite number", float, lambda x: 0 < x < np.inf)
+_NONNEGATIVE = _flag_type("a nonnegative finite number", float, lambda x: 0 <= x < np.inf)
+_POSITIVE_INT = _flag_type("a positive int", int, lambda k: k >= 1)
+_POSITIVE_INTS = _flag_type("a nonempty range or list of positive ints", _int_range_or_list,
+                            lambda ms: len(ms) > 0 and min(ms) >= 1)
+_FLOATS = _flag_type("comma-separated numbers", lambda s: [float(x) for x in s.split(",")])
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="grid scale factor, n -> max(4, floor(n*scale))")
+    p.add_argument("--scale", type=_POSITIVE, default=1.0,
+                   help="positive grid scale factor, n -> max(4, floor(n*scale))")
     p.add_argument("--out", default="out", help="output directory")
 
 
@@ -293,7 +320,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The command-line parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trigkrylov",
         description="Krylov solvers for y'' = -A y + g via trigonometric "
                     "matrix functions",
@@ -301,9 +328,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one problem")
-    p_solve.add_argument("--problem", help="preset name, e.g. isotropic10, "
-                         "anisotropic20-t10, transport512")
-    p_solve.add_argument("--matrix", help="Matrix Market file")
+    source = p_solve.add_mutually_exclusive_group(required=True)
+    source.add_argument("--problem", help="preset name, e.g. isotropic10, "
+                        "anisotropic20-t10, transport512")
+    source.add_argument("--matrix", help="Matrix Market file")
     p_solve.add_argument("--u-file", help="initial position vector dump")
     p_solve.add_argument("--v-file", help="initial velocity vector dump")
     p_solve.add_argument("--g-file", help="constant forcing vector dump")
@@ -317,7 +345,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite")
     p_bench.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p_bench.add_argument("--max-seconds", type=float, default=None,
+    p_bench.add_argument("--max-seconds", type=_NONNEGATIVE, default=None,
                          help="wall budget; remaining cells are truncated")
     _add_solver_flags(p_bench)
     _add_common(p_bench)
@@ -326,10 +354,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_bounds = sub.add_parser("bounds", help="residual bounds vs measured curves")
     p_bounds.add_argument("--problem", default="synthetic",
                           help="'synthetic' or a preset name")
-    p_bounds.add_argument("--n", type=int, default=60,
+    p_bounds.add_argument("--n", type=_POSITIVE_INT, default=60,
                           help="synthetic spectrum size")
-    p_bounds.add_argument("--m", default="2:8", help="Krylov steps, e.g. 2:8 or 3,8")
-    p_bounds.add_argument("--t-values", default="0.25,0.5,1",
+    p_bounds.add_argument("--m", type=_POSITIVE_INTS, default="2:8",
+                          help="Krylov steps, e.g. 2:8 or 3,8")
+    p_bounds.add_argument("--t-values", type=_FLOATS, default="0.25,0.5,1",
                           help="comma-separated times")
     p_bounds.add_argument("--seed", type=int, default=0,
                           help="random seed of the synthetic problem")
@@ -362,19 +391,19 @@ def _config_flags(sub_parser: argparse.ArgumentParser, path) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Bad outside input (a missing or unreadable file,
-    a malformed or out-of-range value, an unknown config key) raises
-    ``ValueError`` or ``OSError`` in the subcommand, and this is the one
-    place that prints it as one ``error:`` line and returns 2; a solver
-    failure in ``solve`` returns 1."""
+    """Run one subcommand.  Bad outside input (a flag argparse rejects, a
+    missing or unreadable file, a malformed or out-of-range value, an
+    unknown config key) raises ``ValueError`` or ``OSError``, and this is
+    the one place that prints it as one ``error:`` line and returns 2; a
+    solver failure in ``solve`` returns 1."""
     parser, subcommands = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # --config is read before the full parse, so that the file can also
     # supply a flag its subcommand requires
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(add_help=False)
     pre.add_argument("--config")
-    config = pre.parse_known_args(argv[1:])[0].config
     try:
+        config = pre.parse_known_args(argv[1:])[0].config
         if config and argv[0] in subcommands:
             argv = argv[:1] + _config_flags(subcommands[argv[0]], config) + argv[1:]
         args = parser.parse_args(argv)

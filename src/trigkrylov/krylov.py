@@ -189,13 +189,18 @@ class KrylovProcess:
             raise RuntimeError("cannot extend after breakdown")
         if self.m >= self.m_max:
             raise RuntimeError(f"step cap m_max = {self.m_max} reached")
-        if self.mode == "arnoldi":
-            self._step_arnoldi()
-        else:
-            self._step_lanczos()
+        w, h_next = self._step_arnoldi() if self.mode == "arnoldi" else self._step_lanczos()
         self.m += 1
-        if self.breakdown:
-            self._newest()[:] = 0.0  # V's last column is zero after breakdown
+        if h_next <= self._breakdown_tol():
+            self.h_next, self.breakdown = 0.0, True
+            if self.mode == "arnoldi":
+                self._h[self.m, self.m - 1] = 0.0
+            else:
+                self.offdiags[-1] = 0.0
+            w[:] = 0.0  # V's last column is zero after breakdown
+        else:
+            self.h_next = h_next
+            w /= h_next
 
     def _newest(self) -> np.ndarray:
         return self._store[self.m % len(self._store)]
@@ -232,13 +237,7 @@ class KrylovProcess:
         h_next = float(np.linalg.norm(v_new))
         col[m + 1] = h_next
         self._norm_est = max(self._norm_est, float(np.linalg.norm(col)))
-        self.h_next = h_next
-        if h_next <= self._breakdown_tol():
-            self.h_next = 0.0
-            col[m + 1] = 0.0
-            self.breakdown = True
-        else:
-            v_new /= h_next
+        return v_new, h_next
 
     def _step_lanczos(self):
         m, store = self.m, self._store
@@ -261,13 +260,7 @@ class KrylovProcess:
             self._norm_est,
             abs(alpha) + h_next + (self.offdiags[-2] if m > 0 else 0.0),
         )
-        self.h_next = h_next
-        if h_next <= self._breakdown_tol():
-            self.h_next = 0.0
-            self.offdiags[-1] = 0.0
-            self.breakdown = True
-        else:
-            w /= h_next
+        return w, h_next
 
     def snapshot(self) -> "KrylovDecomposition":
         return KrylovDecomposition(self)

@@ -128,12 +128,15 @@ class SparseCSR(LinearOperator):
 
 
 def read_matrix_market(path) -> SparseCSR:
-    """Read a Matrix Market coordinate file (real, general or symmetric)."""
+    """Read a Matrix Market coordinate file (real, general or symmetric)
+    with finite entries."""
     info = scipy.io.mminfo(path)
     if info[4] not in ("real", "integer", "pattern"):
         raise ValueError(f"unsupported Matrix Market field: {info[4]}")
-    mat = scipy.io.mmread(path)
-    return SparseCSR(mat.tocsr(), is_symmetric=(info[5] == "symmetric"))
+    mat = scipy.io.mmread(path).tocsr()
+    if not np.isfinite(mat.data).all():
+        raise ValueError(f"{path}: matrix entries must be finite")
+    return SparseCSR(mat, is_symmetric=(info[5] == "symmetric"))
 
 
 def dirichlet_laplacian_1d(n: int) -> np.ndarray:

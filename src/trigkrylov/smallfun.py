@@ -143,7 +143,9 @@ def phi(z):
         # expm1, also for complex z: exp(z) - 1 loses log10(1/|z|) digits
         direct = np.expm1(zsafe) / zsafe
         if big.any():
-            direct[big] = np.exp(zw[big] - np.log(zw[big]))
+            zb = zw[big]
+            # at Re z = inf, log z is below the last bit of z, and inf - inf is NaN
+            direct[big] = np.exp(np.subtract(zb, np.log(zb), out=zb, where=np.isfinite(zb.real)))
     return _finish(np.where(zero, 1.0, direct), scalar, real_input)
 
 

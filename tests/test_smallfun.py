@@ -137,6 +137,15 @@ def test_phi_complex_overflow_has_no_nan(z):
         assert value.imag == 0.0 if z.imag == 0 else np.isinf(value.imag)
 
 
+def test_phi_of_infinity_is_infinity():
+    # exp(z - log z) at z = inf would be exp(inf - inf) = NaN; mpmath's
+    # (exp(z) - 1)/z is inf/inf there, so the reference is the limit itself
+    with np.errstate(all="raise"):
+        assert phi(np.inf) == np.inf
+        value = phi(np.array([np.inf + 0j]))[0]
+    assert value.real == np.inf and value.imag == 0.0
+
+
 def test_phi_keeps_the_bits_of_its_finite_values():
     # phi without its overflow branch: expm1(z)/z, and 1 at z = 0
     def expm1_formula(z):

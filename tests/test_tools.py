@@ -31,10 +31,58 @@ def load_tool(monkeypatch):
 @pytest.mark.parametrize("cell", [_CELL, "transport/128/1e-06/rt-seq"])
 def test_cell_digest_prints_the_golden_matvecs(load_tool, capsys, cell):
     assert load_tool("cell_digest").main([cell]) == 0
-    head, sizes = capsys.readouterr().out.splitlines()
+    head, sizes, decisions = capsys.readouterr().out.splitlines()
     assert head.startswith(f"{cell}: ") and sizes.startswith("  step sizes: ")
     golden = json.loads((_ROOT / "tests" / "golden_cells.json").read_text())[cell]
     assert int(re.search(r"matvecs (\d+)", head).group(1)) == golden["matvecs"]
+    assert len(sizes.split()) == 2 + golden["steps"]
+    rel = float(re.fullmatch(r"  rel_err (\S+) phases [0-9a-f]{40}", decisions).group(1))
+    assert rel == pytest.approx(golden["rel_err"], rel=1e-6)
+
+
+def test_cell_digest_hashes_the_phase_sequence_of_the_log(load_tool, capsys):
+    tool = load_tool("cell_digest")
+    assert tool.main([_CELL]) == 0
+    decisions = capsys.readouterr().out.splitlines()[2]
+    family, grid, tol, solver = _CELL.split("/")
+    factory, _ = tool.pb.preset(family, int(grid))
+    rep = tool.solve(factory(), tool.SolverConfig(tol=float(tol)), solver)
+    phases = repr([(e.phase, e.m) for e in rep.residual_log])
+    assert decisions.endswith(f" phases {tool._sha1(phases.encode())}")
+
+
+_HEAD = "c: matvecs 46 steps 1 repairs 0 y aa v_out bb log cc"
+_DIGEST = [_HEAD, "  step sizes: 0x1.0p+0", "  rel_err 1e-06 phases dd"]
+
+
+@pytest.mark.parametrize("change,word", [
+    (_DIGEST, "bits"),
+    # round-off in y and the log only, rel_err 0.5% off
+    ([_HEAD.replace("y aa", "y ee"), _DIGEST[1], "  rel_err 1.005e-06 phases dd"],
+     "decisions"),
+    ([_HEAD, _DIGEST[1], "  rel_err 1.02e-06 phases dd"], "moved: rel_err"),
+    ([_HEAD.replace("matvecs 46", "matvecs 47"), "  step sizes: 0x1.1p+0",
+      "  rel_err 1e-06 phases ff"], "moved: matvecs, step sizes, phases"),
+])
+def test_cell_digest_compare_prints_one_verdict_per_cell(load_tool, capsys, tmp_path,
+                                                         change, word):
+    parent_file, change_file = tmp_path / "parent.txt", tmp_path / "change.txt"
+    parent_file.write_text("\n".join(_DIGEST) + "\n")
+    change_file.write_text("\n".join(change) + "\n")
+    status = load_tool("cell_digest").main(["--compare", str(parent_file), str(change_file)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"c: {word}"
+    assert status == (1 if word.startswith("moved") else 0)
+
+
+def test_cell_digest_compare_flags_a_missing_cell(load_tool, capsys, tmp_path):
+    parent_file, change_file = tmp_path / "parent.txt", tmp_path / "change.txt"
+    parent_file.write_text("\n".join(_DIGEST + [line.replace("c:", "d:") for line in _DIGEST]))
+    change_file.write_text("\n".join(_DIGEST))
+    assert load_tool("cell_digest").main(["--compare", str(parent_file), str(change_file)]) == 1
+    out = capsys.readouterr().out
+    assert "c: bits\nd: missing in change\n" in out
+    assert "2 cells: 1 bits, 0 decisions, 0 moved, 1 missing" in out
 
 
 def test_ulp_spread_prints_one_line_per_cell(load_tool, capsys, monkeypatch):
