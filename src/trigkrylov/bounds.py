@@ -105,6 +105,16 @@ def bound_prop22(bi: BoundInput) -> float:
     return bi.t * growth * (bi.h_psi * bi.beta_psi + bi.h_sigma * bi.beta_sigma)
 
 
+def _live_lam_min(h_beta: float, lam_min: float | None, name: str) -> float:
+    """``lam_min`` of a live term (``h_beta != 0``), which must be positive;
+    inf for a dead term, whose bound terms are then 0."""
+    if h_beta == 0.0:
+        return math.inf
+    if not (lam_min and lam_min > 0):
+        raise ValueError(f"positive lam_min_{name} required")
+    return lam_min
+
+
 def bound_prop23(bi: BoundInput):
     """SPD residual bounds; returns (simple, tight).
 
@@ -113,16 +123,14 @@ def bound_prop23(bi: BoundInput):
            + h_sigma beta_sigma min(t, 1/sqrt(lam_min_sigma))
 
     The tight form saturates for large t: the residual cannot grow without
-    bound for positive definite operators.
+    bound for positive definite operators.  A branch's lam_min is read only
+    where its term is live (h beta != 0), and must then be positive; a
+    broken-down branch's term is 0 whatever its Ritz value.
     """
     if bi.regime not in ("spd", "unit-interval"):
         raise ValueError("SPD bounds need an SPD regime flag")
-    if bi.h_psi * bi.beta_psi != 0.0 and not (bi.lam_min_psi and bi.lam_min_psi > 0):
-        raise ValueError("positive lam_min_psi required")
-    if bi.h_sigma * bi.beta_sigma != 0.0 and not (bi.lam_min_sigma and bi.lam_min_sigma > 0):
-        raise ValueError("positive lam_min_sigma required")
-    lam_psi = bi.lam_min_psi if bi.lam_min_psi else np.inf
-    lam_sigma = bi.lam_min_sigma if bi.lam_min_sigma else np.inf
+    lam_psi = _live_lam_min(bi.h_psi * bi.beta_psi, bi.lam_min_psi, "psi")
+    lam_sigma = _live_lam_min(bi.h_sigma * bi.beta_sigma, bi.lam_min_sigma, "sigma")
     simple = (bi.h_psi * bi.beta_psi / lam_psi + bi.h_sigma * bi.beta_sigma) * bi.t
     tight = bi.h_psi * bi.beta_psi * min(
         bi.t * bi.t / 2.0, bi.t / lam_psi, 2.0 / lam_psi

@@ -299,6 +299,8 @@ def _int_range_or_list(text: str):
 _POSITIVE = _flag_type("a positive finite number", float, lambda x: 0 < x < np.inf)
 _NONNEGATIVE = _flag_type("a nonnegative finite number", float, lambda x: 0 <= x < np.inf)
 _POSITIVE_INT = _flag_type("a positive int", int, lambda k: k >= 1)
+_NONNEGATIVE_INT = _flag_type("a nonnegative int", int, lambda k: k >= 0)
+_KRYLOV_CAP = _flag_type("an int of at least 2", int, lambda k: k >= 2)
 _POSITIVE_INTS = _flag_type("a nonempty range or list of positive ints", _int_range_or_list,
                             lambda ms: len(ms) > 0 and min(ms) >= 1)
 _FLOATS = _flag_type("comma-separated numbers", lambda s: [float(x) for x in s.split(",")])
@@ -313,7 +315,7 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     """The flags of the subcommands that run solvers."""
-    p.add_argument("--mmax", type=int, default=30, help="max Krylov dimension")
+    p.add_argument("--mmax", type=_KRYLOV_CAP, default=30, help="max Krylov dimension")
     p.add_argument("--no-timing", action="store_true",
                    help="write 0 for cpu_seconds (byte-reproducible CSV)")
 
@@ -360,7 +362,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                           help="Krylov steps, e.g. 2:8 or 3,8")
     p_bounds.add_argument("--t-values", type=_FLOATS, default="0.25,0.5,1",
                           help="comma-separated times")
-    p_bounds.add_argument("--seed", type=int, default=0,
+    p_bounds.add_argument("--seed", type=_NONNEGATIVE_INT, default=0,
                           help="random seed of the synthetic problem")
     _add_common(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)

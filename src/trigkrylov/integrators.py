@@ -22,19 +22,19 @@ sum meets the combined budget tol * (||g - A y|| + ||v||).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import BlockFirstOrderOperator, LinearOperator
+from .linop import CHUNK, BlockFirstOrderOperator, LinearOperator, add_scaled
 from .smallfun import ScalarFunKind, branch_coefficients
 from .krylov import (
     COARSE_FRACTIONS,
     CombinedResidualCurve,
     KrylovProcess,
     ResidualCurve,
-    chunks,
     coarse_residual_check,
     confirm_admissible,
     find_largest_admissible_step,
@@ -116,8 +116,9 @@ class SolverConfig:
     then they take the full dimension, n per branch and 2n for the block,
     at most (2n)^2 entries), Gautschi's start-up runs take
     ``GAUTSCHI_ALPHA`` of it (or n when n <= ``m_max``), and two-pass
-    Lanczos stops after 200 * m_max iterations.  ``tol`` must be positive
-    and finite: an infinite tolerance admits any step.
+    Lanczos stops after 200 * m_max iterations.  ``m_max`` must be an
+    integer (a Python or numpy int) of at least 2.  ``tol`` must be
+    positive and finite: an infinite tolerance admits any step.
     """
 
     tol: float
@@ -126,8 +127,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if self.m_max < 2:
-            raise ValueError("m_max must be at least 2")
+        if not isinstance(self.m_max, numbers.Integral) or self.m_max < 2:
+            raise ValueError(f"m_max must be an integer of at least 2, got {self.m_max!r}")
 
 
 @dataclass
@@ -564,19 +565,15 @@ def two_pass_lanczos(ivp: SecondOrderIVP, cfg: SolverConfig) -> SolveReport:
         branch's updates with the coefficients of its converged ``curve``."""
         pos_coeff, vel_coeff = branch_coefficients(curve.cache, curve.kind, t_final)[0]
         proc = KrylovProcess(op, start, curve.decomposition.m, mode="lanczos3")
-        y_acc = pos_coeff[0] * proc.newest
-        v_acc = vel_coeff[0] * proc.newest
-        parts = chunks(op.dim)
-        tmp = np.empty(parts[0].stop)  # each chunk's products are formed here first
+        # the position and velocity sums as the rows of one array, so that
+        # each step's sweep over v_i updates both
+        coeffs = np.stack([pos_coeff, vel_coeff], axis=1)[:, :, None]
+        acc = coeffs[0] * proc.newest
+        scratch = np.empty((2, min(op.dim, CHUNK)))
         for i in range(1, curve.decomposition.m):
             proc.step()
-            v = proc.newest
-            for s in parts:
-                t = tmp[: s.stop - s.start]
-                ys, vs = y_acc[s], v_acc[s]
-                ys += np.multiply(v[s], pos_coeff[i], out=t)
-                vs += np.multiply(v[s], vel_coeff[i], out=t)
-        return y_acc, v_acc
+            add_scaled(acc, coeffs[i], proc.newest, scratch)
+        return acc[0], acc[1]
 
     def advance(cyc):
         th_psi, th_sigma = _tolerance_split(cfg.tol, cyc.beta_psi, cyc.beta_sigma)

@@ -19,17 +19,17 @@ holding v_{i+1}, so it keeps no basis and is not capped at ``dim``.  Inside
 a solve the store comes from the solve's :class:`StorePool` (see
 :func:`store_pool`), so a new process reuses the memory of a dropped one;
 outside, it is a new array.  Every process also owns a scratch vector of
-one :data:`CHUNK`.  A step applies A straight into the next row
-(``apply(x, out=)``), orthogonalizes that row in place chunk by chunk,
-forming each ``coeff * v`` in the scratch so the bits equal those of ``w -
-coeff * v``, and so allocates no n-vector.  Where the operator has a
-sweep of its own (``KroneckerSum3D``), a Lanczos step's apply subtracts
-beta v_{m-1} inside it, with the bits of the separate pass.  Every step
-ends by dividing the new row by its norm.  :meth:`KrylovProcess.step`
-past the cap raises ``RuntimeError``.  :attr:`KrylovProcess.newest` reads
-the newest basis vector in every mode; two-pass Lanczos replays its first
-pass's three-term process through it, bit for bit.  A
-:class:`KrylovDecomposition` snapshot reads the basis as a view of the
+at most one :data:`~trigkrylov.linop.CHUNK`.  A step applies A straight
+into the next row (``apply(x, out=)``) and orthogonalizes that row in
+place with :func:`~trigkrylov.linop.add_scaled` through the scratch, so
+the bits equal those of ``w - coeff * v`` and no n-vector is allocated.
+A Lanczos step past the first makes one call for ``A v_m - beta v_{m-1}``,
+the operator's ``_apply_fused``, which ``KroneckerSum3D`` runs in its
+apply's own sweep.  Every step ends by dividing the new row by its norm.
+:meth:`KrylovProcess.step` past the cap raises ``RuntimeError``.
+:attr:`KrylovProcess.newest` reads the newest basis vector in every mode;
+two-pass Lanczos replays its first pass's three-term process through it,
+bit for bit.  A :class:`KrylovDecomposition` snapshot reads the basis as a view of the
 store (``V_m`` and ``V`` are transposed row slices), never a copy, and the
 view keeps the store from being reused.  Rows are only ever appended, so
 an earlier snapshot stays valid while the process goes on; a three-term
@@ -45,7 +45,7 @@ import threading
 
 import numpy as np
 
-from .linop import LinearOperator
+from .linop import CHUNK, LinearOperator, add_scaled
 from .smallfun import BRANCH_TERMS, ScalarFunKind, SpectralCache
 
 #: Sample fractions of the time horizon used by the coarse residual check.
@@ -55,17 +55,6 @@ COARSE_FRACTIONS = np.array([1 / 6, 1 / 3, 1 / 2, 2 / 3, 5 / 6, 1.0])
 BREAKDOWN_RTOL = 1e-12
 
 DEFAULT_KMAX_HALVINGS = 40
-
-#: Elements per chunk of a step's elementwise passes: 256 KiB, so that a
-#: chunk of each operand and the scratch stay in L2 between the product and
-#: the update.
-CHUNK = 32768
-
-
-def chunks(n: int) -> list:
-    """The slices of ``range(n)`` in pieces of at most :data:`CHUNK`."""
-    return [slice(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
-
 
 def _refcount(stores, i):
     return sys.getrefcount(stores[i])
@@ -167,8 +156,7 @@ class KrylovProcess:
         self.h_next = 0.0
         self.breakdown = False
         self._norm_est = 0.0
-        self._chunks = chunks(op.dim)
-        self._scratch = np.empty(self._chunks[0].stop)
+        self._scratch = np.empty(min(op.dim, CHUNK))
         # row i % rows holds v_{i+1}: one row per basis vector, or a ring
         # of three in three-term mode
         rows = 3 if mode == "lanczos3" else self.m_max + 1
@@ -213,18 +201,6 @@ class KrylovProcess:
         view.flags.writeable = False
         return view
 
-    def _subtract(self, w, coeff, v):
-        """w -= coeff * v in place, chunk by chunk; each chunk's product is
-        formed in the scratch first, so the bits equal those of
-        ``w - coeff * v``."""
-        scratch = self._scratch
-        if len(w) == len(scratch):  # one chunk
-            w -= np.multiply(v, coeff, out=scratch)
-            return
-        for s in self._chunks:
-            ws = w[s]
-            ws -= np.multiply(v[s], coeff, out=scratch[: s.stop - s.start])
-
     def _step_arnoldi(self):
         m, store = self.m, self._store
         v_new = self.op.apply(store[m], out=store[m + 1])
@@ -233,7 +209,7 @@ class KrylovProcess:
             for i, v in enumerate(store[: m + 1]):
                 proj = v @ v_new
                 col[i] += proj
-                self._subtract(v_new, proj, v)
+                add_scaled(v_new, -proj, v, self._scratch)
         h_next = float(np.linalg.norm(v_new))
         col[m + 1] = h_next
         self._norm_est = max(self._norm_est, float(np.linalg.norm(col)))
@@ -243,16 +219,16 @@ class KrylovProcess:
         m, store = self.m, self._store
         rows = len(store)
         v_prev, v_cur, w = store[(m - 1) % rows], store[m % rows], store[(m + 1) % rows]
+        scratch = self._scratch
         if m == 0:
             self.op.apply(v_cur, out=w)
-        elif not self.op._apply_fused(v_cur, w, self.offdiags[-1], v_prev):
-            self.op.apply(v_cur, out=w)
-            self._subtract(w, self.offdiags[-1], v_prev)
+        else:
+            self.op._apply_fused(v_cur, w, self.offdiags[-1], v_prev, scratch)
         alpha = float(w @ v_cur)
-        self._subtract(w, alpha, v_cur)
+        add_scaled(w, -alpha, v_cur, scratch)
         if self.reorth:
             for v in store[: m + 1]:
-                self._subtract(w, v @ w, v)
+                add_scaled(w, -(v @ w), v, scratch)
         h_next = float(np.linalg.norm(w))
         self.alphas.append(alpha)
         self.offdiags.append(h_next)

@@ -16,6 +16,12 @@ non-finite entries, where three full GEMMs give 190 (22 to 46 elsewhere on
 the grid).  When nx is not a multiple of 8 its x line is one full GEMM and
 fills.  :class:`KroneckerSum3D` keeps its intermediates in a per-thread
 workspace, so concurrent applies on distinct vectors stay safe.
+
+A Krylov step's elementwise work goes through one kernel,
+:func:`add_scaled` (``acc += c * v`` chunk by chunk through a scratch of
+:data:`CHUNK` floats at most), and a Lanczos step's ``A x - c * v`` through
+one call, ``LinearOperator._apply_fused``: an apply and then the kernel,
+except where an operator's own sweep subtracts in its loop.
 """
 from __future__ import annotations
 
@@ -27,12 +33,41 @@ import scipy.sparse
 from scipy.sparse import _sparsetools
 
 
+#: Elements per chunk of :func:`add_scaled`: 256 KiB, so that a chunk of
+#: each operand and the scratch stay in L2 between the product and the sum.
+CHUNK = 32768
+
+
+def chunks(n: int) -> list:
+    """The slices of ``range(n)`` in pieces of at most :data:`CHUNK`."""
+    return [slice(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
+
+
+def add_scaled(acc: np.ndarray, coeff, v: np.ndarray, scratch: np.ndarray) -> None:
+    """``acc += coeff * v`` in place, chunk by chunk.  Each chunk's product
+    is formed in ``scratch``, of ``min(len(v), CHUNK)`` floats, first, so the
+    bits equal those of ``acc + coeff * v`` and no n-vector is allocated;
+    ``w - c * v`` is ``add_scaled(w, -c, v, scratch)``, with the same bits.
+
+    ``acc`` may also stack k sums as the rows of a (k, n) array, with
+    ``coeff`` a (k, 1) column and ``scratch`` of k rows: then each chunk of
+    ``v`` updates every row while it is in cache."""
+    if len(v) <= CHUNK:
+        acc += np.multiply(v, coeff, out=scratch)
+        return
+    for s in chunks(len(v)):
+        part = acc[..., s]
+        part += np.multiply(v[s], coeff, out=scratch[..., : s.stop - s.start])
+
+
 class LinearOperator:
     """Abstract matvec provider: ``y = A @ x`` for a fixed dimension.
 
     Subclasses implement ``_matvec(x, out)``, which writes ``A @ x`` into
     ``out``.  ``apply`` validates ``x`` and ``out``, increments the matvec
-    counter by exactly one and returns the product.  The counter is
+    counter by exactly one and returns the product; it is the one counted
+    entry, and an operator's own sweep takes its extra arguments through
+    it (the private ``_sweep``, passed on to ``_matvec``).  The counter is
     lock-protected so ``apply`` may be called concurrently from several
     threads on distinct vectors.
     """
@@ -49,7 +84,8 @@ class LinearOperator:
     def matvec_count(self) -> int:
         return self._matvec_count
 
-    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None, *,
+              _sweep: tuple = ()) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(
@@ -68,18 +104,19 @@ class LinearOperator:
             raise ValueError("out overlaps x")
         with self._count_lock:
             self._matvec_count += 1
-        self._matvec(x, out)
+        self._matvec(x, out, *_sweep)
         return out
 
     def _matvec(self, x: np.ndarray, out: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _apply_fused(self, x, out, coeff, v) -> bool:
-        """A Lanczos step's sweep, where the operator has one: ``out = A x -
-        coeff * v`` as one counted :meth:`apply`, with the bits of the apply
-        and the subtraction.  Every :class:`KroneckerSum3D` has it; the
-        other operators return False, having done nothing."""
-        return False
+    def _apply_fused(self, x, out, coeff, v, scratch) -> None:
+        """A Lanczos step's ``out = A x - coeff * v``: one counted
+        :meth:`apply`, then :func:`add_scaled` with ``-coeff`` through
+        ``scratch``.  :class:`KroneckerSum3D` subtracts inside its apply's
+        plane loop instead, with the same bits."""
+        self.apply(x, out=out)
+        add_scaled(out, -coeff, v, scratch)
 
 
 class DenseOperator(LinearOperator):
@@ -224,9 +261,9 @@ class KroneckerSum3D(LinearOperator):
     One loop runs over groups of p z-planes.  A group's z rows go straight
     into ``out``; its y term and then its x term (the x lines times column
     blocks of Lx^T) are formed in one workspace and added into ``out`` while
-    both are still in cache.  A Lanczos step's private :meth:`_apply_fused`
-    runs its beta v_{m-1} subtraction in the same loop: each group last
-    subtracts coeff * v from its ``out`` rows.
+    both are still in cache.  Its :meth:`_apply_fused` hands a Lanczos
+    step's ``(coeff, v)`` through :meth:`apply` to that loop, so that each
+    group last subtracts coeff * v from its ``out`` rows.
 
     When ``nx`` is a multiple of 8, a group is a row block of Lz (8 whole
     rows where Lz's band covers it), its y term is Ly times each plane, and
@@ -284,23 +321,16 @@ class KroneckerSum3D(LinearOperator):
         self._ws_size = (1 + self._tail) * planes * self.ny * self.nx
         self._local = threading.local()
 
-    def _apply_fused(self, x, out, coeff, v) -> bool:
-        self._local.fused = (coeff, v)
-        try:
-            self.apply(x, out=out)
-        finally:
-            self._local.fused = None
-        return True
+    def _apply_fused(self, x, out, coeff, v, scratch) -> None:
+        self.apply(x, out=out, _sweep=(coeff, v))
 
-    def _matvec(self, x, out):
+    def _matvec(self, x, out, coeff=0.0, v=None):
         ws = getattr(self._local, "ws", None)
         if ws is None:
             ws = self._local.ws = np.empty(self._ws_size)
-        fused = getattr(self._local, "fused", None)
         nx, ny, nz = self.nx, self.ny, self.nz
         x3, xz, oz = x.reshape(nz, ny, nx), x.reshape(nz, ny * nx), out.reshape(nz, ny * nx)
-        if fused is not None:
-            coeff, vz = fused[0], fused[1].reshape(nz, ny * nx)
+        vz = None if v is None else v.reshape(nz, ny * nx)
         for rows, zblocks in self._groups:
             o, xs = oz[rows], x3[rows]
             p = len(xs)
@@ -329,7 +359,7 @@ class KroneckerSum3D(LinearOperator):
             if self.kx != 1.0:
                 w *= self.kx
             o += w.reshape(p, ny * nx)
-            if fused is not None:  # a Lanczos step's - coeff * v, while o is in cache
+            if vz is not None:  # a Lanczos step's - coeff * v, while o is in cache
                 o -= np.multiply(vz[rows], coeff, out=w.reshape(p, ny * nx))
 
 

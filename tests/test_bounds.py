@@ -180,6 +180,18 @@ def test_bound_prop23_trivial_and_errors():
         bound_prop23(bad)
 
 
+def test_bound_prop23_reads_no_lam_min_of_a_dead_term():
+    # a broken-down branch (h = 0) may carry a round-off negative Ritz
+    # value; its terms are 0 and its lam_min is not read
+    live = dict(m=2, t=0.5, h_psi=0.7, beta_psi=1.3, lam_min_psi=2.0, regime="spd")
+    for lam in (-1e-17, 0.0, None):
+        bi = BoundInput(**live, h_sigma=0.0, beta_sigma=1.0, lam_min_sigma=lam)
+        assert bound_prop23(bi) == (0.7 * 1.3 / 2.0 * 0.5, 0.7 * 1.3 * min(0.125, 0.25, 1.0))
+    bi = BoundInput(m=2, t=0.5, h_psi=0.7, beta_psi=0.0, lam_min_psi=-1e-17,
+                    h_sigma=0.2, beta_sigma=0.9, lam_min_sigma=4.0, regime="spd")
+    assert bound_prop23(bi) == (0.2 * 0.9 * 0.5, 0.2 * 0.9 * 0.5)
+
+
 def test_tight_bound_below_simple_in_right_regime():
     for lam in (0.5, 1.0, 3.0):
         for t in np.linspace(0.05, 2.0 / lam, 13):

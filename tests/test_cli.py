@@ -157,6 +157,8 @@ def _bad_input_args(case, tmp_path):
         "config-without-path": ["solve", "--config"],
         "text-tol": ["solve", "--problem", "isotropic6", "--tol", "abc"],
         "fractional-mmax": ["solve", "--problem", "isotropic6", "--mmax", "2.5"],
+        # no cell runs, so only the flag's own type can reject it
+        "negative-bench-mmax": bench + ["--mmax", "-1", "--max-seconds", "0"],
         "float-n": ["bounds", "--n", "1e308"],
         "nan-matrix-entry": ["solve", "--matrix", _write_matrix_with_entry(tmp_path, "nan")],
         "inf-matrix-entry": ["solve", "--matrix", _write_matrix_with_entry(tmp_path, "inf")],
@@ -169,6 +171,7 @@ _NAMED = {"invalid-solver": "--solver", "alpha-flag": "--alpha", "bench-tol-flag
           "nan-budget": "--max-seconds", "negative-budget": "--max-seconds",
           "empty-m-range": "--m", "open-m-range": "--m", "config-without-path": "--config",
           "text-tol": "--tol", "fractional-mmax": "--mmax", "float-n": "--n",
+          "negative-bench-mmax": "--mmax",
           "nan-matrix-entry": "finite", "inf-matrix-entry": "finite"}
 
 
@@ -195,7 +198,8 @@ def _sweep_cases():
     values = ("nan", "inf", "-inf", "-1", "0", "1e308", "")
     cases = [(cmd, flag, value) for cmd, names in flags.items()
              for flag in names for value in values]
-    return cases + [("bounds", "--m", value) for value in ("3:1", "1:", ":")]
+    return (cases + [("bounds", "--m", value) for value in ("3:1", "1:", ":")]
+            + [(cmd, "--mmax", "1") for cmd in ("solve", "bench")])
 
 
 @pytest.mark.parametrize("command,flag,value", _sweep_cases())
@@ -217,6 +221,10 @@ def test_numeric_flag_sweep_ends_in_output_or_one_error_line(tmp_path, capsys,
         # exit 1 is a solver failure, which only solve reports
         assert rc == 2 or (rc == 1 and command == "solve"), (rc, err)
         assert err.startswith("error:") and err.count("\n") == 1, err
+    if flag in ("--mmax", "--seed") and (flag, value) != ("--seed", "0"):
+        # a Krylov cap is an int of at least 2 and a seed a nonnegative
+        # int, each rejected by its flag's type, which names the flag
+        assert rc == 2 and flag in err, (rc, err)
 
 
 def test_solve_of_an_exact_zero_solution_reports_zero_error(tmp_path):
@@ -419,6 +427,15 @@ def test_bounds_overflowed_residuals_count_as_violations(tmp_path, capsys):
     assert all(row["res_total"] == "nan" for row in rows)
     assert all(row["violation"] == "1" for row in rows)
     assert "2 rows, 2 violations" in capsys.readouterr().out
+
+
+def test_bounds_of_a_broken_down_branch_read_no_ritz_value(tmp_path, capsys):
+    # at m = n = 2 both branches break down, and the synthetic spectrum's
+    # lam = 0 leaves a round-off negative Ritz value, which the dead term
+    # must not take a square root of
+    assert main(["bounds", "--n", "2", "--m", "2", "--out", str(tmp_path)]) == 0
+    assert len(_rows(tmp_path / "bounds.csv")) == 3
+    assert "3 rows, 0 violations" in capsys.readouterr().out
 
 
 def test_bounds_wave_preset(tmp_path):

@@ -56,6 +56,11 @@ def test_config_validation():
         SolverConfig(tol=math.inf)
     with pytest.raises(ValueError):
         SolverConfig(tol=1e-6, m_max=1)
+    # every solver sizes arrays and ranges by m_max, so it is an integer
+    for m_max in (10.5, 30.0, math.nan, "30"):
+        with pytest.raises(ValueError, match="m_max must be an integer"):
+            SolverConfig(tol=1e-6, m_max=m_max)
+    assert SolverConfig(tol=1e-6, m_max=np.int64(12)).m_max == 12
 
 
 def test_ivp_validation():

@@ -7,13 +7,13 @@ import pytest
 import scipy.sparse
 
 from trigkrylov.linop import (
+    CHUNK,
     DenseOperator,
     KroneckerSum3D,
     SparseCSR,
     dirichlet_laplacian_1d,
 )
 from trigkrylov.krylov import (
-    CHUNK,
     COARSE_FRACTIONS,
     KrylovProcess,
     ResidualCurve,

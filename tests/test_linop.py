@@ -8,6 +8,7 @@ import scipy.io
 import scipy.sparse
 
 from trigkrylov.linop import (
+    CHUNK,
     BlockFirstOrderOperator,
     DenseOperator,
     KroneckerSum3D,
@@ -396,7 +397,7 @@ def test_fused_sweep_bits_equal_the_three_passes(shape, factors, in_store):
     expected = op.apply(x)
     expected -= np.multiply(v, coeff)
     count = op.matvec_count
-    assert op._apply_fused(x, out, coeff, v)
+    op._apply_fused(x, out, coeff, v, np.empty(min(op.dim, CHUNK)))
     assert op.matvec_count == count + 1
     assert np.array_equal(x, x_before)
     assert np.array_equal(out, expected)
@@ -404,13 +405,24 @@ def test_fused_sweep_bits_equal_the_three_passes(shape, factors, in_store):
     assert np.array_equal(op.apply(x, out=out), op.apply(x))
 
 
-def test_operators_without_a_plane_path_have_no_fused_sweep():
-    ops = [DenseOperator(np.diag([1.0, 2.0, 3.0])),
-           SparseCSR(scipy.sparse.diags([1.0, 2.0, 3.0]), is_symmetric=True),
-           BlockFirstOrderOperator(DenseOperator(np.diag([1.0, 2.0, 3.0])))]
+def test_operators_without_a_plane_path_apply_then_subtract():
+    # the default fused call: one counted apply, then - coeff * v through
+    # the chunked kernel, with the bits of the product and the subtraction;
+    # the diagonal SparseCSR spans one chunk, two, and two plus 5 entries
+    rng = np.random.default_rng(22)
+    dense = rng.standard_normal((30, 30))
+    ops = [DenseOperator(dense + dense.T),
+           *(SparseCSR(scipy.sparse.diags(rng.uniform(1.0, 2.0, n), format="csr"),
+                       is_symmetric=True) for n in (300, 2 * CHUNK, 2 * CHUNK + 5)),
+           BlockFirstOrderOperator(DenseOperator(dense))]
     for op in ops:
-        x = np.ones(op.dim)
+        x, v = rng.standard_normal((2, op.dim))
+        coeff = rng.standard_normal()
+        x_before = x.copy()
+        expected = op.apply(x) - coeff * v
         out = np.full(op.dim, np.nan)
-        assert not op._apply_fused(x, out, 5.0, np.ones(op.dim))
-        assert op.matvec_count == 0
-        assert np.all(x == 1.0) and np.all(np.isnan(out))
+        count = op.matvec_count
+        op._apply_fused(x, out, coeff, v, np.empty(min(op.dim, CHUNK)))
+        assert op.matvec_count == count + 1
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(out, expected), op.dim

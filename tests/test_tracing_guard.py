@@ -9,6 +9,7 @@ import numpy as np
 
 from trigkrylov.integrators import SOLVERS, SecondOrderIVP, SolverConfig, solve
 from trigkrylov.linop import DenseOperator
+from trigkrylov.problems import build_wave3d, isotropic_wave_spec
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -29,19 +30,35 @@ def _small_ivp():
                           rng.standard_normal(n), 1.0)
 
 
-def test_tracer_spans_every_solver_and_counts_its_matvecs():
+def _traced_matvecs(make_ivp):
+    """The matvecs of each solver's report on ``make_ivp()``, untraced and
+    traced, and the traced run's summary."""
     tracing = _load_tracing()
     cfg = SolverConfig(tol=1e-6, m_max=10)
-    plain = {name: solve(_small_ivp(), cfg, name).matvecs for name in SOLVERS}
+    plain = {name: solve(make_ivp(), cfg, name).matvecs for name in SOLVERS}
     traced = {}
     with tracing.Tracer() as tracer:  # __exit__ checks every original is back
         for name in SOLVERS:
             tracer.cell = name
-            traced[name] = solve(_small_ivp(), cfg, name).matvecs
+            traced[name] = solve(make_ivp(), cfg, name).matvecs
+    return plain, traced, tracer.summary()
+
+
+def test_tracer_spans_every_solver_and_counts_its_matvecs():
+    plain, traced, (_, _, calls, outer_calls, _) = _traced_matvecs(_small_ivp)
     assert traced == plain
-    _, _, calls, outer_calls, _ = tracer.summary()
     for name in SOLVERS:
         # ``solve`` was imported before the tracer rebound it, as in the
         # benchmark harness, so the span is that of the ``SOLVERS`` entry
         assert calls["integrators.control", name] >= 1, name
+        assert outer_calls["linop.apply", name] == plain[name], name
+
+
+def test_tracer_counts_the_fused_sweeps_of_a_kronecker_operator():
+    # a Lanczos step's A v - beta v_prev on a KroneckerSum3D runs in the
+    # apply's own plane loop, which must still be one traced linop.apply
+    make_ivp = lambda: build_wave3d(isotropic_wave_spec(8))
+    plain, traced, (_, _, _, outer_calls, _) = _traced_matvecs(make_ivp)
+    assert traced == plain
+    for name in SOLVERS:
         assert outer_calls["linop.apply", name] == plain[name], name
